@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -122,8 +123,18 @@ def _load_input(args) -> dict:
             text = fh.read()
     except OSError as exc:
         raise UsageFailure("cannot read %s: %s" % (args.input, exc.strerror or exc))
+
+    def finite(parse):  # json.loads hook: NaN, Infinity and 1e400 are bad input
+        def number(token):
+            if math.isfinite(float(token)):
+                return parse(token)
+            raise UsageFailure("%s: %.20s is not a finite number" % (args.input, token))
+
+        return number
+
+    num, whole = finite(float), finite(int)
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=num, parse_float=num, parse_int=whole)
     except json.JSONDecodeError as exc:
         raise UsageFailure(
             "%s: line %d column %d: %s" % (args.input, exc.lineno, exc.colno, exc.msg)

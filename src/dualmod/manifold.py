@@ -14,6 +14,7 @@ that every transition passes the derivative block test.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from dualmod.core import (
     ONE,
     DualNumber,
     DualVector,
+    NotInvertible,
     ShapeMismatch,
     inv,
     mul,
@@ -43,7 +45,6 @@ from dualmod.diff import (
     inv_expr,
     sharp_expr,
 )
-from dualmod.core import NotInvertible
 from dualmod.linalg import realify, unrealify
 
 
@@ -247,9 +248,12 @@ def transition(i: int, j: int, k: int, l: int, n: int, m: int) -> TransitionMap:
 
 
 def in_transition_domain(trans: TransitionMap, u: DualVector, tol=None) -> bool:
-    tol = resolve_tol(tol)
+    return _re_invertible(trans.domain, u, resolve_tol(tol))
+
+
+def _re_invertible(predicate: Expr, x: DualVector, tol: float) -> bool:
     try:
-        return abs(eval_expr(trans.domain, u).re) > tol
+        return abs(eval_expr(predicate, x).re) > tol
     except (NotInvertible, EvaluationFailed):
         return False
 
@@ -263,20 +267,17 @@ class ProjectiveAtlas:
     charts: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if not self.charts:
-            object.__setattr__(
-                self,
-                "charts",
-                tuple(
-                    (i, j)
-                    for i in range(self.n + 1)
-                    for j in range(self.m + 1)
-                ),
-            )
-        else:
-            object.__setattr__(
-                self, "charts", tuple((int(i), int(j)) for i, j in self.charts)
-            )
+        if self.n < 0 or self.m < 0:
+            raise ValueError("negative dimensions (%d, %d)" % (self.n, self.m))
+        charts = tuple((int(i), int(j)) for i, j in self.charts) or tuple(
+            (i, j) for i in range(self.n + 1) for j in range(self.m + 1)
+        )
+        for i, j in charts:
+            if not (0 <= i <= self.n and 0 <= j <= self.m):
+                raise ValueError(
+                    "chart (%d, %d) out of range for (%d, %d)" % (i, j, self.n, self.m)
+                )
+        object.__setattr__(self, "charts", charts)
 
     def to_json(self) -> dict:
         return {
@@ -287,9 +288,10 @@ class ProjectiveAtlas:
 
     @classmethod
     def from_json(cls, data) -> "ProjectiveAtlas":
-        charts = tuple(
-            (int(c["i"]), int(c["j"])) for c in data.get("charts", [])
-        )
+        try:
+            charts = tuple((c["i"], c["j"]) for c in data.get("charts", []))
+        except (KeyError, TypeError):
+            raise ValueError('each chart must be an object with "i" and "j"') from None
         return cls(int(data["n"]), int(data["m"]), charts)
 
 
@@ -300,6 +302,11 @@ class ExprChart:
     forward: DualFunc
     inverse: DualFunc
     domain: Expr
+
+    def __post_init__(self):
+        shapes = (self.forward.domain, self.forward.codomain)
+        if (self.inverse.codomain, self.inverse.domain) != shapes:
+            raise ShapeMismatch("chart inverse must map %r -> %r" % shapes[::-1])
 
     def to_json(self) -> dict:
         return {
@@ -328,6 +335,9 @@ class ExprAtlas:
         object.__setattr__(self, "charts", tuple(self.charts))
         if not self.charts:
             raise ValueError("atlas needs at least one chart")
+        shapes = sorted({c.forward.domain for c in self.charts})
+        if len(shapes) > 1:
+            raise ShapeMismatch("charts disagree on the ambient shape: %r" % shapes)
 
     @property
     def ambient(self) -> tuple[int, int]:
@@ -351,10 +361,14 @@ def atlas_from_json(data):
 
 @dataclass(frozen=True)
 class AtlasCheck:
+    """One axiom verdict; checked counts the probes (ii) or points (iii, iv)
+    behind it, and an entry that checked nothing fails."""
+
     axiom: str
     chart_pair: tuple
     passed: bool
     witness: dict | None = None
+    checked: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -362,6 +376,7 @@ class AtlasCheck:
             "chart_pair": list(self.chart_pair),
             "passed": self.passed,
             "witness": self.witness,
+            "checked": self.checked,
         }
 
 
@@ -407,174 +422,146 @@ def random_rep(rng, n, m, active=(), sparsity=0.3) -> ProjectivePoint:
 def verify_atlas(atlas, samples: int = 50, tol: float = 1e-4, seed: int = 0) -> AtlasReport:
     """Sample-based check of openness (ii), injectivity (iii), and
     transition smoothness (iv)."""
-    if isinstance(atlas, ProjectiveAtlas):
-        return _verify_projective(atlas, samples, tol, seed)
-    if isinstance(atlas, ExprAtlas):
-        return _verify_expr(atlas, samples, tol, seed)
-    raise TypeError("not an atlas: %r" % (atlas,))
-
-
-def _unit_dirs(rng, dim, count):
-    dirs = rng.normal(size=(count, dim))
-    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-
-
-def _verify_projective(atlas, samples, tol, seed) -> AtlasReport:
+    if not isinstance(atlas, (ProjectiveAtlas, ExprAtlas)):
+        raise TypeError("not an atlas: %r" % (atlas,))
     rng = np.random.default_rng(seed)
-    n, m = atlas.n, atlas.m
-    dim = 2 * n + m
+    kind = _StandardCharts if isinstance(atlas, ProjectiveAtlas) else _ExprCharts
+    ops = kind(atlas, rng, tol)
     entries = []
-
-    for c in atlas.charts:
-        pts = [random_rep(rng, n, m, active=(c,)) for _ in range(min(samples, 25))]
-        images = [chart_map(c[0], c[1], p) for p in pts]
+    for c in ops.charts:
+        pts = ops.sample((c,), min(samples, 25))
+        images, witness, probes = [], None, 0
+        for p in pts:
+            try:
+                images.append(ops.forward(c, p))
+            except (NotInvertible, EvaluationFailed) as exc:
+                witness = {"point": _rep_of(p).to_json(), "error": str(exc)}
+                break
 
         # (ii): probe a small ball around each image through the inverse
-        ok, witness = True, None
-        for u in images[: min(len(images), 12)]:
-            for d in _unit_dirs(rng, dim, 6):
-                probe = unrealify(realify(u) + tol * d, n, m)
-                back = chart_map(c[0], c[1], chart_inverse(c[0], c[1], probe))
-                gap = vector_norm(back - probe)
+        if witness is None:
+            for probe in _ball_probes(rng, images[:12], tol):
+                probes += 1
+                try:
+                    gap = vector_norm(ops.round_trip(c, probe) - probe)
+                except (NotInvertible, EvaluationFailed) as exc:
+                    witness = {"point": probe.to_json(), "error": str(exc)}
+                    break
                 if gap > 0.05 * tol * (1.0 + vector_norm(probe)):
-                    ok, witness = False, {"point": probe.to_json(), "gap": gap}
+                    witness = {"point": probe.to_json(), "gap": gap}
                     break
-            if not ok:
-                break
-        entries.append(AtlasCheck("ii", (list(c),), ok, witness))
+        entries.append(_entry("ii", (c,), witness, probes, "chart domain"))
 
-        # (iii): images may coincide only for equivalent points
-        ok, witness = True, None
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                gap = vector_norm(images[a] - images[b])
-                if gap <= 1e-9 and not equivalent(pts[a], pts[b]):
-                    ok = False
-                    witness = {
-                        "first": pts[a].rep.to_json(),
-                        "second": pts[b].rep.to_json(),
-                    }
-                    break
-            if not ok:
+        # (iii): images may coincide only for the same point
+        witness = None
+        for a, b in itertools.combinations(range(len(images)), 2):
+            close = vector_norm(images[a] - images[b]) <= 1e-9
+            if close and not ops.same(pts[a], pts[b]):
+                witness = {
+                    "first": _rep_of(pts[a]).to_json(),
+                    "second": _rep_of(pts[b]).to_json(),
+                }
                 break
-        entries.append(AtlasCheck("iii", (list(c),), ok, witness))
+        entries.append(_entry("iii", (c,), witness, len(images), "chart domain"))
 
-    for c1 in atlas.charts:
-        for c2 in atlas.charts:
-            trans = transition(c1[0], c1[1], c2[0], c2[1], n, m)
-            ok, witness = True, None
-            for _ in range(samples):
-                p = random_rep(rng, n, m, active=(c1, c2))
-                u = chart_map(c1[0], c1[1], p)
+    # (iv): the derivative block test on every transition
+    for c1, c2 in itertools.product(ops.charts, repeat=2):
+        trans = ops.transition(c1, c2)
+        witness, checked = None, 0
+        for p in ops.overlap(c1, c2, samples):
+            try:
+                u = ops.forward(c1, p)
                 if not in_transition_domain(trans, u):
                     continue
+                checked += 1
                 report = cr_check(trans.func, u, tol=tol)
-                if not report.passed:
-                    ok = False
-                    witness = {
-                        "point": u.to_json(),
-                        "residuals": report.residuals,
-                    }
-                    break
-            entries.append(AtlasCheck("iv", (list(c1), list(c2)), ok, witness))
+            except (NotInvertible, EvaluationFailed) as exc:
+                witness = {"point": _rep_of(p).to_json(), "error": str(exc)}
+                break
+            if not report.passed:
+                witness = {"point": u.to_json(), "residuals": report.residuals}
+                break
+        entries.append(_entry("iv", (c1, c2), witness, checked, "transition domain"))
     return AtlasReport(tuple(entries))
 
 
-def _expr_chart_contains(chart, x, tol):
-    try:
-        return abs(eval_expr(chart.domain, x).re) > tol
-    except (NotInvertible, EvaluationFailed):
-        return False
+def _entry(axiom, pair, witness, checked, where) -> AtlasCheck:
+    if witness is None and not checked:
+        witness = {"error": "no sample point was checked in the %s" % where}
+    return AtlasCheck(axiom, pair, witness is None, witness, checked)
 
 
-def _verify_expr(atlas, samples, tol, seed) -> AtlasReport:
-    rng = np.random.default_rng(seed)
-    n, m = atlas.ambient
-    dim = 2 * n + m
-    entries = []
+def _ball_probes(rng, images, tol):
+    """Six random points at distance tol around each image, drawn lazily so
+    that a failing probe stops the draws."""
+    for u in images:
+        s, t = u.shape
+        dirs = rng.normal(size=(6, 2 * s + t))
+        for d in dirs / np.linalg.norm(dirs, axis=1, keepdims=True):
+            yield unrealify(realify(u) + tol * d, s, t)
 
-    def sample_in(charts, count, tries=40):
+
+class _StandardCharts:
+    """verify_atlas's chart operations for the standard charts [i, j]."""
+
+    def __init__(self, atlas, rng, tol):
+        self.shape, self.rng = (atlas.n, atlas.m), rng
+        self.charts = [list(c) for c in atlas.charts]
+        self.same = equivalent
+
+    def sample(self, charts, count):
+        return [random_rep(self.rng, *self.shape, active=charts) for _ in range(count)]
+
+    def overlap(self, c1, c2, samples):
+        # drawn one at a time, so that a failing check stops the draws
+        pair = (c1, c2)
+        return (random_rep(self.rng, *self.shape, active=pair) for _ in range(samples))
+
+    def forward(self, c, p):
+        return chart_map(c[0], c[1], p)
+
+    def round_trip(self, c, u):
+        return chart_map(c[0], c[1], chart_inverse(c[0], c[1], u))
+
+    def transition(self, c1, c2):
+        return transition(c1[0], c1[1], c2[0], c2[1], *self.shape)
+
+
+class _ExprCharts:
+    """verify_atlas's chart operations for ExprAtlas charts, named by index."""
+
+    def __init__(self, atlas, rng, tol):
+        self.atlas, self.rng, self.tol = atlas, rng, tol
+        self.charts = range(len(atlas.charts))
+
+    def sample(self, charts, count):
+        n, m = self.atlas.ambient
+        domains = [self.atlas.charts[c].domain for c in charts]
         out = []
-        for _ in range(count * tries):
-            x = unrealify(rng.uniform(-1.5, 1.5, size=dim), n, m)
-            if all(_expr_chart_contains(c, x, tol) for c in charts):
+        for _ in range(count * 40):
+            x = unrealify(self.rng.uniform(-1.5, 1.5, size=2 * n + m), n, m)
+            if all(_re_invertible(d, x, self.tol) for d in domains):
                 out.append(x)
                 if len(out) == count:
                     break
         return out
 
-    for idx, chart in enumerate(atlas.charts):
-        pts = sample_in([chart], min(samples, 25))
-        images, ok, witness = [], True, None
-        for x in pts:
-            try:
-                images.append(eval_func(chart.forward, x))
-            except (NotInvertible, EvaluationFailed) as exc:
-                ok, witness = False, {"point": x.to_json(), "error": str(exc)}
-                break
+    def overlap(self, a, b, samples):
+        return self.sample((a, b), min(samples, 25))
 
-        if ok:
-            s_out, t_out = chart.forward.codomain
-            dim_out = 2 * s_out + t_out
-            for u in images[: min(len(images), 12)]:
-                for d in _unit_dirs(rng, dim_out, 6):
-                    probe = unrealify(realify(u) + tol * d, s_out, t_out)
-                    try:
-                        x_back = eval_func(chart.inverse, probe)
-                        if not _expr_chart_contains(chart, x_back, tol):
-                            raise EvaluationFailed("preimage left the domain")
-                        gap = vector_norm(eval_func(chart.forward, x_back) - probe)
-                    except (NotInvertible, EvaluationFailed) as exc:
-                        ok, witness = False, {
-                            "point": probe.to_json(),
-                            "error": str(exc),
-                        }
-                        break
-                    if gap > 0.05 * tol * (1.0 + vector_norm(probe)):
-                        ok, witness = False, {"point": probe.to_json(), "gap": gap}
-                        break
-                if not ok:
-                    break
-        entries.append(AtlasCheck("ii", (idx,), ok, witness))
+    def forward(self, c, x):
+        return eval_func(self.atlas.charts[c].forward, x)
 
-        ok, witness = True, None
-        for a in range(len(images)):
-            for b in range(a + 1, len(images)):
-                if (
-                    vector_norm(images[a] - images[b]) <= 1e-9
-                    and vector_norm(pts[a] - pts[b]) > 1e-6
-                ):
-                    ok = False
-                    witness = {
-                        "first": pts[a].to_json(),
-                        "second": pts[b].to_json(),
-                    }
-                    break
-            if not ok:
-                break
-        entries.append(AtlasCheck("iii", (idx,), ok, witness))
+    def round_trip(self, c, u):
+        x = eval_func(self.atlas.charts[c].inverse, u)
+        if not _re_invertible(self.atlas.charts[c].domain, x, self.tol):
+            raise EvaluationFailed("preimage left the domain")
+        return self.forward(c, x)
 
-    for a, ca in enumerate(atlas.charts):
-        for b, cb in enumerate(atlas.charts):
-            try:
-                trans = compose_funcs(cb.forward, ca.inverse)
-            except ShapeMismatch as exc:
-                entries.append(
-                    AtlasCheck("iv", (a, b), False, {"error": str(exc)})
-                )
-                continue
-            pts = sample_in([ca, cb], min(samples, 25))
-            ok, witness = True, None
-            for x in pts:
-                try:
-                    u = eval_func(ca.forward, x)
-                    report = cr_check(trans, u, tol=tol)
-                except (NotInvertible, EvaluationFailed) as exc:
-                    ok, witness = False, {"point": x.to_json(), "error": str(exc)}
-                    break
-                if not report.passed:
-                    ok = False
-                    witness = {"point": u.to_json(), "residuals": report.residuals}
-                    break
-            entries.append(AtlasCheck("iv", (a, b), ok, witness))
-    return AtlasReport(tuple(entries))
+    def same(self, x, y):
+        return vector_norm(x - y) <= 1e-6
+
+    def transition(self, a, b):
+        # overlap draws only points inside both chart domains
+        fwd, back = self.atlas.charts[b].forward, self.atlas.charts[a].inverse
+        return TransitionMap(compose_funcs(fwd, back), const(ONE))

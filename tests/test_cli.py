@@ -227,9 +227,33 @@ class TestAtlas:
         assert {e["axiom"] for e in report["entries"]} == {"ii", "iii", "iv"}
 
     def test_bad_atlas_rejected(self, tmp_path, capsys):
-        path = write_json(tmp_path / "atlas.json", {"wrong": True})
-        code, _, err = run(capsys, ["atlas", "--input", path])
-        assert code == 2
+        x = coord("head", 0)
+        widen = DualFunc((1, 0), (2, 0), (x, x)).to_json()
+        ident = DualFunc((1, 0), (1, 0), (x,)).to_json()
+        everywhere = {"op": "const", "value": [1.0, 0.0]}
+        for doc in (
+            {"wrong": True},
+            {"n": -1, "m": 1},
+            {"n": 1, "m": 1, "charts": [{"i": 5, "j": 0}]},
+            {"n": 1, "m": 1, "charts": [{"i": 0}]},
+            {
+                "charts": [
+                    {"forward": ident, "inverse": ident, "domain": everywhere},
+                    {"forward": widen, "inverse": widen, "domain": everywhere},
+                ]
+            },
+        ):
+            path = write_json(tmp_path / "atlas.json", doc)
+            code, _, err = run(capsys, ["atlas", "--input", path])
+            assert code == 2, doc
+            assert err.startswith("error: ")
+
+    def test_entries_count_evidence(self, tmp_path, capsys):
+        path = write_json(tmp_path / "atlas.json", ProjectiveAtlas(1, 0).to_json())
+        code, out, _ = run(capsys, ["atlas", "--input", path, "--samples", "1"])
+        assert code == 0
+        checked = {e["axiom"]: e["checked"] for e in json.loads(out)["entries"]}
+        assert checked == {"ii": 6, "iii": 1, "iv": 1}
 
 
 class TestDarboux:
@@ -263,6 +287,37 @@ class TestDarboux:
         path = write_json(tmp_path / "form.json", {"N": 2, "M": 0})
         code, _, err = run(capsys, ["darboux", "--input", path])
         assert code == 2
+
+
+def _nonfinite_doc(case):
+    """A valid input with one number replaced by a non-finite token."""
+    gens = {"generators": [basis_vector(1, 1, 0).to_json()]}
+    lam = ModuleMap.scalar(1, 1, DualNumber(2.0, 1.0))
+    rhs = vector([DualNumber(4.0, 0.0)], [6.0]).to_json()
+    if case == "nan_rhs":
+        rhs["head"][0][0] = float("nan")
+        return "solve", json.dumps({"map": lam.to_json(), "rhs": rhs})
+    if case == "nan_gram":
+        form = standard_form(1, 1).to_json()
+        form["G"][0][1][0] = float("nan")
+        return "darboux", json.dumps(form)
+    token = {"inf_generator": "Infinity", "huge_float": "1e400", "huge_int": "7" * 400}
+    gens["generators"][0]["tail"][0] = "TOKEN"
+    return "basis", json.dumps(gens).replace('"TOKEN"', token[case])
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "case", ["nan_rhs", "inf_generator", "nan_gram", "huge_float", "huge_int"]
+    )
+    def test_rejected_at_parse_time(self, tmp_path, capsys, case):
+        command, text = _nonfinite_doc(case)
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out, err = run(capsys, [command, "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "is not a finite number" in err
 
 
 class TestOutputHandling:

@@ -19,6 +19,8 @@ from dualmod.diff import (
     eval_expr,
     eval_func,
     func_from_module_map,
+    identity_func,
+    inv_expr,
     re_part,
     sharp_expr,
     ze_part,
@@ -303,6 +305,44 @@ class TestVerifyAtlas:
         data = report.to_json()
         assert data["passed"] is True
         assert len(data["entries"]) == len(report.entries)
+        # ii counts probes (six around each of ten images), iii and iv points
+        checked = {e["axiom"]: e["checked"] for e in data["entries"]}
+        assert checked == {"ii": 60, "iii": 10, "iv": 10}
+
+    def test_no_sample_in_domain_fails(self):
+        # the domain predicate is zero everywhere, so sampling finds nothing
+        chart = ExprChart(identity_func(1, 0), identity_func(1, 0), const(0.0))
+        report = verify_atlas(ExprAtlas((chart,)), samples=20, seed=0)
+        assert [e.axiom for e in report.entries] == ["ii", "iii", "iv"]
+        for e in report.entries:
+            assert not e.passed and e.checked == 0
+            assert "no sample point" in e.witness["error"]
+
+    def test_forward_failure_fails_openness(self):
+        x = coord("head", 0)
+        ident = DualFunc((1, 0), (1, 0), (x,))
+        # eps * x is never invertible, so the forward map raises everywhere
+        broken = DualFunc((1, 0), (1, 0), (inv_expr(sharp_expr(x)),))
+        atlas = ExprAtlas(
+            (ExprChart(ident, ident, const(ONE)), ExprChart(broken, ident, const(ONE)))
+        )
+        report = verify_atlas(atlas, samples=20, seed=0)
+        entry = {(e.axiom, tuple(e.chart_pair)): e for e in report.entries}
+        assert entry["ii", (0,)].passed
+        ii = entry["ii", (1,)]
+        assert not ii.passed and "point" in ii.witness and "error" in ii.witness
+        assert not entry["iv", (1, 0)].passed
+        assert "error" in entry["iv", (1, 0)].witness
+
+    def test_inverse_leaving_domain_fails_openness(self):
+        x = coord("head", 0)
+        ident = DualFunc((1, 0), (1, 0), (x,))
+        # the "inverse" lands on eps multiples, where the domain predicate x is 0
+        leaves = DualFunc((1, 0), (1, 0), (sharp_expr(x),))
+        report = verify_atlas(ExprAtlas((ExprChart(ident, leaves, x),)), samples=20)
+        ii = report.entries[0]
+        assert ii.axiom == "ii" and not ii.passed
+        assert ii.witness["error"] == "preimage left the domain"
 
     def test_conjugation_chart_fails_smoothness(self):
         # two everywhere-defined charts on the (1, 0) space: the identity and
@@ -373,6 +413,21 @@ class TestAtlasJson:
             atlas_from_json({"something": 1})
         with pytest.raises(ValueError):
             atlas_from_json({"charts": [{"forward": {}}]})
+        ident = ExprChart(identity_func(1, 0), identity_func(1, 0), const(ONE))
+        wider = ExprChart(identity_func(2, 0), identity_func(2, 0), const(ONE))
+        # a (1, 0) -> (2, 0) map given as its own inverse
+        widen = DualFunc((1, 0), (2, 0), (coord("head", 0), coord("head", 0)))
+        own_inverse = dict(ident.to_json(), forward=widen.to_json(), inverse=widen.to_json())
+        for data in (
+            {"n": -1, "m": 1},
+            {"n": 1, "m": 1, "charts": [{"i": 5, "j": 0}]},
+            {"n": 1, "m": 1, "charts": [{"i": 0}]},
+            {"n": 1, "m": 1, "charts": [[0, 0]]},
+            {"charts": [ident.to_json(), own_inverse]},
+            {"charts": [ident.to_json(), wider.to_json()]},  # two ambient shapes
+        ):
+            with pytest.raises(ValueError):
+                atlas_from_json(data)
 
 
 class TestRandomRep:
