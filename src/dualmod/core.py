@@ -12,6 +12,7 @@ construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 DEFAULT_TOL = 1e-9
@@ -42,6 +43,17 @@ def set_default_tol(tol: float) -> None:
 
 def resolve_tol(tol: float | None) -> float:
     return _default_tol if tol is None else float(tol)
+
+
+def as_index(value, what: str) -> int:
+    """An exact integer: ints and numpy integers pass, floats such as 1.7
+    or 1.0 and bools raise ValueError instead of being truncated."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (what, value)) from None
 
 
 @dataclass(frozen=True)

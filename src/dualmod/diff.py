@@ -6,9 +6,12 @@ evaluate to zero divisors (their ze part is the stored tail coefficient).
 
 Smooth functions of dual arguments have realified Jacobians with the forced
 block pattern of a module map; cr_check measures the four forced identities
-on a finite-difference Jacobian and assembles the derivative when they hold.
-forward_derivative computes the same map exactly by seeding ring-valued
-tangents, one pass per input slot.  re_part/ze_part exist to express maps
+on the exact Jacobian from realified_jacobian and assembles the derivative
+when they hold.  realified_jacobian is one vector forward pass over the
+function's node list, which every DualFunc lowers once when it is built.
+forward_derivative computes the same map independently by seeding
+ring-valued tangents, one pass per input slot, and numeric_jacobian is the
+central-difference oracle for both.  re_part/ze_part exist to express maps
 that are perfectly smooth over the reals yet fail the block pattern.
 """
 
@@ -26,6 +29,7 @@ from dualmod.core import (
     DualVector,
     NotInvertible,
     ShapeMismatch,
+    as_index,
     inv,
     mul,
     resolve_tol,
@@ -188,8 +192,8 @@ class DualFunc:
     components: tuple[Expr, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", tuple(int(x) for x in self.domain))
-        object.__setattr__(self, "codomain", tuple(int(x) for x in self.codomain))
+        object.__setattr__(self, "domain", _shape(self.domain, "domain"))
+        object.__setattr__(self, "codomain", _shape(self.codomain, "codomain"))
         object.__setattr__(self, "components", tuple(self.components))
         s, t = self.codomain
         if len(self.components) != s + t:
@@ -197,6 +201,10 @@ class DualFunc:
                 "codomain %r needs %d components, got %d"
                 % (self.codomain, s + t, len(self.components))
             )
+        # not dataclass fields, so eq, hash, repr and JSON ignore them
+        nodes, outputs = lower(self.components, self.domain)
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_outputs", outputs)
 
     def to_json(self) -> dict:
         return {
@@ -217,6 +225,61 @@ class DualFunc:
             tuple(data["codomain"]),
             tuple(Expr.from_json(c) for c in data["components"]),
         )
+
+
+def _shape(value, what: str) -> tuple[int, int]:
+    shape = tuple(as_index(x, what) for x in value)
+    if len(shape) != 2 or min(shape) < 0:
+        raise ValueError("%s must be two nonnegative integers, got %r" % (what, value))
+    return shape
+
+
+def lower(exprs, domain: tuple[int, int]) -> tuple[tuple, tuple[int, ...]]:
+    """The unique nodes under exprs in topological order, and the roots'
+    positions among them.
+
+    Nodes are told apart by identity, so a subtree that compose_funcs or
+    transition reuses is lowered once, and the walk keeps its own stack, so
+    depth is not bounded by the recursion limit.  Each node is (op, argument
+    positions, payload): a const carries (re, ze), a coord the realified
+    input columns feeding its re and ze parts (None where a part is zero).
+    Raises ShapeMismatch for a coord slot outside domain.
+    """
+    n, m = domain
+    pos: dict[int, int] = {}
+    nodes = []
+    stack = [(e, False) for e in reversed(exprs)]
+    while stack:
+        e, ready = stack.pop()
+        if id(e) in pos:
+            continue
+        if not ready:
+            stack.append((e, True))
+            stack.extend((a, False) for a in reversed(e.args))
+            continue
+        if e.op == "const":
+            payload = (e.value.re, e.value.ze)
+        elif e.op == "coord":
+            payload = _coord_columns(e, n, m)
+        else:
+            payload = None
+        pos[id(e)] = len(nodes)
+        nodes.append((e.op, tuple(pos[id(a)] for a in e.args), payload))
+    return tuple(nodes), tuple(pos[id(e)] for e in exprs)
+
+
+def _coord_columns(e: Expr, n: int, m: int) -> tuple[int | None, int | None]:
+    # realified input: head re parts, head ze parts, tail coefficients
+    if e.part == "head":
+        if e.slot >= n:
+            raise ShapeMismatch("head slot %d out of range for n=%d" % (e.slot, n))
+        return {"full": (e.slot, n + e.slot), "re": (e.slot, None), "ze": (n + e.slot, None)}[
+            e.component
+        ]
+    if e.slot >= m:
+        raise ShapeMismatch("tail slot %d out of range for m=%d" % (e.slot, m))
+    col = 2 * n + e.slot
+    return (None, col) if e.component == "full" else (col, None)
 
 
 @dataclass(frozen=True)
@@ -309,7 +372,8 @@ def eval_func(
 
 
 def numeric_jacobian(f: DualFunc, a: DualVector, h: float = FD_DEFAULT_STEP) -> np.ndarray:
-    """Central-difference Jacobian on realified coordinates.
+    """Central-difference Jacobian on realified coordinates: the oracle for
+    realified_jacobian and forward_derivative.
 
     Step per coordinate is h * (1 + |coordinate|); error is O(h**2).
     """
@@ -335,25 +399,97 @@ def numeric_jacobian(f: DualFunc, a: DualVector, h: float = FD_DEFAULT_STEP) -> 
     return out
 
 
+def realified_jacobian(f: DualFunc, a: DualVector) -> np.ndarray:
+    """Exact (2s + t) x (2n + m) Jacobian on realified coordinates.
+
+    One vector forward pass over f's node list: each node carries its value
+    (re, ze) and the gradients of re and ze over the 2n + m realified inputs
+    (the float 0.0 while a gradient is zero).  re_part, ze_part and component
+    coords are real-linear, so they are differentiated too, and the block
+    test sees their asymmetry.  As eval_func, raises NotInvertible where an
+    inverse meets a re part within tolerance of zero, and EvaluationFailed
+    where a tail output is not a zero divisor.
+    """
+    if a.shape != f.domain:
+        raise ShapeMismatch("point shape %r != domain %r" % (a.shape, f.domain))
+    n, m = f.domain
+    s, t = f.codomain
+    tol = resolve_tol(None)
+    x = realify(a).tolist()
+    unit = np.eye(2 * n + m)
+    vals = []
+    for op, args, payload in f._nodes:
+        if op == "const":
+            vals.append((payload[0], payload[1], 0.0, 0.0))
+            continue
+        if op == "coord":
+            r, z = payload
+            re, dre = (0.0, 0.0) if r is None else (x[r], unit[r])
+            ze, dze = (0.0, 0.0) if z is None else (x[z], unit[z])
+            vals.append((re, ze, dre, dze))
+            continue
+        ur, uz, dur, duz = vals[args[0]]
+        if op == "add":
+            vr, vz, dvr, dvz = vals[args[1]]
+            v = (ur + vr, uz + vz, dur + dvr, duz + dvz)
+        elif op == "sub":
+            vr, vz, dvr, dvz = vals[args[1]]
+            v = (ur - vr, uz - vz, dur - dvr, duz - dvz)
+        elif op == "mul":
+            vr, vz, dvr, dvz = vals[args[1]]
+            v = (
+                ur * vr,
+                ur * vz + uz * vr,
+                ur * dvr + vr * dur,
+                ur * dvz + uz * dvr + vr * duz + vz * dur,
+            )
+        elif op == "neg":
+            v = (-ur, -uz, -dur, -duz)
+        elif op == "inv":
+            if abs(ur) <= tol:
+                raise NotInvertible("re part %g is within tolerance of zero" % ur)
+            w = 1.0 / ur
+            v = (w, -uz / (ur * ur), -w * w * dur, w * w * (2.0 * w * uz * dur - duz))
+        elif op == "sharp":
+            v = (0.0, ur, 0.0, dur)
+        elif op == "re_part":
+            v = (ur, 0.0, dur, 0.0)
+        else:  # ze_part
+            v = (uz, 0.0, duz, 0.0)
+        vals.append(v)
+    jac = np.empty((2 * s + t, 2 * n + m))
+    for k, p in enumerate(f._outputs):
+        re, _, dre, dze = vals[p]
+        if k < s:
+            jac[k] = dre
+        elif abs(re) > tol:
+            raise EvaluationFailed(
+                "tail component %d evaluated to re part %g, not a zero divisor"
+                % (k - s, re)
+            )
+        jac[s + k] = dze
+    return jac
+
+
 _RESIDUAL_KEYS = ("head_re_dze", "ze_match", "head_re_dtail", "tail_dze")
 
 
-def cr_check(
-    f: DualFunc,
-    a: DualVector,
-    tol: float = CR_DEFAULT_TOL,
-    h: float = FD_DEFAULT_STEP,
-) -> CrReport:
+def cr_check(f: DualFunc, a: DualVector, tol: float = CR_DEFAULT_TOL) -> CrReport:
     """Check the forced Jacobian block pattern at a point.
 
-    The four residuals measure: head re parts driven by ze inputs, mismatch
-    between the two copies of the re-to-re block, head re parts driven by
-    tail inputs, and tail outputs driven by ze inputs.  When all four stay
-    within tol the surviving blocks assemble the derivative map.
+    The four residuals measure, on the exact realified Jacobian: head re
+    parts driven by ze inputs, mismatch between the two copies of the
+    re-to-re block, head re parts driven by tail inputs, and tail outputs
+    driven by ze inputs.  When all four stay within tol the surviving blocks
+    assemble the derivative map.  Raises EvaluationFailed when f cannot be
+    evaluated at a.
     """
     n, m = f.domain
     s, t = f.codomain
-    jac = numeric_jacobian(f, a, h)
+    try:
+        jac = realified_jacobian(f, a)
+    except NotInvertible as exc:
+        raise EvaluationFailed("cannot differentiate at the point: %s" % exc) from exc
 
     def block_max(block):
         return float(np.abs(block).max()) if block.size else 0.0

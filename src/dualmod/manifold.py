@@ -25,6 +25,7 @@ from dualmod.core import (
     DualVector,
     NotInvertible,
     ShapeMismatch,
+    as_index,
     inv,
     mul,
     resolve_tol,
@@ -43,6 +44,7 @@ from dualmod.diff import (
     eval_expr,
     eval_func,
     inv_expr,
+    lower,
     sharp_expr,
 )
 from dualmod.linalg import realify, unrealify
@@ -267,11 +269,13 @@ class ProjectiveAtlas:
     charts: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_index(self.n, "n"))
+        object.__setattr__(self, "m", as_index(self.m, "m"))
         if self.n < 0 or self.m < 0:
             raise ValueError("negative dimensions (%d, %d)" % (self.n, self.m))
-        charts = tuple((int(i), int(j)) for i, j in self.charts) or tuple(
-            (i, j) for i in range(self.n + 1) for j in range(self.m + 1)
-        )
+        charts = tuple(
+            (as_index(i, "chart index"), as_index(j, "chart index")) for i, j in self.charts
+        ) or tuple((i, j) for i in range(self.n + 1) for j in range(self.m + 1))
         for i, j in charts:
             if not (0 <= i <= self.n and 0 <= j <= self.m):
                 raise ValueError(
@@ -292,7 +296,7 @@ class ProjectiveAtlas:
             charts = tuple((c["i"], c["j"]) for c in data.get("charts", []))
         except (KeyError, TypeError):
             raise ValueError('each chart must be an object with "i" and "j"') from None
-        return cls(int(data["n"]), int(data["m"]), charts)
+        return cls(data["n"], data["m"], charts)
 
 
 @dataclass(frozen=True)
@@ -307,6 +311,7 @@ class ExprChart:
         shapes = (self.forward.domain, self.forward.codomain)
         if (self.inverse.codomain, self.inverse.domain) != shapes:
             raise ShapeMismatch("chart inverse must map %r -> %r" % shapes[::-1])
+        lower((self.domain,), self.forward.domain)  # checks the predicate's slots
 
     def to_json(self) -> dict:
         return {

@@ -304,4 +304,15 @@ def run_selftest(samples: int = 100, seed: int = 0, tol: float | None = None) ->
 
     run("symplectic.degenerate_form_rejected", 0.0, degenerate_rejected)
 
+    # appended last, so the checks above keep their draws from rng
+    def exact_vs_numeric():
+        worst = 0.0
+        for _ in range(few):
+            f, a = sampling.tame_case(rng, (2, 1), (2, 1), depth=3)
+            exact = diff.realified_jacobian(f, a)
+            worst = max(worst, float(np.abs(exact - diff.numeric_jacobian(f, a)).max()))
+        return worst
+
+    run("diff.exact_jacobian_matches_numeric", 1e-4, exact_vs_numeric)
+
     return SelftestReport(samples, seed, tol, tuple(checks))

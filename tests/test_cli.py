@@ -182,6 +182,19 @@ class TestDiffcheck:
         assert report["entries"][0]["passed"] is False
         assert report["entries"][0]["residuals"]["ze_match"] > 0.5
 
+    def test_bad_function_rejected(self, tmp_path, capsys):
+        square = DualFunc((1, 0), (1, 0), (coord("head", 0) * coord("head", 0),)).to_json()
+        for func in (
+            dict(square, components=[coord("head", 3).to_json()]),
+            dict(square, components=[coord("tail", 0).to_json()]),
+            dict(square, domain=[1.5, 0]),
+            dict(square, codomain=[1.0, 0]),
+        ):
+            path = write_json(tmp_path / "f.json", {"function": func})
+            code, _, err = run(capsys, ["diffcheck", "--input", path])
+            assert code == 2, func
+            assert err.startswith("error: ")
+
     def test_tolerance_from_environment(self, tmp_path, capsys, monkeypatch):
         x = coord("head", 0)
         func = DualFunc((1, 0), (1, 0), (x * x,))
@@ -231,6 +244,7 @@ class TestAtlas:
         widen = DualFunc((1, 0), (2, 0), (x, x)).to_json()
         ident = DualFunc((1, 0), (1, 0), (x,)).to_json()
         everywhere = {"op": "const", "value": [1.0, 0.0]}
+        past_end = dict(ident, components=[coord("head", 3).to_json()])
         for doc in (
             {"wrong": True},
             {"n": -1, "m": 1},
@@ -242,6 +256,11 @@ class TestAtlas:
                     {"forward": widen, "inverse": widen, "domain": everywhere},
                 ]
             },
+            {"n": 1.7, "m": 1, "charts": [{"i": 1.9, "j": 0}]},
+            {"n": 1, "m": 1.0},
+            {"n": 1, "m": 1, "charts": [{"i": 0, "j": 1.0}]},
+            {"charts": [{"forward": past_end, "inverse": ident, "domain": everywhere}]},
+            {"charts": [{"forward": ident, "inverse": ident, "domain": coord("head", 1).to_json()}]},
         ):
             path = write_json(tmp_path / "atlas.json", doc)
             code, _, err = run(capsys, ["atlas", "--input", path])

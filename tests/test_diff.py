@@ -1,8 +1,12 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from dualmod import core, diff, linalg, sampling
-from dualmod.core import EPS, ONE, ZERO, DualNumber, NotInvertible, ShapeMismatch
+from dualmod.core import EPS, ONE, ZERO, DualNumber, NotInvertible, ShapeMismatch, vector
 from dualmod.diff import (
     CrReport,
     DualFunc,
@@ -94,6 +98,165 @@ class TestJacobian:
         f = DualFunc((1, 0), (1, 0), (inv_expr(head_coord(0)),))
         with pytest.raises(EvaluationFailed):
             diff.numeric_jacobian(f, core.vector([DualNumber(0.0, 1.0)], []))
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def programs(draw):
+    """A function (2, 1) -> (s, t) and a point, written as a straight-line
+    program: each step reads earlier nodes, so subtrees are shared."""
+    nodes = [
+        coord("head", 0),
+        coord("head", 1),
+        coord("tail", 0),
+        coord("head", 0, "re"),
+        coord("head", 1, "ze"),
+        coord("tail", 0, "ze"),
+    ]
+    for _ in range(draw(st.integers(1, 10))):
+        op = draw(
+            st.sampled_from(
+                ("add", "sub", "mul", "neg", "inv", "sharp", "re_part", "ze_part", "const")
+            )
+        )
+        u = draw(st.sampled_from(nodes))
+        if op in ("add", "sub", "mul"):
+            e = Expr(op, (u, draw(st.sampled_from(nodes))))
+        elif op == "inv":
+            # shifted away from zero: |re| of u stays well below the shift
+            shift = draw(st.floats(2.5, 4.0)) * draw(st.sampled_from((-1.0, 1.0)))
+            e = inv_expr(const(DualNumber(shift, draw(_UNIT))) + u)
+        elif op == "const":
+            e = const(DualNumber(draw(_UNIT), draw(_UNIT))) * u
+        else:
+            e = Expr(op, (u,))
+        nodes.append(e)
+    s, t = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    comps = [draw(st.sampled_from(nodes)) for _ in range(s)]
+    for _ in range(t):
+        e = draw(st.sampled_from(nodes))
+        # both forms are zero divisors: eps * e, and (0, r) * e
+        comps.append(sharp_expr(e) if draw(st.booleans()) else tail_coord(0) * e)
+    point = vector([DualNumber(draw(_UNIT), draw(_UNIT)) for _ in range(2)], [draw(_UNIT)])
+    return DualFunc((2, 1), (s, t), tuple(comps)), point
+
+
+def _doubling_chain(levels):
+    """levels copies of y -> 2 / (y + y): each level reads the one below
+    twice, so the tree has 2**levels paths over 4 * levels + 1 nodes."""
+    e = head_coord(0)
+    for _ in range(levels):
+        e = const(2.0) * inv_expr(e + e)
+    return DualFunc((1, 0), (1, 0), (e,))
+
+
+class TestRealifiedJacobian:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.filter_too_much],
+    )
+    @given(programs())
+    def test_matches_finite_differences(self, case):
+        f, a = case
+        assume(_tame(f, a, margin=0.5, cap=20.0))
+        try:
+            fd = diff.numeric_jacobian(f, a)
+        except EvaluationFailed:
+            assume(False)
+        exact = diff.realified_jacobian(f, a)
+        assert exact.shape == fd.shape
+        assert np.abs(exact - fd).max() <= 1e-6 * (1.0 + np.abs(exact).max())
+
+    def test_deep_chain_needs_no_recursion(self):
+        x = head_coord(0)
+        e = x
+        for _ in range(3000):
+            e = e + x
+        f = DualFunc((1, 0), (1, 0), (e,))
+        report = diff.cr_check(f, vector([DualNumber(0.5, 0.25)], []))
+        assert report.passed
+        assert report.derivative.head_entry(0, 0) == DualNumber(3001.0, 0.0)
+
+    def test_shared_chain_visits_each_node_once(self):
+        a = vector([DualNumber(1.3, 0.7)], [])
+        start = time.perf_counter()
+        jac = diff.realified_jacobian(_doubling_chain(40), a)
+        assert time.perf_counter() - start < 1.0
+        # chain rule, one level at a time through forward_derivative
+        level = _doubling_chain(1)
+        expected, y = np.eye(2), a
+        for _ in range(40):
+            step = linalg.realify_map(diff.forward_derivative(level, y))
+            expected = step @ expected
+            y = diff.eval_func(level, y)
+        assert np.allclose(jac, expected, rtol=1e-9, atol=1e-12)
+        # an even number of reciprocals is the identity
+        assert np.allclose(jac, np.eye(2), atol=1e-9)
+        short = _doubling_chain(11)
+        assert np.allclose(
+            diff.realified_jacobian(short, a),
+            linalg.realify_map(diff.forward_derivative(short, a)),
+            rtol=1e-9,
+            atol=1e-12,
+        )
+
+    def test_singular_inverse_at_the_point_fails(self):
+        f = DualFunc((1, 0), (1, 0), (inv_expr(head_coord(0)),))
+        a = vector([DualNumber(0.0, 1.0)], [])
+        with pytest.raises(NotInvertible):
+            diff.realified_jacobian(f, a)
+        with pytest.raises(EvaluationFailed):
+            diff.cr_check(f, a)
+
+    def test_tail_output_must_be_zero_divisor(self):
+        f = DualFunc((1, 0), (0, 1), (head_coord(0),))
+        with pytest.raises(EvaluationFailed):
+            diff.realified_jacobian(f, vector([ONE], []))
+        with pytest.raises(EvaluationFailed):
+            diff.cr_check(f, vector([ONE], []))
+
+    def test_near_singular_inverse_needs_no_probes(self):
+        # a central-difference step crosses re = 0; the exact pass does not
+        f = DualFunc((1, 0), (1, 0), (inv_expr(head_coord(0)),))
+        a = vector([DualNumber(1e-5, 0.0)], [])
+        with pytest.raises(EvaluationFailed):
+            diff.numeric_jacobian(f, a)
+        report = diff.cr_check(f, a)
+        assert report.passed
+        assert report.derivative.head_entry(0, 0).re == pytest.approx(-1e10)
+
+    def test_point_shape_checked(self):
+        with pytest.raises(ShapeMismatch):
+            diff.realified_jacobian(square_func(), vector([], [1.0]))
+
+
+class TestConstruction:
+    def test_coord_slots_checked_against_domain(self):
+        for e in (coord("head", 3), tail_coord(0), sharp_expr(coord("head", 1, "ze"))):
+            with pytest.raises(ShapeMismatch):
+                DualFunc((1, 0), (1, 0), (e,))
+
+    def test_shapes_must_be_integers(self):
+        for domain in ((1.7, 0), (1.0, 0), (True, 0), (1,), (-1, 0)):
+            with pytest.raises(ValueError):
+                DualFunc(domain, (1, 0), (head_coord(0),))
+        with pytest.raises(ValueError):
+            DualFunc.from_json(dict(square_func().to_json(), codomain=[1.0, 0]))
+        f = DualFunc((np.int64(1), np.int64(0)), (1, 0), (head_coord(0),))
+        assert f.domain == (1, 0) and type(f.domain[0]) is int
+
+    def test_shared_subtrees_lowered_once(self):
+        x = head_coord(0)
+        y = x * x
+        f = DualFunc((1, 0), (2, 0), (y + y, y))
+        assert len(f._nodes) == 3  # x, y and y + y
+        same = DualFunc((1, 0), (2, 0), (y + y, y))
+        assert f == same and "_nodes" not in repr(f)
+        assert DualFunc.from_json(f.to_json()) == f
 
 
 class TestCrCheck:

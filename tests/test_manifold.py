@@ -418,6 +418,11 @@ class TestAtlasJson:
         # a (1, 0) -> (2, 0) map given as its own inverse
         widen = DualFunc((1, 0), (2, 0), (coord("head", 0), coord("head", 0)))
         own_inverse = dict(ident.to_json(), forward=widen.to_json(), inverse=widen.to_json())
+        # a forward reading head slot 3 of a (1, 0) domain, and a domain
+        # predicate reading head slot 1
+        past_end = dict(ident.to_json()["forward"], components=[coord("head", 3).to_json()])
+        bad_forward = dict(ident.to_json(), forward=past_end)
+        bad_domain = dict(ident.to_json(), domain=coord("head", 1).to_json())
         for data in (
             {"n": -1, "m": 1},
             {"n": 1, "m": 1, "charts": [{"i": 5, "j": 0}]},
@@ -425,9 +430,20 @@ class TestAtlasJson:
             {"n": 1, "m": 1, "charts": [[0, 0]]},
             {"charts": [ident.to_json(), own_inverse]},
             {"charts": [ident.to_json(), wider.to_json()]},  # two ambient shapes
+            {"n": 1.7, "m": 1, "charts": [{"i": 1.9, "j": 0}]},
+            {"n": 1.0, "m": 1},
+            {"n": 1, "m": 1, "charts": [{"i": 1.0, "j": 0}]},
+            {"n": 1, "m": True},
+            {"charts": [bad_forward]},
+            {"charts": [bad_domain]},
         ):
             with pytest.raises(ValueError):
                 atlas_from_json(data)
+
+    def test_numpy_integers_accepted(self):
+        atlas = ProjectiveAtlas(np.int64(1), np.int32(1), charts=((np.int64(1), 0),))
+        assert atlas == ProjectiveAtlas(1, 1, charts=((1, 0),))
+        assert type(atlas.n) is int and type(atlas.charts[0][0]) is int
 
 
 class TestRandomRep:

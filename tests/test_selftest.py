@@ -8,6 +8,8 @@ def test_clean_run_passes():
     assert report.passed
     assert len(report.checks) >= 15
     assert report.samples == 20 and report.seed == 0
+    # appended after the other checks, so their draws are unchanged
+    assert report.checks[-1].name == "diff.exact_jacobian_matches_numeric"
 
 
 def test_checks_cover_every_module():
