@@ -139,6 +139,8 @@ def _load_input(args) -> dict:
         raise UsageFailure(
             "%s: line %d column %d: %s" % (args.input, exc.lineno, exc.colno, exc.msg)
         )
+    except RecursionError:
+        raise UsageFailure("%s: input nests too deeply" % args.input) from None
 
 
 def _vectors_from(data, key) -> list[core.DualVector]:
@@ -225,6 +227,8 @@ def _run_diffcheck(args, tol):
         func = diff.DualFunc.from_json(data["function"])
     except (ValueError, TypeError) as exc:
         raise UsageFailure(str(exc))
+    except RecursionError:
+        raise UsageFailure("%s: input nests too deeply" % args.input) from None
     points, explicit = _diffcheck_points(args, data, func)
     entries = []
     all_passed = True
@@ -264,6 +268,8 @@ def _run_atlas(args, tol):
         atlas = manifold.atlas_from_json(data)
     except (ValueError, TypeError) as exc:
         raise UsageFailure(str(exc))
+    except RecursionError:
+        raise UsageFailure("%s: input nests too deeply" % args.input) from None
     report = manifold.verify_atlas(
         atlas, samples=args.samples, tol=tol, seed=args.seed
     )

@@ -4,38 +4,39 @@ A function (n, m) -> (s, t) is s + t scalar expressions in the input slots:
 the first s give the head values, the rest give the tail entries and must
 evaluate to zero divisors (their ze part is the stored tail coefficient).
 
+Every DualFunc lowers its components once, when it is built, to a list of
+unique nodes (a subtree shared between components or paths appears once),
+and every evaluation is a loop over that list, never a recursion.  One value
+loop serves floats for one point and arrays for a batch of points;
+limit_check and numeric_jacobian evaluate all their probes in one batch.
+
 Smooth functions of dual arguments have realified Jacobians with the forced
 block pattern of a module map; cr_check measures the four forced identities
 on the exact Jacobian from realified_jacobian and assembles the derivative
-when they hold.  realified_jacobian is one vector forward pass over the
-function's node list, which every DualFunc lowers once when it is built.
-forward_derivative computes the same map independently by seeding
-ring-valued tangents, one pass per input slot, and numeric_jacobian is the
-central-difference oracle for both.  re_part/ze_part exist to express maps
-that are perfectly smooth over the reals yet fail the block pattern.
+when they hold.  forward_derivative computes the same map independently,
+carrying ring-valued tangents for every input slot in one pass, and
+numeric_jacobian is the central-difference oracle for both.  re_part/ze_part
+exist to express maps that are perfectly smooth over the reals yet fail the
+block pattern.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from dualmod.core import (
-    EPS,
-    ONE,
     ZERO,
     DualNumber,
     DualVector,
     NotInvertible,
     ShapeMismatch,
     as_index,
-    inv,
-    mul,
     resolve_tol,
-    vector_norm,
 )
-from dualmod.linalg import ModuleMap, apply, realify, unrealify
+from dualmod.linalg import ModuleMap, realify, realify_map, unrealify
 
 CR_DEFAULT_TOL = 1e-4
 FD_DEFAULT_STEP = 1e-5
@@ -238,37 +239,55 @@ def lower(exprs, domain: tuple[int, int]) -> tuple[tuple, tuple[int, ...]]:
     """The unique nodes under exprs in topological order, and the roots'
     positions among them.
 
-    Nodes are told apart by identity, so a subtree that compose_funcs or
-    transition reuses is lowered once, and the walk keeps its own stack, so
-    depth is not bounded by the recursion limit.  Each node is (op, argument
-    positions, payload): a const carries (re, ze), a coord the realified
-    input columns feeding its re and ze parts (None where a part is zero).
-    Raises ShapeMismatch for a coord slot outside domain.
+    Each node is (op, argument positions, payload, freed): a const carries
+    (re, ze), a coord the realified input columns feeding its re and ze
+    parts (None where a part is zero), and freed lists the arguments no
+    later node reads, so a walk can drop their values.  Raises
+    ShapeMismatch for a coord slot outside domain.
     """
     n, m = domain
-    pos: dict[int, int] = {}
+    pos = {}
     nodes = []
+    for e in _postorder(exprs):
+        pos[id(e)] = len(nodes)
+        nodes.append((e.op, tuple([pos[id(a)] for a in e.args]), _payload(e, n, m)))
+    roots = tuple([pos[id(e)] for e in exprs])
+    alive = set(roots)  # read by a later node, or an output
+    for k in range(len(nodes) - 1, -1, -1):
+        freed = []
+        for a in nodes[k][1]:
+            if a not in alive:
+                alive.add(a)
+                freed.append(a)
+        nodes[k] += (tuple(freed),)
+    return tuple(nodes), roots
+
+
+def _postorder(exprs) -> list[Expr]:
+    """Every node under exprs once, arguments before their users: nodes are
+    told apart by identity, so a subtree that compose_funcs or transition
+    reuses is visited once, and an explicit stack replaces recursion."""
+    seen = set()
+    order = []
     stack = [(e, False) for e in reversed(exprs)]
     while stack:
         e, ready = stack.pop()
-        if id(e) in pos:
+        if id(e) in seen:
             continue
         if not ready:
             stack.append((e, True))
             stack.extend((a, False) for a in reversed(e.args))
             continue
-        if e.op == "const":
-            payload = (e.value.re, e.value.ze)
-        elif e.op == "coord":
-            payload = _coord_columns(e, n, m)
-        else:
-            payload = None
-        pos[id(e)] = len(nodes)
-        nodes.append((e.op, tuple(pos[id(a)] for a in e.args), payload))
-    return tuple(nodes), tuple(pos[id(e)] for e in exprs)
+        seen.add(id(e))
+        order.append(e)
+    return order
 
 
-def _coord_columns(e: Expr, n: int, m: int) -> tuple[int | None, int | None]:
+def _payload(e: Expr, n: int, m: int):
+    if e.op == "const":
+        return (e.value.re, e.value.ze)
+    if e.op != "coord":
+        return None
     # realified input: head re parts, head ze parts, tail coefficients
     if e.part == "head":
         if e.slot >= n:
@@ -298,105 +317,148 @@ class CrReport:
         }
 
 
+def _walk(nodes, x, stats: dict | None = None) -> list:
+    """(re, ze) of every node of a lowered list at the realified point x:
+    floats for one point, or arrays with one entry per point for a batch.
+
+    The arithmetic is core.mul's, core.inv's and DualNumber addition's, op
+    for op, so the floats equal those of DualNumber evaluation; an inverse
+    within the default tolerance of zero raises NotInvertible.  stats (one
+    point only) takes the hooks described in eval_expr.
+    """
+    tol = resolve_tol(None)
+    vals = []
+    for op, args, payload, freed in nodes:
+        if op == "const":
+            v = payload
+        elif op == "coord":
+            r, z = payload
+            v = (0.0 if r is None else x[r], 0.0 if z is None else x[z])
+        else:
+            ur, uz = vals[args[0]]
+            if op == "add":
+                vr, vz = vals[args[1]]
+                v = (ur + vr, uz + vz)
+            elif op == "sub":
+                vr, vz = vals[args[1]]
+                v = (ur - vr, uz - vz)
+            elif op == "mul":
+                vr, vz = vals[args[1]]
+                v = (ur * vr, ur * vz + uz * vr)
+            elif op == "neg":
+                v = (-ur, -uz)
+            elif op == "inv":
+                if stats is not None:
+                    stats["min_inv_re"] = min(stats.get("min_inv_re", np.inf), abs(ur))
+                bad = _offender(ur, abs(ur) <= tol)
+                if bad is not None:
+                    raise NotInvertible("re part %g is within tolerance of zero" % bad)
+                v = (1.0 / ur, -uz / (ur * ur))
+            elif op == "sharp":  # mul(EPS, u)
+                v = (0.0 * ur, 0.0 * uz + 1.0 * ur)
+            elif op == "re_part":
+                v = (ur, 0.0)
+            else:  # ze_part
+                v = (uz, 0.0)
+        if stats is not None:
+            stats["max_abs"] = max(stats.get("max_abs", 0.0), abs(v[0]), abs(v[1]))
+        vals.append(v)
+        for a in freed:
+            vals[a] = None
+    return vals
+
+
+def _offender(value, flagged):
+    # the flagged value or None; for a batch, the first flagged entry
+    if not isinstance(flagged, np.ndarray):
+        return value if flagged else None
+    return value[flagged][0] if flagged.any() else None
+
+
+def _realified_outputs(f: DualFunc, x, tol: float, stats: dict | None = None) -> list:
+    """f at the realified point (or batch of points) x, realified: head re
+    parts, head ze parts, tail coefficients.  Raises EvaluationFailed where
+    a tail output is not a zero divisor."""
+    s = f.codomain[0]
+    vals = _walk(f._nodes, x, stats)
+    out = [vals[p] for p in f._outputs]
+    for l, (re, _) in enumerate(out[s:]):
+        bad = _offender(re, abs(re) > tol)
+        if bad is not None:
+            raise EvaluationFailed(
+                "tail component %d evaluated to re part %g, not a zero divisor" % (l, bad)
+            )
+    return [re for re, _ in out[:s]] + [ze for _, ze in out]
+
+
 def eval_expr(e: Expr, x: DualVector, stats: dict | None = None) -> DualNumber:
-    """Evaluate one expression at a point.
+    """Evaluate one expression at a point, lowering it on the fly.
 
     stats, when given, accumulates 'min_inv_re' (smallest |re| fed to an
     inverse) and 'max_abs' (largest intermediate magnitude) for taming
     sample-based tests.
     """
-    if e.op == "const":
-        v = e.value
-    elif e.op == "coord":
-        n, m = x.shape
-        if e.part == "head":
-            if e.slot >= n:
-                raise ShapeMismatch("head slot %d out of range for n=%d" % (e.slot, n))
-            h = x.head[e.slot]
-            if e.component == "full":
-                v = h
-            elif e.component == "re":
-                v = DualNumber(h.re, 0.0)
-            else:
-                v = DualNumber(h.ze, 0.0)
-        else:
-            if e.slot >= m:
-                raise ShapeMismatch("tail slot %d out of range for m=%d" % (e.slot, m))
-            r = x.tail[e.slot]
-            v = DualNumber(0.0, r) if e.component == "full" else DualNumber(r, 0.0)
-    elif e.op == "add":
-        v = eval_expr(e.args[0], x, stats) + eval_expr(e.args[1], x, stats)
-    elif e.op == "sub":
-        v = eval_expr(e.args[0], x, stats) - eval_expr(e.args[1], x, stats)
-    elif e.op == "mul":
-        v = mul(eval_expr(e.args[0], x, stats), eval_expr(e.args[1], x, stats))
-    elif e.op == "neg":
-        v = -eval_expr(e.args[0], x, stats)
-    elif e.op == "inv":
-        u = eval_expr(e.args[0], x, stats)
-        if stats is not None:
-            stats["min_inv_re"] = min(stats.get("min_inv_re", np.inf), abs(u.re))
-        v = inv(u)
-    elif e.op == "sharp":
-        v = mul(EPS, eval_expr(e.args[0], x, stats))
-    elif e.op == "re_part":
-        v = DualNumber(eval_expr(e.args[0], x, stats).re, 0.0)
-    else:  # ze_part
-        v = DualNumber(eval_expr(e.args[0], x, stats).ze, 0.0)
-    if stats is not None:
-        stats["max_abs"] = max(
-            stats.get("max_abs", 0.0), abs(v.re), abs(v.ze)
-        )
-    return v
+    return eval_lowered(lower((e,), x.shape), x, stats)
+
+
+def eval_lowered(lowered, x: DualVector, stats: dict | None = None) -> DualNumber:
+    """The first root of lower's result at x, of the shape it was lowered
+    for: code that evaluates one expression many times lowers it once."""
+    nodes, roots = lowered
+    return DualNumber(*_walk(nodes, _columns(x), stats)[roots[0]])
+
+
+def _columns(x: DualVector) -> list:
+    # realify(x) as floats: head re parts, head ze parts, tail coefficients
+    return [h.re for h in x.head] + [h.ze for h in x.head] + list(x.tail)
 
 
 def eval_func(
     f: DualFunc, x: DualVector, tol: float | None = None, stats: dict | None = None
 ) -> DualVector:
-    """Evaluate all components; tail components must be zero divisors."""
+    """Evaluate all components in one walk of f's node list; tail
+    components must be zero divisors.  stats: as in eval_expr."""
     if x.shape != f.domain:
         raise ShapeMismatch("point shape %r != domain %r" % (x.shape, f.domain))
-    s, t = f.codomain
-    tol = resolve_tol(tol)
-    head = [eval_expr(e, x, stats) for e in f.components[:s]]
-    tail = []
-    for l, e in enumerate(f.components[s:]):
-        v = eval_expr(e, x, stats)
-        if abs(v.re) > tol:
-            raise EvaluationFailed(
-                "tail component %d evaluated to re part %g, not a zero divisor"
-                % (l, v.re)
-            )
-        tail.append(v.ze)
-    return DualVector(tuple(head), tuple(tail))
+    s = f.codomain[0]
+    out = _realified_outputs(f, _columns(x), resolve_tol(tol), stats)
+    return DualVector(tuple(map(DualNumber, out[:s], out[s : 2 * s])), tuple(out[2 * s :]))
 
 
 def numeric_jacobian(f: DualFunc, a: DualVector, h: float = FD_DEFAULT_STEP) -> np.ndarray:
     """Central-difference Jacobian on realified coordinates: the oracle for
     realified_jacobian and forward_derivative.
 
-    Step per coordinate is h * (1 + |coordinate|); error is O(h**2).
+    Step per coordinate is h * (1 + |coordinate|); error is O(h**2).  The
+    2(2n + m) probes, up then down for each coordinate, run as one batch.
     """
-    n, m = f.domain
-    s, t = f.codomain
     base = realify(a)
-    width = 2 * n + m
-    out = np.zeros((2 * s + t, width))
+    steps = h * (1.0 + np.abs(base))
+    cols = np.arange(base.size)
+    probes = np.repeat(base[None, :], 2 * base.size, axis=0)
+    probes[2 * cols, cols] += steps
+    probes[2 * cols + 1, cols] -= steps
+    fx = _eval_points(f, probes, lambda k: "jacobian probe")
+    return ((fx[0::2] - fx[1::2]) / (2.0 * steps[:, None])).T
 
-    def probe(arr):
-        try:
-            return realify(eval_func(f, unrealify(arr, n, m)))
-        except (NotInvertible, EvaluationFailed) as exc:
-            raise EvaluationFailed("jacobian probe failed: %s" % exc)
 
-    for c in range(width):
-        step = h * (1.0 + abs(base[c]))
-        up = base.copy()
-        up[c] += step
-        down = base.copy()
-        down[c] -= step
-        out[:, c] = (probe(up) - probe(down)) / (2.0 * step)
-    return out
+def _eval_points(f: DualFunc, points: np.ndarray, label) -> np.ndarray:
+    """f at each row of points, realified, from one batched walk.  When a
+    point cannot be evaluated, the points are replayed one at a time and
+    the first failure is raised as EvaluationFailed, named by label(k)."""
+    try:
+        out = _realified_outputs(f, points.T, resolve_tol(None))
+    except (NotInvertible, EvaluationFailed):
+        for k, x in enumerate(points):
+            try:
+                eval_func(f, unrealify(x, *f.domain))
+            except (NotInvertible, EvaluationFailed) as exc:
+                raise EvaluationFailed("%s failed: %s" % (label(k), exc))
+        raise
+    values = np.empty((len(points), len(out)))
+    for k, column in enumerate(out):
+        values[:, k] = column
+    return values
 
 
 def realified_jacobian(f: DualFunc, a: DualVector) -> np.ndarray:
@@ -415,10 +477,10 @@ def realified_jacobian(f: DualFunc, a: DualVector) -> np.ndarray:
     n, m = f.domain
     s, t = f.codomain
     tol = resolve_tol(None)
-    x = realify(a).tolist()
+    x = _columns(a)
     unit = np.eye(2 * n + m)
     vals = []
-    for op, args, payload in f._nodes:
+    for op, args, payload, _ in f._nodes:
         if op == "const":
             vals.append((payload[0], payload[1], 0.0, 0.0))
             continue
@@ -437,12 +499,8 @@ def realified_jacobian(f: DualFunc, a: DualVector) -> np.ndarray:
             v = (ur - vr, uz - vz, dur - dvr, duz - dvz)
         elif op == "mul":
             vr, vz, dvr, dvz = vals[args[1]]
-            v = (
-                ur * vr,
-                ur * vz + uz * vr,
-                ur * dvr + vr * dur,
-                ur * dvz + uz * dvr + vr * duz + vz * dur,
-            )
+            dze = ur * dvz + uz * dvr + vr * duz + vz * dur
+            v = (ur * vr, ur * vz + uz * vr, ur * dvr + vr * dur, dze)
         elif op == "neg":
             v = (-ur, -uz, -dur, -duz)
         elif op == "inv":
@@ -529,142 +587,126 @@ def limit_check(
 
     Samples random directions at radius, radius/2, ..., and requires the
     worst quotient |f(x) - f(a) - deriv(x - a)| / |x - a| at the smallest
-    radius to be at most tol.
+    radius to be at most tol.  All levels x samples probes go through one
+    batched walk of f's node list, and the quotients are taken on realified
+    coordinates.  A failing probe raises EvaluationFailed naming the first
+    failure in (level, direction) order.
     """
+    if samples < 1 or levels < 1:
+        raise ValueError("limit_check needs at least one sample and one level")
     n, m = f.domain
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(samples, 2 * n + m))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     base = realify(a)
     try:
-        fa = eval_func(f, a)
+        fa = realify(eval_func(f, a))
     except (NotInvertible, EvaluationFailed) as exc:
         raise EvaluationFailed("cannot evaluate at the base point: %s" % exc)
-    worst_last = 0.0
-    for level in range(levels):
-        r = radius / (2.0**level)
-        worst = 0.0
-        for d in dirs:
-            x = unrealify(base + r * d, n, m)
-            try:
-                fx = eval_func(f, x)
-            except (NotInvertible, EvaluationFailed) as exc:
-                raise EvaluationFailed("probe at radius %g failed: %s" % (r, exc))
-            diff = x - a
-            q = vector_norm(fx - fa - apply(deriv, diff)) / vector_norm(diff)
-            worst = max(worst, q)
-        worst_last = worst
-    return worst_last <= tol
+    radii = radius / 2.0 ** np.arange(levels)
+    probes = (base + radii[:, None, None] * dirs).reshape(-1, 2 * n + m)
+    fx = _eval_points(f, probes, lambda k: "probe at radius %g" % radii[k // samples])
+    steps = probes - base
+    rem = fx - fa - (steps[:, None, :] * realify_map(deriv)).sum(axis=2)
+    quot = _norms(rem, f.codomain[0]) / _norms(steps, n)
+    return bool(quot[-samples:].max() <= tol)
+
+
+def _norms(rows: np.ndarray, n: int) -> np.ndarray:
+    # core.vector_norm of realified rows: 2 re**2 + ze**2 per head, r**2 per tail
+    return np.sqrt(2.0 * (rows[:, :n] ** 2).sum(axis=1) + (rows[:, n:] ** 2).sum(axis=1))
 
 
 def forward_derivative(f: DualFunc, a: DualVector) -> ModuleMap:
     """Exact derivative by forward mode with ring-valued tangents.
 
-    One pass per input slot: head slot i is seeded with tangent 1, tail slot
-    j with tangent eps (the tail coordinate enters the algebra as r*eps).
+    One walk over f's node list carries each value's tangents for all n + m
+    seeds: head slot i is seeded with tangent 1, tail slot j with tangent
+    eps (the tail coordinate enters the algebra as r*eps).  The rules are
+    written apart from realified_jacobian's, so each checks the other.
     Projections (re_part/ze_part, component coords) are rejected: they are
-    not differentiable in the dual sense and would silently produce a wrong
-    map.
+    not differentiable in the dual sense and would give a wrong map.
     """
     if a.shape != f.domain:
         raise ShapeMismatch("point shape %r != domain %r" % (a.shape, f.domain))
     n, m = f.domain
     s, t = f.codomain
-    c_re = np.zeros((s, n))
-    c_ze = np.zeros((s, n))
-    p = np.zeros((s, m))
-    d = np.zeros((t, n))
-    q = np.zeros((t, m))
-    for i in range(n):
-        tangents = _tangent_pass(f, a, seed_head=i, seed_tail=None)
-        for k in range(s):
-            c_re[k, i] = tangents[k].re
-            c_ze[k, i] = tangents[k].ze
-        for l in range(t):
-            d[l, i] = tangents[s + l].ze
-    for j in range(m):
-        tangents = _tangent_pass(f, a, seed_head=None, seed_tail=j)
-        for k in range(s):
-            p[k, j] = tangents[k].ze
-        for l in range(t):
-            q[l, j] = tangents[s + l].ze
-    return ModuleMap(n, m, s, t, c_re, c_ze, p, d, q)
-
-
-def _tangent_pass(f, a, seed_head, seed_tail):
-    return [
-        _eval_tangent(e, a, seed_head, seed_tail)[1] for e in f.components
-    ]
-
-
-def _eval_tangent(e, x, seed_head, seed_tail):
-    if e.op == "const":
-        return e.value, ZERO
-    if e.op == "coord":
-        if e.component != "full":
-            raise NonSmoothExpression(
-                "coord component %r is a real projection" % e.component
-            )
-        if e.part == "head":
-            tangent = ONE if e.slot == seed_head else ZERO
-            return x.head[e.slot], tangent
-        tangent = EPS if e.slot == seed_tail else ZERO
-        return DualNumber(0.0, x.tail[e.slot]), tangent
-    if e.op in ("re_part", "ze_part"):
-        raise NonSmoothExpression("%s is not differentiable in the dual sense" % e.op)
-    if e.op == "add":
-        u, du = _eval_tangent(e.args[0], x, seed_head, seed_tail)
-        v, dv = _eval_tangent(e.args[1], x, seed_head, seed_tail)
-        return u + v, du + dv
-    if e.op == "sub":
-        u, du = _eval_tangent(e.args[0], x, seed_head, seed_tail)
-        v, dv = _eval_tangent(e.args[1], x, seed_head, seed_tail)
-        return u - v, du - dv
-    if e.op == "neg":
-        u, du = _eval_tangent(e.args[0], x, seed_head, seed_tail)
-        return -u, -du
-    if e.op == "mul":
-        u, du = _eval_tangent(e.args[0], x, seed_head, seed_tail)
-        v, dv = _eval_tangent(e.args[1], x, seed_head, seed_tail)
-        return mul(u, v), mul(u, dv) + mul(du, v)
-    if e.op == "inv":
-        u, du = _eval_tangent(e.args[0], x, seed_head, seed_tail)
-        w = inv(u)
-        return w, -mul(mul(w, w), du)
-    # sharp: eps is a constant factor
-    u, du = _eval_tangent(e.args[0], x, seed_head, seed_tail)
-    return mul(EPS, u), mul(EPS, du)
+    x = _columns(a)
+    tol = resolve_tol(None)
+    zero = [(0.0, 0.0)] * (n + m)
+    seed = [list(zero) for _ in range(n + m)]  # head slot: tangent 1, tail slot: eps
+    for c, row in enumerate(seed):
+        row[c] = (1.0, 0.0) if c < n else (0.0, 1.0)
+    vals = []  # (re, ze, tangents): one (re, ze) tangent per seed
+    for op, args, payload, freed in f._nodes:
+        if op == "const":
+            v = (payload[0], payload[1], zero)
+        elif op == "coord":
+            r, z = payload
+            if z is None:  # a head re/ze part, or a tail slot read as real
+                kind = "re" if r < n else "ze"
+                raise NonSmoothExpression("coord component %r is a real projection" % kind)
+            v = (0.0, x[z], seed[z - n]) if r is None else (x[r], x[z], seed[r])
+        elif op in ("re_part", "ze_part"):
+            raise NonSmoothExpression("%s is not differentiable in the dual sense" % op)
+        else:
+            ur, uz, du = vals[args[0]]
+            if op in ("add", "sub"):
+                vr, vz, dv = vals[args[1]]
+                o = operator.add if op == "add" else operator.sub
+                dw = [(o(p, q), o(pz, qz)) for (p, pz), (q, qz) in zip(du, dv)]
+                v = (o(ur, vr), o(uz, vz), dw)
+            elif op == "neg":
+                v = (-ur, -uz, [(-p, -pz) for p, pz in du])
+            elif op == "mul":  # mul(u, dv) + mul(du, v)
+                vr, vz, dv = vals[args[1]]
+                dw = [
+                    (ur * q + p * vr, (ur * qz + uz * q) + (p * vz + pz * vr))
+                    for (p, pz), (q, qz) in zip(du, dv)
+                ]
+                v = (ur * vr, ur * vz + uz * vr, dw)
+            elif op == "inv":  # w = inv(u) and -mul(mul(w, w), du)
+                if abs(ur) <= tol:
+                    raise NotInvertible("re part %g is within tolerance of zero" % ur)
+                wr, wz = 1.0 / ur, -uz / (ur * ur)
+                sr, sz = wr * wr, wr * wz + wz * wr
+                v = (wr, wz, [(-(sr * p), -(sr * pz + sz * p)) for p, pz in du])
+            else:  # sharp: mul(EPS, u) and mul(EPS, du)
+                dw = [(0.0 * p, 0.0 * pz + 1.0 * p) for p, pz in du]
+                v = (0.0 * ur, 0.0 * uz + 1.0 * ur, dw)
+        vals.append(v)
+        for k in freed:
+            vals[k] = None
+    d = np.array([vals[p][2] for p in f._outputs]).reshape(s + t, n + m, 2)
+    dre, dze = d[..., 0], d[..., 1]
+    return ModuleMap(n, m, s, t, dre[:s, :n], dze[:s, :n], dze[:s, n:], dze[s:, :n], dze[s:, n:])
 
 
 def compose_funcs(outer: DualFunc, inner: DualFunc) -> DualFunc:
-    """Substitute inner's components into outer's coordinate leaves."""
+    """Substitute inner's components into outer's coordinate leaves.
+
+    Each node of outer gets one replacement, built once, so nodes that
+    outer shares stay shared and repeated composition grows linearly."""
     if inner.codomain != outer.domain:
         raise ShapeMismatch(
             "cannot compose: inner codomain %r != outer domain %r"
             % (inner.codomain, outer.domain)
         )
     s_in = inner.codomain[0]
-
-    def subst(e: Expr) -> Expr:
+    new: dict[int, Expr] = {}
+    for e in _postorder(outer.components):
         if e.op == "const":
-            return e
-        if e.op == "coord":
-            if e.part == "head":
-                repl = inner.components[e.slot]
-                if e.component == "re":
-                    return re_part(repl)
-                if e.component == "ze":
-                    return ze_part(repl)
-                return repl
-            repl = inner.components[s_in + e.slot]
-            if e.component == "ze":
-                return ze_part(repl)
-            return repl
-        return Expr(e.op, tuple(subst(a) for a in e.args))
-
-    return DualFunc(
-        inner.domain, outer.codomain, tuple(subst(c) for c in outer.components)
-    )
+            repl = e
+        elif e.op == "coord":
+            repl = inner.components[e.slot if e.part == "head" else s_in + e.slot]
+            if e.component == "re":
+                repl = re_part(repl)
+            elif e.component == "ze":
+                repl = ze_part(repl)
+        else:
+            repl = Expr(e.op, tuple(new[id(a)] for a in e.args))
+        new[id(e)] = repl
+    return DualFunc(inner.domain, outer.codomain, tuple(new[id(c)] for c in outer.components))
 
 
 def func_from_module_map(lam: ModuleMap) -> DualFunc:

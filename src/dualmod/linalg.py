@@ -26,6 +26,7 @@ from dualmod.core import (
     DualNumber,
     DualVector,
     ShapeMismatch,
+    as_index,
     in_ker_sharp,
     inv,
     mul,
@@ -178,7 +179,7 @@ class ModuleMap:
         for key in ("n", "m", "s", "t", "C", "P", "D", "Q"):
             if key not in data:
                 raise ValueError("map is missing field %r" % key)
-        n, m, s, t = (int(data[k]) for k in ("n", "m", "s", "t"))
+        n, m, s, t = (as_index(data[k], k) for k in ("n", "m", "s", "t"))
         c = data["C"]
         if len(c) != s or any(len(row) != n for row in c):
             raise ValueError("field 'C' must be an s x n grid of [re, ze] pairs")

@@ -41,8 +41,8 @@ from dualmod.diff import (
     const,
     coord,
     cr_check,
-    eval_expr,
     eval_func,
+    eval_lowered,
     inv_expr,
     lower,
     sharp_expr,
@@ -213,6 +213,10 @@ class TransitionMap:
     func: DualFunc
     domain: Expr
 
+    def __post_init__(self):
+        # lowered once, as DualFunc lowers its components; not a field
+        object.__setattr__(self, "_predicate", lower((self.domain,), self.func.domain))
+
 
 def transition(i: int, j: int, k: int, l: int, n: int, m: int) -> TransitionMap:
     """Coordinates of chart (k, l) as expressions in chart (i, j) coordinates.
@@ -250,13 +254,15 @@ def transition(i: int, j: int, k: int, l: int, n: int, m: int) -> TransitionMap:
 
 
 def in_transition_domain(trans: TransitionMap, u: DualVector, tol=None) -> bool:
-    return _re_invertible(trans.domain, u, resolve_tol(tol))
+    if u.shape != trans.func.domain:
+        raise ShapeMismatch("point shape %r != domain %r" % (u.shape, trans.func.domain))
+    return _re_invertible(trans._predicate, u, resolve_tol(tol))
 
 
-def _re_invertible(predicate: Expr, x: DualVector, tol: float) -> bool:
+def _re_invertible(predicate, x: DualVector, tol: float) -> bool:
     try:
-        return abs(eval_expr(predicate, x).re) > tol
-    except (NotInvertible, EvaluationFailed):
+        return abs(eval_lowered(predicate, x).re) > tol
+    except NotInvertible:
         return False
 
 
@@ -311,7 +317,8 @@ class ExprChart:
         shapes = (self.forward.domain, self.forward.codomain)
         if (self.inverse.codomain, self.inverse.domain) != shapes:
             raise ShapeMismatch("chart inverse must map %r -> %r" % shapes[::-1])
-        lower((self.domain,), self.forward.domain)  # checks the predicate's slots
+        # lowered once (which checks its slots); not a field
+        object.__setattr__(self, "_predicate", lower((self.domain,), self.forward.domain))
 
     def to_json(self) -> dict:
         return {
@@ -541,7 +548,7 @@ class _ExprCharts:
 
     def sample(self, charts, count):
         n, m = self.atlas.ambient
-        domains = [self.atlas.charts[c].domain for c in charts]
+        domains = [self.atlas.charts[c]._predicate for c in charts]
         out = []
         for _ in range(count * 40):
             x = unrealify(self.rng.uniform(-1.5, 1.5, size=2 * n + m), n, m)
@@ -559,7 +566,7 @@ class _ExprCharts:
 
     def round_trip(self, c, u):
         x = eval_func(self.atlas.charts[c].inverse, u)
-        if not _re_invertible(self.atlas.charts[c].domain, x, self.tol):
+        if not _re_invertible(self.atlas.charts[c]._predicate, x, self.tol):
             raise EvaluationFailed("preimage left the domain")
         return self.forward(c, x)
 

@@ -23,6 +23,7 @@ from dualmod.core import (
     DualNumber,
     DualVector,
     ShapeMismatch,
+    as_index,
     in_im_sharp,
     inv,
     resolve_tol,
@@ -97,7 +98,10 @@ class GramForm:
         for key in ("N", "M", "G"):
             if key not in data:
                 raise FormInvalid("form is missing field %r" % key)
-        n, m = int(data["N"]), int(data["M"])
+        try:
+            n, m = as_index(data["N"], "N"), as_index(data["M"], "M")
+        except ValueError as exc:
+            raise FormInvalid(str(exc)) from None
         size = n + m
         rows = data["G"]
         if len(rows) != size or any(len(r) != size for r in rows):

@@ -153,6 +153,15 @@ class TestSolve:
         code, _, err = run(capsys, ["solve", "--input", path])
         assert code == 2
 
+    def test_fractional_shapes_rejected(self, tmp_path, capsys):
+        lam = ModuleMap.scalar(1, 0, DualNumber(2.0, 0.0)).to_json()
+        rhs = vector([DualNumber(4.0, 0.0)], []).to_json()
+        for shape in ({"n": 1.5, "s": 1.9}, {"m": 0.0}, {"t": True}):
+            path = write_json(tmp_path / "eq.json", {"map": dict(lam, **shape), "rhs": rhs})
+            code, out, err = run(capsys, ["solve", "--input", path])
+            assert code == 2, shape
+            assert out == "" and err.startswith("error: ")
+
 
 class TestDiffcheck:
     def test_square_function_passes(self, tmp_path, capsys):
@@ -303,9 +312,50 @@ class TestDarboux:
         assert "head_block_nondegenerate" in failed
 
     def test_malformed_form_exits_two(self, tmp_path, capsys):
-        path = write_json(tmp_path / "form.json", {"N": 2, "M": 0})
-        code, _, err = run(capsys, ["darboux", "--input", path])
+        form = standard_form(1, 1).to_json()
+        for doc in ({"N": 2, "M": 0}, dict(form, N=2.6), dict(form, M=2.0)):
+            path = write_json(tmp_path / "form.json", doc)
+            code, _, err = run(capsys, ["darboux", "--input", path])
+            assert code == 2, doc
+            assert err.startswith("error: ")
+
+
+def _nested_sum(levels):
+    """JSON text of x + x + ... on domain (1, 0), nested levels deep; built
+    as text because the json encoder recurses too."""
+    leaf = json.dumps(coord("head", 0).to_json())
+    text = leaf
+    for _ in range(levels):
+        text = '{"op": "add", "args": [%s, %s]}' % (text, leaf)
+    return text
+
+
+_FUNCTION = '{"function": {"domain": [1, 0], "codomain": [1, 0], "components": [%s]}}'
+
+
+class TestDeepInput:
+    def _run(self, tmp_path, capsys, command, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        return run(capsys, [command, "--input", str(path), "--samples", "2"])
+
+    @pytest.mark.parametrize("command", ["diffcheck", "atlas"])
+    def test_too_deep_exits_two(self, tmp_path, capsys, command):
+        if command == "diffcheck":
+            text = _FUNCTION
+        else:
+            ident = json.dumps(DualFunc((1, 0), (1, 0), (coord("head", 0),)).to_json())
+            text = '{"charts": [{"forward": %s, "inverse": %s, "domain": %%s}]}' % (ident, ident)
+        code, out, err = self._run(tmp_path, capsys, command, text % _nested_sum(1500))
         assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "nests too deeply" in err
+        assert "Traceback" not in err
+
+    def test_moderate_depth_still_runs(self, tmp_path, capsys):
+        code, out, _ = self._run(tmp_path, capsys, "diffcheck", _FUNCTION % _nested_sum(450))
+        assert code == 0
+        assert json.loads(out)["all_passed"] is True
 
 
 def _nonfinite_doc(case):

@@ -104,23 +104,17 @@ _UNIT = st.floats(-1.0, 1.0)
 
 
 @st.composite
-def programs(draw):
+def programs(draw, smooth=False):
     """A function (2, 1) -> (s, t) and a point, written as a straight-line
-    program: each step reads earlier nodes, so subtrees are shared."""
-    nodes = [
-        coord("head", 0),
-        coord("head", 1),
-        coord("tail", 0),
-        coord("head", 0, "re"),
-        coord("head", 1, "ze"),
-        coord("tail", 0, "ze"),
-    ]
+    program: each step reads earlier nodes, so subtrees are shared.  With
+    smooth, no projections (re_part, ze_part, component coords) occur."""
+    nodes = [coord("head", 0), coord("head", 1), coord("tail", 0)]
+    ops = ["add", "sub", "mul", "neg", "inv", "sharp", "const"]
+    if not smooth:
+        nodes += [coord("head", 0, "re"), coord("head", 1, "ze"), coord("tail", 0, "ze")]
+        ops += ["re_part", "ze_part"]
     for _ in range(draw(st.integers(1, 10))):
-        op = draw(
-            st.sampled_from(
-                ("add", "sub", "mul", "neg", "inv", "sharp", "re_part", "ze_part", "const")
-            )
-        )
+        op = draw(st.sampled_from(ops))
         u = draw(st.sampled_from(nodes))
         if op in ("add", "sub", "mul"):
             e = Expr(op, (u, draw(st.sampled_from(nodes))))
@@ -232,6 +226,137 @@ class TestRealifiedJacobian:
     def test_point_shape_checked(self):
         with pytest.raises(ShapeMismatch):
             diff.realified_jacobian(square_func(), vector([], [1.0]))
+
+
+_PROGRAM_SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+
+
+def _reference_limit_check(f, a, deriv, radius, samples, tol, levels, seed):
+    """limit_check one probe at a time in dual arithmetic, as it was first
+    written: the reference for the batched version."""
+    n, m = f.domain
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(samples, 2 * n + m))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    base = linalg.realify(a)
+    fa = diff.eval_func(f, a)
+    worst_last = 0.0
+    for level in range(levels):
+        r = radius / (2.0**level)
+        worst = 0.0
+        for d in dirs:
+            x = linalg.unrealify(base + r * d, n, m)
+            try:
+                fx = diff.eval_func(f, x)
+            except (NotInvertible, EvaluationFailed) as exc:
+                raise EvaluationFailed("probe at radius %g failed: %s" % (r, exc))
+            step = x - a
+            q = core.vector_norm(fx - fa - linalg.apply(deriv, step)) / core.vector_norm(step)
+            worst = max(worst, q)
+        worst_last = worst
+    return worst_last <= tol
+
+
+class TestNodeListEvaluation:
+    @_PROGRAM_SETTINGS
+    @given(programs(smooth=True))
+    def test_forward_derivative_matches_finite_differences(self, case):
+        f, a = case
+        assume(_tame(f, a, margin=0.5, cap=20.0))
+        try:
+            fd = diff.numeric_jacobian(f, a)
+        except EvaluationFailed:
+            assume(False)
+        ad = linalg.realify_map(diff.forward_derivative(f, a))
+        assert np.abs(ad - fd).max() <= 1e-6 * (1.0 + np.abs(ad).max())
+
+    @_PROGRAM_SETTINGS
+    @given(programs(smooth=True))
+    def test_batched_limit_check_matches_per_point_loop(self, case):
+        f, a = case
+        assume(_tame(f, a, margin=0.5, cap=20.0))
+        deriv = diff.forward_derivative(f, a)
+        # the exact derivative, and a wrong one that must be refused
+        for lam in (deriv, linalg.ModuleMap.zero(f.domain, f.codomain)):
+            for radius, samples, levels in ((1e-4, 4, 6), (0.05, 3, 4)):
+                args = (f, a, lam, radius, samples, 1e-3, levels, 7)
+                assert diff.limit_check(*args) == _reference_limit_check(*args)
+
+    def test_failing_probe_reports_its_radius(self):
+        # the probe along the first direction at radius / 2 hits re = 0
+        f = DualFunc((1, 0), (1, 0), (inv_expr(head_coord(0)),))
+        rng = np.random.default_rng(3)
+        dirs = rng.normal(size=(4, 2))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        a = vector([DualNumber(-(0.025 * dirs[0, 0]), 0.5)], [])
+        deriv = diff.forward_derivative(f, a)
+        args = (f, a, deriv, 0.05, 4, 1e-3, 3, 3)
+        message = "probe at radius 0.025 failed: re part 0 is within tolerance of zero"
+        with pytest.raises(EvaluationFailed) as batched:
+            diff.limit_check(*args)
+        with pytest.raises(EvaluationFailed) as reference:
+            _reference_limit_check(*args)
+        assert str(batched.value) == str(reference.value) == message
+
+    def test_limit_check_needs_probes(self):
+        f = square_func()
+        a = vector([ONE], [])
+        with pytest.raises(ValueError):
+            diff.limit_check(f, a, diff.forward_derivative(f, a), samples=0)
+
+    def test_deep_sum_needs_no_recursion(self):
+        x = head_coord(0)
+        e = x
+        for _ in range(3000):
+            e = e + x
+        f = DualFunc((1, 0), (1, 0), (e,))
+        a = vector([DualNumber(0.5, 0.25)], [])
+        assert diff.eval_func(f, a).head[0] == DualNumber(1500.5, 750.25)
+        deriv = diff.forward_derivative(f, a)
+        assert deriv.head_entry(0, 0) == DualNumber(3001.0, 0.0)
+        assert diff.limit_check(f, a, deriv)
+        assert diff.eval_expr(e, a) == DualNumber(1500.5, 750.25)
+
+    def test_shared_chain_is_walked_once(self):
+        a = vector([DualNumber(1.3, 0.7)], [])
+        f = _doubling_chain(40)
+        start = time.perf_counter()
+        value = diff.eval_func(f, a)
+        deriv = diff.forward_derivative(f, a)
+        assert time.perf_counter() - start < 1.0
+        # an even number of reciprocals is the identity
+        assert np.allclose(linalg.realify(value), linalg.realify(a), atol=1e-9)
+        assert np.allclose(linalg.realify_map(deriv), np.eye(2), atol=1e-9)
+
+    def test_compose_keeps_shared_nodes_shared(self):
+        x = head_coord(0)
+        g = DualFunc((1, 0), (1, 0), (x * x + 1.0,))
+        points = [vector([DualNumber(re, ze)], []) for re, ze in ((0.3, -0.2), (-1.1, 0.5))]
+        composed, values = g, [diff.eval_func(g, p) for p in points]
+        for _ in range(13):
+            # the accumulated function is the outer one: its shared x * x
+            # was copied once per path, 16,386 nodes after 13 steps
+            composed = diff.compose_funcs(composed, g)
+            values = [diff.eval_func(g, v) for v in values]
+            # the composite does the step-by-step arithmetic, float for float
+            for p, v in zip(points, values):
+                np.testing.assert_array_equal(
+                    linalg.realify(diff.eval_func(composed, p)), linalg.realify(v)
+                )
+        assert len(composed._nodes) <= 40
+
+    def test_lowering_marks_dead_values(self):
+        x = head_coord(0)
+        y = x * x
+        nodes, roots = diff.lower((y + y, y), (1, 0))
+        assert roots == (2, 1)
+        # y stays alive as a root; x dies at y
+        assert [freed for *_, freed in nodes] == [(), (0,), ()]
 
 
 class TestConstruction:

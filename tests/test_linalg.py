@@ -166,6 +166,10 @@ class TestModuleMap:
     def test_json_schema_error(self):
         with pytest.raises(ValueError):
             ModuleMap.from_json({"n": 1, "m": 0, "s": 1, "t": 0, "C": []})
+        data = ModuleMap.scalar(1, 0, DualNumber(2.0, 0.0)).to_json()
+        for shape in ({"n": 1.5, "s": 1.9}, {"n": 1.0}, {"m": False}):
+            with pytest.raises(ValueError):
+                ModuleMap.from_json(dict(data, **shape))
 
 
 class TestIndependence:

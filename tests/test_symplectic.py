@@ -54,6 +54,9 @@ class TestGramForm:
             GramForm.from_json({"N": 1, "M": 0, "G": [[0.0]]})
         with pytest.raises(FormInvalid):
             GramForm.from_json([1, 2, 3])
+        for shape in ({"N": 2.6}, {"N": 2.0}, {"M": 2.0}):
+            with pytest.raises(FormInvalid):
+                GramForm.from_json(dict(standard_form(1, 1).to_json(), **shape))
 
 
 class TestEvalForm:
