@@ -326,7 +326,8 @@ def _render_text(payload: dict) -> str:
         for c in payload["checks"]:
             mark = "PASS" if c["passed"] else "FAIL"
             extra = " (%s)" % c["detail"] if c["detail"] else ""
-            lines.append("%s %s worst=%g%s" % (mark, c["name"], c["worst"], extra))
+            worst = "n/a" if c["worst"] is None else "%g" % c["worst"]
+            lines.append("%s %s worst=%s%s" % (mark, c["name"], worst, extra))
         lines.append(
             "selftest: %s (%d/%d checks)"
             % (

@@ -461,6 +461,7 @@ def _eval_points(f: DualFunc, points: np.ndarray, label) -> np.ndarray:
     return values
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def realified_jacobian(f: DualFunc, a: DualVector) -> np.ndarray:
     """Exact (2s + t) x (2n + m) Jacobian on realified coordinates.
 
@@ -470,7 +471,8 @@ def realified_jacobian(f: DualFunc, a: DualVector) -> np.ndarray:
     coords are real-linear, so they are differentiated too, and the block
     test sees their asymmetry.  As eval_func, raises NotInvertible where an
     inverse meets a re part within tolerance of zero, and EvaluationFailed
-    where a tail output is not a zero divisor.
+    where a tail output is not a zero divisor.  Overflow in the pass is
+    silent; a Jacobian that is not finite raises EvaluationFailed.
     """
     if a.shape != f.domain:
         raise ShapeMismatch("point shape %r != domain %r" % (a.shape, f.domain))
@@ -526,6 +528,8 @@ def realified_jacobian(f: DualFunc, a: DualVector) -> np.ndarray:
                 % (k - s, re)
             )
         jac[s + k] = dze
+    if not np.isfinite(jac).all():
+        raise EvaluationFailed("the Jacobian at the point is not finite")
     return jac
 
 
@@ -540,7 +544,7 @@ def cr_check(f: DualFunc, a: DualVector, tol: float = CR_DEFAULT_TOL) -> CrRepor
     re-to-re block, head re parts driven by tail inputs, and tail outputs
     driven by ze inputs.  When all four stay within tol the surviving blocks
     assemble the derivative map.  Raises EvaluationFailed when f cannot be
-    evaluated at a.
+    evaluated at a or its Jacobian there is not finite.
     """
     n, m = f.domain
     s, t = f.codomain

@@ -21,20 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from dualmod.core import (
-    ONE,
     ZERO,
     DualNumber,
     DualVector,
     ShapeMismatch,
     as_index,
     in_ker_sharp,
-    inv,
     mul,
     resolve_tol,
-    scalar_mul,
     sharp_action,
     vector_norm,
-    with_head_entry,
 )
 
 
@@ -362,22 +358,22 @@ def is_independent(
     return _matrix_rank(mat, tol) == len(rows)
 
 
-def _row_scale(v: DualVector) -> float:
-    mags = [abs(h.re) for h in v.head] + [abs(h.ze) for h in v.head]
-    mags += [abs(r) for r in v.tail]
-    return max(mags) if mags else 0.0
-
-
 def extract_basis(
     generators: list[DualVector], tol: float | None = None
 ) -> SplitBasis:
     """Reduce generators (dual coefficients allowed on all of them) to a
     split basis of the span.
 
-    Phase 1 pivots on head entries with invertible re part, eliminating with
-    dual row operations.  What remains is killed by eps, so phase 2 factors
-    out eps and runs real elimination on the leftover ze and tail
-    coordinates.
+    The generators are realified once into the rows [re | ze | tail] of one
+    array.  Phase 1 picks each pivot over all remaining rows and unpivoted
+    head columns at once: the largest |re| relative to its row's largest
+    entry, the first such in row-major order.  It scales the pivot row by
+    the dual inverse of that entry and clears the column from every other
+    row with whole-array dual row operations.  What remains is killed by
+    eps up to roundoff, so phase 2 drops the re parts and takes the rank of
+    the (ze, tail) block by SVD, counting singular values above
+    tol * max(1, largest generator entry); s2 is the reduced row echelon
+    form of the leading right singular vectors.
     """
     tol = resolve_tol(tol)
     gens = list(generators)
@@ -388,107 +384,59 @@ def extract_basis(
         if g.shape != shape:
             raise ShapeMismatch("generator shape %r != %r" % (g.shape, shape))
     n, m = shape
-    scale = max((_row_scale(g) for g in gens), default=0.0)
-    thresh = tol * max(1.0, scale)
+    rows = np.array([realify(g) for g in gens]).reshape(len(gens), 2 * n + m)
+    scales = np.abs(rows).max(axis=1, initial=0.0)
+    thresh = tol * max(1.0, scales.max())
+    rows = rows[scales > thresh]
+    sharp = realify_map(ModuleMap.sharp_map(n, m))  # eps times a realified row
+    pivots: list[int] = []
 
-    work = [g for g in gens if _row_scale(g) > thresh]
-    s1: list[DualVector] = []
-    pivot_cols: list[int] = []
-
-    # Phase 1: sweep head columns until no invertible entries remain.
+    # Phase 1: dual elimination on invertible head entries.
     while True:
-        found = False
-        for col in range(n):
-            if col in pivot_cols:
-                continue
-            best = None
-            best_score = 0.0
-            for idx, v in enumerate(work):
-                rs = _row_scale(v)
-                if rs <= thresh:
-                    continue
-                mag = abs(v.head[col].re)
-                if mag > thresh and mag / rs > best_score:
-                    best = idx
-                    best_score = mag / rs
-            if best is None:
-                continue
-            found = True
-            piv = work.pop(best)
-            piv = scalar_mul(inv(piv.head[col], tol=0.0), piv)
-            piv = with_head_entry(piv, col, ONE)
-            work = [_eliminate_head(w, col, piv) for w in work]
-            s1 = [_eliminate_head(u, col, piv) for u in s1]
-            s1.append(piv)
-            pivot_cols.append(col)
-            work = [w for w in work if _row_scale(w) > thresh]
-        if not found:
+        mags = np.abs(rows[:, :n])
+        cand = mags > thresh
+        cand[pivots] = False
+        if not cand.any():
             break
+        scale = np.abs(rows).max(axis=1, keepdims=True)
+        score = np.divide(mags, scale, out=np.zeros_like(mags), where=cand)
+        row, col = divmod(int(np.argmax(score)), n)
+        piv = rows[row]
+        s_r, s_z = 1.0 / piv[col], -piv[n + col] / (piv[col] * piv[col])
+        piv[:] = s_r * piv + s_z * (sharp @ piv)
+        coef = rows[:, [col, n + col]].copy()
+        coef[row] = 0.0
+        rows -= np.outer(coef[:, 0], piv) + np.outer(coef[:, 1], sharp @ piv)
+        rows[:, [col, n + col]] = 0.0
+        piv[col] = 1.0
+        pivots.append(row)
 
-    # Phase 2: residual rows are killed by eps; drop the (noise-level) re
-    # parts and run real elimination over (head ze, tail) coordinates.
-    real_rows = []
-    for w in work:
-        real_rows.append(
-            np.array([h.ze for h in w.head] + list(w.tail), dtype=float)
-        )
-    reduced = _real_rref(real_rows, thresh)
-    s2 = [
-        DualVector(
-            tuple(DualNumber(0.0, row[i]) for i in range(n)),
-            tuple(row[n:]),
-        )
-        for row in reduced
-    ]
+    # Phase 2: the residual rows lie in the kernel of eps up to roundoff.
+    _, sv, vt = np.linalg.svd(np.delete(rows, pivots, axis=0)[:, n:], full_matrices=False)
+    reduced = _echelon(vt[: int(np.sum(sv > thresh))])
+    s2 = [unrealify(np.concatenate([np.zeros(n), row]), n, m) for row in reduced]
+    s1 = [unrealify(rows[r], n, m) for r in pivots]
     return SplitBasis(tuple(s1), tuple(s2))
 
 
-def _eliminate_head(w: DualVector, col: int, piv: DualVector) -> DualVector:
-    coef = w.head[col]
-    out = w - scalar_mul(coef, piv)
-    return with_head_entry(out, col, ZERO)
-
-
-def _real_rref(rows: list[np.ndarray], thresh: float) -> list[np.ndarray]:
-    rows = [r for r in rows if r.size and np.abs(r).max() > thresh]
-    if not rows:
-        return []
-    width = rows[0].size
-    out: list[np.ndarray] = []
-    pivot_cols: list[int] = []
-    while True:
-        found = False
-        for col in range(width):
-            if col in pivot_cols:
-                continue
-            best = None
-            best_score = 0.0
-            for idx, r in enumerate(rows):
-                rs = np.abs(r).max()
-                if rs <= thresh:
-                    continue
-                mag = abs(r[col])
-                if mag > thresh and mag / rs > best_score:
-                    best = idx
-                    best_score = mag / rs
-            if best is None:
-                continue
-            found = True
-            piv = rows.pop(best)
-            piv = piv / piv[col]
-            piv[col] = 1.0
-            for r in rows:
-                r -= r[col] * piv
-                r[col] = 0.0
-            for r in out:
-                r -= r[col] * piv
-                r[col] = 0.0
-            out.append(piv)
-            pivot_cols.append(col)
-            rows = [r for r in rows if np.abs(r).max() > thresh]
-        if not found:
-            break
-    return out
+def _echelon(rows: np.ndarray) -> np.ndarray:
+    """Reduced row echelon form of independent rows, by Gauss-Jordan
+    elimination with complete pivoting: each pivot entry is exactly 1, the
+    rest of its column exactly 0, and rows come in pivot column order."""
+    rows = rows.copy()
+    cols: list[int] = []
+    for k in range(len(rows)):
+        mags = np.abs(rows[k:])
+        mags[:, cols] = -1.0
+        i, col = divmod(int(np.argmax(mags)), rows.shape[1])
+        rows[[k, k + i]] = rows[[k + i, k]]
+        rows[k] /= rows[k, col]
+        rows[k, col] = 1.0
+        others = np.arange(len(rows)) != k
+        rows[others] -= np.outer(rows[others, col], rows[k])
+        rows[others, col] = 0.0
+        cols.append(col)
+    return rows[np.argsort(cols)]
 
 
 def basis_map(basis: SplitBasis, codomain: tuple[int, int]) -> ModuleMap:

@@ -26,7 +26,7 @@ import dualmod.symplectic as symplectic
 class CheckResult:
     name: str
     passed: bool
-    worst: float
+    worst: float | None  # None when the check raised; detail names the error
     detail: str = ""
 
     def to_json(self) -> dict:
@@ -73,11 +73,7 @@ def run_selftest(samples: int = 100, seed: int = 0, tol: float | None = None) ->
         try:
             worst = float(fn())
         except Exception as exc:  # a selftest must report, never crash
-            checks.append(
-                CheckResult(
-                    name, False, float("inf"), "%s: %s" % (type(exc).__name__, exc)
-                )
-            )
+            checks.append(CheckResult(name, False, None, "%s: %s" % (type(exc).__name__, exc)))
             return
         checks.append(CheckResult(name, worst <= bound, worst))
 

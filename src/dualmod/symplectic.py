@@ -24,14 +24,10 @@ from dualmod.core import (
     DualVector,
     ShapeMismatch,
     as_index,
-    in_im_sharp,
-    inv,
     resolve_tol,
-    scalar_mul,
     standard_basis,
-    vector_norm,
 )
-from dualmod.linalg import NotInKer, apply, extract_basis, is_independent
+from dualmod.linalg import NotInKer, apply, extract_basis, is_independent, unrealify
 
 SV_RATIO = 1e-8
 
@@ -324,87 +320,75 @@ class DarbouxBasis:
         return cls(heads, tails)
 
 
-def _best_pair(form, cands, magnitude):
-    best, best_mag = None, 0.0
-    for a in range(len(cands)):
-        for b in range(a + 1, len(cands)):
-            mag = magnitude(eval_form(form, cands[a], cands[b]))
-            if mag > best_mag:
-                best, best_mag = (a, b), mag
-    return best, best_mag
-
-
-def _clamp_to_kernel(v: DualVector) -> DualVector:
-    return DualVector(
-        tuple(DualNumber(0.0, h.ze) for h in v.head), v.tail
-    )
-
-
 def darboux_basis(form: GramForm, tol: float | None = None) -> DarbouxBasis:
     """Extract normalized pairs from a symplectic Gram matrix.
 
-    Stage one peels off head pairs, pivoting on the largest remaining re
-    pairing and making every other candidate orthogonal to the pair.  The
-    survivors must then sit in the kernel of eps up to roundoff; their head
-    re parts are clamped to exact zeros and stage two repeats the sweep on
-    the eps pairing with real coefficients.  Anything left over means the
-    form was degenerate, which raises NumericalBreakdown.
+    The candidates, starting from the standard basis, are the rows of one
+    realified array: the re parts of the heads and the tails, which the
+    Gram matrix pairs, and the ze parts of the heads.  Each step forms the
+    whole pairing matrix by eval_form's product rule, takes the first
+    largest entry of its strict upper triangle as the next pair (e, y),
+    normalizes f = y / pairing(e, y), and makes every other candidate g
+    orthogonal to the pair, g - (g, f) e + (g, e) f, by outer products;
+    tails see only the re part of a scalar.  Stage one pairs on re parts,
+    to 1.  The survivors must then sit in the kernel of eps up to roundoff;
+    their head re parts are clamped to exact zeros and stage two pairs on
+    eps parts, to eps, with real coefficients.  Anything left over means
+    the form was degenerate, which raises NumericalBreakdown.
     """
     tol = resolve_tol(tol)
     n, m = form.n, form.m
-    scale = 1.0 + max(np.abs(form.g_re).max(), np.abs(form.g_ze).max())
-    thresh = tol * scale
-    cands = standard_basis(n, m)
+    thresh = tol * (1.0 + max(np.abs(form.g_re).max(), np.abs(form.g_ze).max()))
+    # eval_form on realified rows v, w: (re, ze) = v h w
+    re_cols, ze_cols = np.r_[0:n, 2 * n : 2 * n + m], np.arange(n, 2 * n)
+    h_re, h_ze = h = np.zeros((2, 2 * n + m, 2 * n + m))
+    h_re[np.ix_(re_cols, re_cols)] = form.g_re
+    h_ze[np.ix_(re_cols, re_cols)] = form.g_ze
+    h_ze[np.ix_(ze_cols, re_cols)] = form.g_re[:n]
+    h_ze[np.ix_(re_cols, ze_cols)] = form.g_re[:, :n]
 
-    pairs_head = []
-    while True:
-        pick, mag = _best_pair(form, cands, lambda w: abs(w.re))
-        if pick is None or mag <= thresh:
-            break
-        a, b = pick
-        e, y = cands[a], cands[b]
-        f = scalar_mul(inv(eval_form(form, e, y), tol=0.0), y)
-        rest = [cands[k] for k in range(len(cands)) if k not in (a, b)]
-        cands = [
-            g
-            - scalar_mul(eval_form(form, g, f), e)
-            + scalar_mul(eval_form(form, g, e), f)
-            for g in rest
-        ]
-        pairs_head.append((e, f))
+    def times(c_re, c_ze, v):  # dual scalars c times the realified row v
+        eps_v = np.zeros_like(v)
+        eps_v[n : 2 * n] = v[:n]
+        return np.outer(c_re, v) + np.outer(c_ze, eps_v)
 
-    for g in cands:
-        residue = max((abs(h.re) for h in g.head), default=0.0)
-        if residue > 1e-6 * (1.0 + vector_norm(g)):
+    def peel(cands, head):
+        pairs = []
+        while len(cands) > 1:
+            p_re, p_ze = cands @ h @ cands.T
+            upper = np.triu(np.abs(p_re if head else p_ze), 1)
+            a, b = divmod(int(np.argmax(upper)), len(cands))
+            if upper[a, b] <= thresh:
+                break
+            if head:  # the dual inverse of the pairing
+                s = (1.0 / p_re[a, b], -p_ze[a, b] / (p_re[a, b] * p_re[a, b]))
+            else:
+                s = (1.0 / p_ze[a, b], 0.0)
+            e, f = cands[a], times(*s, cands[b])[0]
+            cands = np.delete(cands, [a, b], axis=0)
+            (cf_re, ce_re), (cf_ze, ce_ze) = (cands @ h @ np.stack([f, e]).T).transpose(0, 2, 1)
+            if not head:  # real coefficients: the eps parts of the pairings
+                cf_re, ce_re, cf_ze, ce_ze = cf_ze, ce_ze, 0.0, 0.0
+            cands = cands - times(cf_re, cf_ze, e) + times(ce_re, ce_ze, f)
+            pairs.append((e, f))
+        return pairs, cands
+
+    pairs_head, cands = peel(np.eye(2 * n + m)[re_cols], True)
+    norms = np.sqrt(cands**2 @ np.r_[np.full(n, 2.0), np.ones(n + m)])
+    for residue, norm in zip(np.abs(cands[:, :n]).max(axis=1, initial=0.0), norms):
+        if residue > 1e-6 * (1.0 + norm):
             raise NumericalBreakdown(
                 "head block is degenerate: a reduced candidate kept re size %g"
                 % residue
             )
-    cands = [_clamp_to_kernel(g) for g in cands]
+    cands[:, :n] = 0.0
+    pairs_tail, cands = peel(cands, False)
 
-    pairs_tail = []
-    while True:
-        pick, mag = _best_pair(form, cands, lambda w: abs(w.ze))
-        if pick is None or mag <= thresh:
-            break
-        a, b = pick
-        e, y = cands[a], cands[b]
-        z = eval_form(form, e, y).ze
-        f = scalar_mul(DualNumber(1.0 / z, 0.0), y)
-        rest = [cands[k] for k in range(len(cands)) if k not in (a, b)]
-        cands = [
-            g
-            - scalar_mul(DualNumber(eval_form(form, g, f).ze, 0.0), e)
-            + scalar_mul(DualNumber(eval_form(form, g, e).ze, 0.0), f)
-            for g in rest
-        ]
-        pairs_tail.append((e, f))
-
-    if cands:
-        stray = [g for g in cands if not in_im_sharp(g, tol=1e-6)]
+    if len(cands):
+        stray = int((np.abs(cands[:, re_cols]) > 1e-6).any(axis=1).sum())
         if stray:
             raise NumericalBreakdown(
-                "kernel pairing is degenerate: %d unpaired directions" % len(stray)
+                "kernel pairing is degenerate: %d unpaired directions" % stray
             )
         raise NumericalBreakdown(
             "%d leftover eps directions cannot be paired" % len(cands)
@@ -414,7 +398,11 @@ def darboux_basis(form: GramForm, tol: float | None = None) -> DarbouxBasis:
             "pair counts (%d, %d) do not cover shape (%d, %d)"
             % (len(pairs_head), len(pairs_tail), n, m)
         )
-    return DarbouxBasis(tuple(pairs_head), tuple(pairs_tail))
+
+    def boxed(pairs):
+        return tuple((unrealify(e, n, m), unrealify(f, n, m)) for e, f in pairs)
+
+    return DarbouxBasis(boxed(pairs_head), boxed(pairs_tail))
 
 
 @dataclass(frozen=True)

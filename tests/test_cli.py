@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dualmod.core as core
+import dualmod.linalg as linalg
 from dualmod.cli import main
 from dualmod.core import DualNumber, basis_vector, sharp_action, vector
 from dualmod.diff import DualFunc, coord, re_part
@@ -21,6 +22,15 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+
+    def reject(token):
+        raise ValueError("%s is not valid JSON" % token)
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestSelftest:
@@ -54,6 +64,21 @@ class TestSelftest:
         assert report["passed"] is False
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
         assert "core.ring_laws" in failing
+
+    def test_raising_check_reports_null_worst(self, capsys, monkeypatch):
+        def broken(generators, tol=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(linalg, "extract_basis", broken)
+        code, out, _ = run(capsys, ["selftest", "--samples", "10"])
+        assert code == 1
+        check = {c["name"]: c for c in strict_json(out)["checks"]}["linalg.extract_basis_dims"]
+        assert check["passed"] is False
+        assert check["worst"] is None
+        assert check["detail"] == "RuntimeError: boom"
+        code, out, _ = run(capsys, ["selftest", "--samples", "10", "--format", "text"])
+        assert code == 1
+        assert "FAIL linalg.extract_basis_dims worst=n/a (RuntimeError: boom)" in out
 
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, ["selftest", "--samples", "10", "--format", "text"])
@@ -190,6 +215,22 @@ class TestDiffcheck:
         assert report["all_passed"] is False
         assert report["entries"][0]["passed"] is False
         assert report["entries"][0]["residuals"]["ze_match"] > 0.5
+
+    def test_overflowing_point_is_an_error(self, tmp_path, capsys):
+        x = coord("head", 0)
+        func = DualFunc((2, 0), (1, 0), (x * x * x,))
+        doc = {
+            "function": func.to_json(),
+            "points": [vector([DualNumber(1e200, 0.0), DualNumber(0.0, 0.0)], []).to_json()],
+        }
+        path = write_json(tmp_path / "f.json", doc)
+        code, out, err = run(capsys, ["diffcheck", "--input", path])
+        assert code == 1
+        assert err == ""
+        entry = strict_json(out)["entries"][0]
+        assert entry["passed"] is False
+        assert "not finite" in entry["error"]
+        assert "residuals" not in entry
 
     def test_bad_function_rejected(self, tmp_path, capsys):
         square = DualFunc((1, 0), (1, 0), (coord("head", 0) * coord("head", 0),)).to_json()

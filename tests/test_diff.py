@@ -213,6 +213,16 @@ class TestRealifiedJacobian:
         with pytest.raises(EvaluationFailed):
             diff.cr_check(f, vector([ONE], []))
 
+    def test_overflowing_jacobian_fails(self):
+        # x**3 at 1e200 overflows to inf and inf - inf = NaN in the pass
+        x = head_coord(0)
+        f = DualFunc((2, 0), (1, 0), (x * x * x,))
+        a = vector([DualNumber(1e200, 0.0), ZERO], [])
+        with pytest.raises(EvaluationFailed, match="not finite"):
+            diff.realified_jacobian(f, a)
+        with pytest.raises(EvaluationFailed, match="not finite"):
+            diff.cr_check(f, a)
+
     def test_near_singular_inverse_needs_no_probes(self):
         # a central-difference step crosses re = 0; the exact pass does not
         f = DualFunc((1, 0), (1, 0), (inv_expr(head_coord(0)),))

@@ -296,6 +296,68 @@ class TestExtractBasis:
         assert basis.dim == (1, 1)
 
 
+def planted_span(seed, index, kind, n, m):
+    """Generators and planted split basis of one benchmark basis task.
+
+    Repeats the numpy draws of the algebra workload's basis tasks for task
+    `index` at `seed`: an automorphism with well-conditioned diagonal
+    blocks maps r1 head slots (the dual span), k eps-multiplied head slots
+    and r2 tail slots (the real span), and random combinations of their
+    images are the generators.  Returns the generators, the planted dims,
+    and the realified planted span (s1, eps * s1, s2) as columns.
+    """
+    rng = np.random.default_rng([seed, index])
+
+    def conditioned(size):
+        q, _ = np.linalg.qr(rng.normal(size=(size, size)))
+        return q @ np.diag(rng.uniform(0.6, 1.6, size=size))
+
+    if kind == "basis_heads":
+        r1, k, r2 = max(1, round(0.75 * n)), round(0.1 * n), round(0.25 * m)
+    else:
+        r1, k, r2 = round(0.2 * n), round(0.5 * n), max(1, round(0.6 * m))
+    c_re = conditioned(n)
+    c_ze = rng.uniform(-0.5, 0.5, size=(n, n))
+    p = rng.uniform(-0.5, 0.5, size=(n, m))
+    d = rng.uniform(-0.5, 0.5, size=(m, n))
+    q = conditioned(m)
+    auto = linalg.realify_map(ModuleMap(n, m, n, m, c_re, c_ze, p, d, q))
+    s1 = auto[:, :r1]
+    eps_s1 = auto[:, n : n + r1]
+    s2 = np.hstack([auto[:, n + r1 : n + r1 + k], auto[:, 2 * n : 2 * n + r2]])
+    count = r1 + k + r2 + int(rng.integers(2, 5))
+    coeff_re = rng.uniform(-1.0, 1.0, size=(r1, count))
+    coeff_ze = rng.uniform(-1.0, 1.0, size=(r1, count))
+    coeff_s2 = rng.uniform(-1.0, 1.0, size=(k + r2, count))
+    gens = s1 @ coeff_re + eps_s1 @ coeff_ze + s2 @ coeff_s2
+    generators = [linalg.unrealify(col, n, m) for col in gens.T]
+    return generators, (r1, k + r2), np.hstack([s1, eps_s1, s2])
+
+
+class TestRecordedBasisDefects:
+    # Benchmark tasks on which an earlier elimination returned one spurious
+    # kernel direction (the first two) or a basis leaving the planted span.
+    @pytest.mark.parametrize(
+        "seed, index, kind, n, m",
+        [
+            (1, 1979, "basis_kernel", 17, 17),
+            (3, 1787, "basis_kernel", 22, 21),
+            (8, 1867, "basis_heads", 15, 14),
+        ],
+    )
+    def test_planted_span_recovered(self, seed, index, kind, n, m):
+        gens, dims, span = planted_span(seed, index, kind, n, m)
+        basis = linalg.extract_basis(gens)
+        assert basis.dim == dims
+        cols = [linalg.realify(v) for v in basis.s1]
+        cols += [linalg.realify(core.sharp_action(v)) for v in basis.s1]
+        cols += [linalg.realify(w) for w in basis.s2]
+        got = np.array(cols).T
+        rank = np.linalg.matrix_rank
+        assert rank(got, tol=1e-8) == got.shape[1]
+        assert rank(np.hstack([span, got]), tol=1e-8) == span.shape[1]
+
+
 class TestSolveAndIso:
     def test_scalar_map_is_iso(self):
         lam = ModuleMap.scalar(1, 0, DualNumber(2.0, 3.0))

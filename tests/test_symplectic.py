@@ -250,7 +250,9 @@ class TestDarboux:
             report = verify_darboux(basis, form)
             assert report.passed, report.to_json()
 
-    @pytest.mark.parametrize("shape", [(1, 0), (0, 1), (1, 1), (2, 1), (2, 2)])
+    @pytest.mark.parametrize(
+        "shape", [(1, 0), (0, 1), (1, 1), (2, 1), (2, 2), (3, 3), (6, 0), (0, 6)]
+    )
     def test_random_forms_round_trip(self, shape):
         n, m = shape
         for seed in range(4):
