@@ -22,6 +22,7 @@ block pattern.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -443,9 +444,21 @@ def numeric_jacobian(f: DualFunc, a: DualVector, h: float = FD_DEFAULT_STEP) -> 
 
 
 def _eval_points(f: DualFunc, points: np.ndarray, label) -> np.ndarray:
-    """f at each row of points, realified, from one batched walk.  When a
-    point cannot be evaluated, the points are replayed one at a time and
-    the first failure is raised as EvaluationFailed, named by label(k)."""
+    """f at each row of points, realified; the first point that cannot be
+    evaluated raises EvaluationFailed, named by label(k)."""
+    values, k, exc = _eval_rows(f, points)
+    if exc is not None:
+        raise EvaluationFailed("%s failed: %s" % (label(k), exc))
+    return values
+
+
+def _eval_rows(f: DualFunc, points: np.ndarray) -> tuple[np.ndarray, int, Exception | None]:
+    """f at the rows of points, realified, from one batched walk, up to the
+    first row that cannot be evaluated: the values before that row, its
+    index (len(points) when every row evaluates) and eval_func's exception
+    there, found by replaying the rows one at a time."""
+    if not len(points):  # a constant singular inverse fails no point
+        return np.empty((0, 2 * f.codomain[0] + f.codomain[1])), 0, None
     try:
         out = _realified_outputs(f, points.T, resolve_tol(None))
     except (NotInvertible, EvaluationFailed):
@@ -453,12 +466,12 @@ def _eval_points(f: DualFunc, points: np.ndarray, label) -> np.ndarray:
             try:
                 eval_func(f, unrealify(x, *f.domain))
             except (NotInvertible, EvaluationFailed) as exc:
-                raise EvaluationFailed("%s failed: %s" % (label(k), exc))
+                return _eval_rows(f, points[:k])[0], k, exc
         raise
     values = np.empty((len(points), len(out)))
     for k, column in enumerate(out):
         values[:, k] = column
-    return values
+    return values, len(points), None
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -476,13 +489,24 @@ def realified_jacobian(f: DualFunc, a: DualVector) -> np.ndarray:
     """
     if a.shape != f.domain:
         raise ShapeMismatch("point shape %r != domain %r" % (a.shape, f.domain))
+    return _jacobian(f, _columns(a))
+
+
+def _jacobian(f: DualFunc, x: list, bad: np.ndarray | None = None) -> np.ndarray:
+    """realified_jacobian's pass at the realified point x, given as floats,
+    or at a batch of S points, given as (S, 1) columns with bad an (S,)
+    mask.  In a batch, values are columns, gradients are (S, 2n + m) rows
+    and the Jacobian has shape (2s + t, S, 2n + m); a point with a singular
+    inverse, a tail output that is not a zero divisor or a Jacobian that is
+    not finite is marked in bad instead of raising.  The operations are the
+    same for both, so a batch row equals its point.  Callers silence
+    numpy's overflow warnings."""
     n, m = f.domain
     s, t = f.codomain
     tol = resolve_tol(None)
-    x = _columns(a)
     unit = np.eye(2 * n + m)
     vals = []
-    for op, args, payload, _ in f._nodes:
+    for op, args, payload, freed in f._nodes:
         if op == "const":
             vals.append((payload[0], payload[1], 0.0, 0.0))
             continue
@@ -506,7 +530,11 @@ def realified_jacobian(f: DualFunc, a: DualVector) -> np.ndarray:
         elif op == "neg":
             v = (-ur, -uz, -dur, -duz)
         elif op == "inv":
-            if abs(ur) <= tol:
+            small = abs(ur) <= tol
+            if bad is not None:
+                bad |= np.ravel(small)
+                ur = np.asarray(ur)  # a constant: divide as numpy does
+            elif small:
                 raise NotInvertible("re part %g is within tolerance of zero" % ur)
             w = 1.0 / ur
             v = (w, -uz / (ur * ur), -w * w * dur, w * w * (2.0 * w * uz * dur - duz))
@@ -517,18 +545,26 @@ def realified_jacobian(f: DualFunc, a: DualVector) -> np.ndarray:
         else:  # ze_part
             v = (uz, 0.0, duz, 0.0)
         vals.append(v)
-    jac = np.empty((2 * s + t, 2 * n + m))
+        for k in freed:
+            vals[k] = None
+    jac = np.empty((2 * s + t,) + (() if bad is None else bad.shape) + (2 * n + m,))
     for k, p in enumerate(f._outputs):
         re, _, dre, dze = vals[p]
         if k < s:
             jac[k] = dre
-        elif abs(re) > tol:
-            raise EvaluationFailed(
-                "tail component %d evaluated to re part %g, not a zero divisor"
-                % (k - s, re)
-            )
+        else:
+            far = abs(re) > tol
+            if bad is not None:
+                bad |= np.ravel(far)
+            elif far:
+                raise EvaluationFailed(
+                    "tail component %d evaluated to re part %g, not a zero divisor"
+                    % (k - s, re)
+                )
         jac[s + k] = dze
-    if not np.isfinite(jac).all():
+    if bad is not None:
+        bad |= ~np.isfinite(jac).all(axis=(0, -1))
+    elif not np.isfinite(jac).all():
         raise EvaluationFailed("the Jacobian at the point is not finite")
     return jac
 
@@ -536,6 +572,20 @@ def realified_jacobian(f: DualFunc, a: DualVector) -> np.ndarray:
 _RESIDUAL_KEYS = ("head_re_dze", "ze_match", "head_re_dtail", "tail_dze")
 
 
+def _residuals(jac: np.ndarray, n: int, s: int) -> list:
+    """cr_check's four block residuals (largest absolute entry, 0.0 for an
+    empty block) of a Jacobian, or per point of a batch of Jacobians."""
+    axis = None if jac.ndim == 2 else (0, 2)
+    blocks = (
+        jac[0:s, ..., n : 2 * n],
+        jac[0:s, ..., 0:n] - jac[s : 2 * s, ..., n : 2 * n],
+        jac[0:s, ..., 2 * n :],
+        jac[2 * s :, ..., n : 2 * n],
+    )
+    return [np.abs(b).max(axis=axis) if b.size else 0.0 for b in blocks]
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def cr_check(f: DualFunc, a: DualVector, tol: float = CR_DEFAULT_TOL) -> CrReport:
     """Check the forced Jacobian block pattern at a point.
 
@@ -544,25 +594,21 @@ def cr_check(f: DualFunc, a: DualVector, tol: float = CR_DEFAULT_TOL) -> CrRepor
     re-to-re block, head re parts driven by tail inputs, and tail outputs
     driven by ze inputs.  When all four stay within tol the surviving blocks
     assemble the derivative map.  Raises EvaluationFailed when f cannot be
-    evaluated at a or its Jacobian there is not finite.
+    evaluated at a, or its Jacobian or a residual there is not finite.
     """
+    if a.shape != f.domain:
+        raise ShapeMismatch("point shape %r != domain %r" % (a.shape, f.domain))
     n, m = f.domain
     s, t = f.codomain
     try:
-        jac = realified_jacobian(f, a)
+        jac = _jacobian(f, _columns(a))
     except NotInvertible as exc:
         raise EvaluationFailed("cannot differentiate at the point: %s" % exc) from exc
-
-    def block_max(block):
-        return float(np.abs(block).max()) if block.size else 0.0
-
-    residuals = {
-        "head_re_dze": block_max(jac[0:s, n : 2 * n]),
-        "ze_match": block_max(jac[0:s, 0:n] - jac[s : 2 * s, n : 2 * n]),
-        "head_re_dtail": block_max(jac[0:s, 2 * n :]),
-        "tail_dze": block_max(jac[2 * s :, n : 2 * n]),
-    }
-    passed = all(residuals[k] <= tol for k in _RESIDUAL_KEYS)
+    values = [float(r) for r in _residuals(jac, n, s)]
+    if not all(map(math.isfinite, values)):
+        raise EvaluationFailed("the block residuals at the point are not finite")
+    residuals = dict(zip(_RESIDUAL_KEYS, values))
+    passed = all(r <= tol for r in values)
     deriv = None
     if passed:
         c_re = 0.5 * (jac[0:s, 0:n] + jac[s : 2 * s, n : 2 * n])
@@ -575,6 +621,18 @@ def cr_check(f: DualFunc, a: DualVector, tol: float = CR_DEFAULT_TOL) -> CrRepor
             jac[2 * s :, 2 * n :],
         )
     return CrReport(point=a, passed=passed, residuals=residuals, derivative=deriv)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _cr_rows(f: DualFunc, points: np.ndarray, tol: float) -> np.ndarray:
+    """Per row of the realified points: does cr_check pass there?  False
+    where it fails or would raise.  One batched pass; no ModuleMap."""
+    bad = np.zeros(len(points), dtype=bool)
+    jac = _jacobian(f, list(points.T[:, :, None]), bad)
+    ok = ~bad
+    for r in _residuals(jac, f.domain[0], f.codomain[0]):
+        ok &= r <= tol
+    return ok
 
 
 def limit_check(

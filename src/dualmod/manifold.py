@@ -9,7 +9,8 @@ smoothness checking.
 
 verify_atlas samples points and checks that chart images are open (probe
 balls stay inside the image), that charts are injective on samples, and
-that every transition passes the derivative block test.
+that every transition passes the derivative block test.  Each check runs
+as arrays over its sample points, on realified rows.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 
 from dualmod.core import (
     ONE,
-    DualNumber,
     DualVector,
     NotInvertible,
     ShapeMismatch,
@@ -37,11 +37,13 @@ from dualmod.diff import (
     DualFunc,
     EvaluationFailed,
     Expr,
+    _cr_rows,
+    _eval_rows,
+    _walk,
     compose_funcs,
     const,
     coord,
     cr_check,
-    eval_func,
     eval_lowered,
     inv_expr,
     lower,
@@ -197,6 +199,30 @@ def chart_inverse(i: int, j: int, u: DualVector) -> ProjectivePoint:
     return ProjectivePoint(DualVector(tuple(head), tuple(tail)))
 
 
+def _chart_rows(i, j, points, n, m) -> np.ndarray:
+    """chart_map on realified representatives of the (n, m) space, one per
+    row, with core.inv's and core.mul's operations on columns."""
+    h = n + 1
+    re, ze, tail = points[:, :h], points[:, h : 2 * h], points[:, 2 * h :]
+    tol = resolve_tol(None)
+    if not ((np.abs(re[:, i]) > tol) & (np.abs(tail[:, j]) > tol)).all():
+        raise NotInChart("point misses chart (%d, %d)" % (i, j))
+    pivot_re = 1.0 / re[:, i : i + 1]
+    pivot_ze = -ze[:, i : i + 1] / (re[:, i : i + 1] * re[:, i : i + 1])
+    re, ze, tail = (np.delete(a, k, axis=1) for a, k in ((re, i), (ze, i), (tail, j)))
+    return np.hstack(
+        [re * pivot_re, re * pivot_ze + ze * pivot_re, tail / points[:, 2 * h + j : 2 * h + j + 1]]
+    )
+
+
+def _unchart_rows(i, j, coords, n, m) -> np.ndarray:
+    """chart_inverse on realified chart coordinates, one point per row."""
+    re, ze, tail = coords[:, :n], coords[:, n : 2 * n], coords[:, 2 * n :]
+    return np.hstack(
+        [np.insert(re, i, 1.0, axis=1), np.insert(ze, i, 0.0, axis=1), np.insert(tail, j, 1.0, axis=1)]
+    )
+
+
 def _check_chart_index(i, j, n, m):
     if not (0 <= i <= n and 0 <= j <= m):
         raise IndexError("chart (%d, %d) out of range for (%d, %d)" % (i, j, n, m))
@@ -256,14 +282,26 @@ def transition(i: int, j: int, k: int, l: int, n: int, m: int) -> TransitionMap:
 def in_transition_domain(trans: TransitionMap, u: DualVector, tol=None) -> bool:
     if u.shape != trans.func.domain:
         raise ShapeMismatch("point shape %r != domain %r" % (u.shape, trans.func.domain))
-    return _re_invertible(trans._predicate, u, resolve_tol(tol))
-
-
-def _re_invertible(predicate, x: DualVector, tol: float) -> bool:
     try:
-        return abs(eval_lowered(predicate, x).re) > tol
+        return abs(eval_lowered(trans._predicate, u).re) > resolve_tol(tol)
     except NotInvertible:
         return False
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _re_invertible(predicate, points: np.ndarray, tol: float) -> np.ndarray:
+    """Per realified row of points: does the lowered predicate evaluate
+    there with a re part beyond tol?  A row where the predicate meets a
+    singular inverse is outside; when the batch meets one, its rows are
+    replayed one at a time.  A constant predicate is broadcast."""
+    nodes, roots = predicate
+    try:
+        re = _walk(nodes, points.T)[roots[0]][0]
+    except NotInvertible:
+        if len(points) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.array([_re_invertible(predicate, x[None], tol)[0] for x in points], dtype=bool)
+    return np.broadcast_to(abs(re) > tol, (len(points),))
 
 
 @dataclass(frozen=True)
@@ -407,33 +445,67 @@ class AtlasReport:
         }
 
 
-def random_rep(rng, n, m, active=(), sparsity=0.3) -> ProjectivePoint:
-    """A random valid representative, guaranteed active on the given chart
-    indices; other slots may be zeroed to exercise partial overlaps."""
+def random_reps(rng, n, m, active=(), count=1, sparsity=0.3) -> np.ndarray:
+    """count random valid representatives of the (n, m) space as realified
+    rows (head re parts, head ze parts, tail coefficients), guaranteed
+    active on the given chart indices; other slots may be zeroed to
+    exercise partial overlaps.
+
+    All uniforms come from one call, laid out in the order of drawing one
+    representative at a time: per head a sign, a magnitude, a zeroing draw
+    unless the head is needed, and the ze part; per tail a sign, a
+    magnitude and a zeroing draw unless the tail is needed.
+    """
     need_heads = {i for i, _ in active}
     need_tails = {j for _, j in active}
-    head = []
-    for a in range(n + 1):
-        re = (1.0 if rng.uniform() < 0.5 else -1.0) * rng.uniform(0.5, 1.5)
-        if a not in need_heads and rng.uniform() < sparsity:
-            re = 0.0
-        head.append(DualNumber(re, rng.uniform(-1.0, 1.0)))
-    if all(h.re == 0.0 for h in head):
-        head[min(need_heads, default=0)] = DualNumber(1.0, head[0].ze)
-    tail = []
-    for b in range(m + 1):
-        r = (1.0 if rng.uniform() < 0.5 else -1.0) * rng.uniform(0.5, 1.5)
-        if b not in need_tails and rng.uniform() < sparsity:
-            r = 0.0
-        tail.append(r)
-    if all(r == 0.0 for r in tail):
-        tail[min(need_tails, default=0)] = 1.0
-    return ProjectivePoint(DualVector(tuple(head), tuple(tail)))
+    lo, hi, signs, zeroing, zeroed, ze = [], [], [], [], [], []
+    for slot in range(n + m + 2):
+        head = slot <= n
+        needed = slot in need_heads if head else slot - n - 1 in need_tails
+        signs.append(len(lo))
+        lo += [0.0, 0.5]  # sign, then magnitude
+        hi += [1.0, 1.5]
+        if not needed:
+            zeroing.append(len(lo))
+            zeroed.append(slot)
+            lo.append(0.0)
+            hi.append(1.0)
+        if head:
+            ze.append(len(lo))
+            lo.append(-1.0)
+            hi.append(1.0)
+    u = rng.uniform(lo, hi, size=(max(count, 0), len(lo)))
+    signs = np.array(signs, dtype=int)
+    values = np.where(u[:, signs] < 0.5, 1.0, -1.0) * u[:, signs + 1]
+    values[:, zeroed] = np.where(u[:, zeroing] < sparsity, 0.0, values[:, zeroed])
+    re, ze, tail = values[:, : n + 1], u[:, ze], values[:, n + 1 :]
+    # a needed slot is never zeroed, so with no live head the fix-up
+    # revives head 0 and keeps its ze part
+    re[~re.any(axis=1), min(need_heads, default=0)] = 1.0
+    tail[~tail.any(axis=1), min(need_tails, default=0)] = 1.0
+    tol = resolve_tol(None)
+    if not ((np.abs(re) > tol).any(axis=1) & (np.abs(tail) > tol).any(axis=1)).all():
+        raise InvalidRepresentative("representative needs an invertible head and a nonzero tail")
+    return np.hstack([re, ze, tail])
 
 
+def random_rep(rng, n, m, active=(), sparsity=0.3) -> ProjectivePoint:
+    """One random valid representative: random_reps with count 1."""
+    row = random_reps(rng, n, m, active, 1, sparsity)[0]
+    return ProjectivePoint(unrealify(row, n + 1, m + 1))
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def verify_atlas(atlas, samples: int = 50, tol: float = 1e-4, seed: int = 0) -> AtlasReport:
     """Sample-based check of openness (ii), injectivity (iii), and
-    transition smoothness (iv)."""
+    transition smoothness (iv).
+
+    Each entry is evaluated as whole arrays over its sample points, with
+    the draws, counts and witnesses of checking them one at a time in draw
+    order: an entry stops at its first failure and leaves the generator
+    where that failure left it.  A chart image, round-trip gap or image
+    distance that is not finite is a failure.
+    """
     if not isinstance(atlas, (ProjectiveAtlas, ExprAtlas)):
         raise TypeError("not an atlas: %r" % (atlas,))
     rng = np.random.default_rng(seed)
@@ -442,57 +514,17 @@ def verify_atlas(atlas, samples: int = 50, tol: float = 1e-4, seed: int = 0) -> 
     entries = []
     for c in ops.charts:
         pts = ops.sample((c,), min(samples, 25))
-        images, witness, probes = [], None, 0
-        for p in pts:
-            try:
-                images.append(ops.forward(c, p))
-            except (NotInvertible, EvaluationFailed) as exc:
-                witness = {"point": _rep_of(p).to_json(), "error": str(exc)}
-                break
-
-        # (ii): probe a small ball around each image through the inverse
-        if witness is None:
-            for probe in _ball_probes(rng, images[:12], tol):
-                probes += 1
-                try:
-                    gap = vector_norm(ops.round_trip(c, probe) - probe)
-                except (NotInvertible, EvaluationFailed) as exc:
-                    witness = {"point": probe.to_json(), "error": str(exc)}
-                    break
-                if gap > 0.05 * tol * (1.0 + vector_norm(probe)):
-                    witness = {"point": probe.to_json(), "gap": gap}
-                    break
+        images, stop, error = _images(ops, c, pts)
+        witness, probes = None, 0
+        if error is not None:
+            witness = {"point": ops.box(pts[stop]).to_json(), "error": error}
+        elif len(images):
+            witness, probes = _openness(ops, rng, c, images[:12], tol)
         entries.append(_entry("ii", (c,), witness, probes, "chart domain"))
-
-        # (iii): images may coincide only for the same point
-        witness = None
-        for a, b in itertools.combinations(range(len(images)), 2):
-            close = vector_norm(images[a] - images[b]) <= 1e-9
-            if close and not ops.same(pts[a], pts[b]):
-                witness = {
-                    "first": _rep_of(pts[a]).to_json(),
-                    "second": _rep_of(pts[b]).to_json(),
-                }
-                break
+        witness = _injectivity(ops, c, pts, images)
         entries.append(_entry("iii", (c,), witness, len(images), "chart domain"))
-
-    # (iv): the derivative block test on every transition
     for c1, c2 in itertools.product(ops.charts, repeat=2):
-        trans = ops.transition(c1, c2)
-        witness, checked = None, 0
-        for p in ops.overlap(c1, c2, samples):
-            try:
-                u = ops.forward(c1, p)
-                if not in_transition_domain(trans, u):
-                    continue
-                checked += 1
-                report = cr_check(trans.func, u, tol=tol)
-            except (NotInvertible, EvaluationFailed) as exc:
-                witness = {"point": _rep_of(p).to_json(), "error": str(exc)}
-                break
-            if not report.passed:
-                witness = {"point": u.to_json(), "residuals": report.residuals}
-                break
+        witness, checked = _smoothness(ops, rng, c1, c2, samples, tol)
         entries.append(_entry("iv", (c1, c2), witness, checked, "transition domain"))
     return AtlasReport(tuple(entries))
 
@@ -503,18 +535,112 @@ def _entry(axiom, pair, witness, checked, where) -> AtlasCheck:
     return AtlasCheck(axiom, pair, witness is None, witness, checked)
 
 
-def _ball_probes(rng, images, tol):
-    """Six random points at distance tol around each image, drawn lazily so
-    that a failing probe stops the draws."""
-    for u in images:
-        s, t = u.shape
-        dirs = rng.normal(size=(6, 2 * s + t))
-        for d in dirs / np.linalg.norm(dirs, axis=1, keepdims=True):
-            yield unrealify(realify(u) + tol * d, s, t)
+def _images(ops, c, pts):
+    """Chart c at the sample rows up to the first that fails: the images,
+    the index of that row (len(pts) when none fails) and its error.  An
+    image that is not finite fails."""
+    images, stop, exc = ops.forward(c, pts)
+    finite = np.isfinite(images).all(axis=1)
+    if not finite.all():
+        stop = int(np.argmin(finite))
+        images, exc = images[:stop], "chart image is not finite"
+    return images, stop, None if exc is None else str(exc)
+
+
+def _openness(ops, rng, c, images, tol):
+    """(ii): six random probes at distance tol around each image go through
+    the chart's inverse and back, and must return within a fraction of tol.
+    The witness and the number of probes up to it."""
+    k, d = images.shape
+    state = rng.bit_generator.state
+    dirs = rng.normal(size=(6 * k, d))
+    probes = np.repeat(images, 6, axis=0) + tol * (dirs / np.linalg.norm(dirs, axis=1, keepdims=True))
+    back, stop, exc = ops.round_trip(c, probes)
+    n, m = ops.image_shape(c)
+    gap = _norms(back - probes[:stop], n)
+    far = ~np.isfinite(gap) | (gap > 0.05 * tol * (1.0 + _norms(probes[:stop], n)))
+    if far.any():
+        stop = int(np.argmax(far))
+        exc = None if np.isfinite(gap[stop]) else "round-trip gap is not finite"
+    if stop == len(probes):
+        return None, stop
+    # the directions were drawn image by image, up to the failing probe
+    _rewind(rng, state, lambda used: rng.normal(size=(6 * used, d)), stop // 6 + 1)
+    probe = unrealify(probes[stop], n, m).to_json()
+    if exc is None:
+        return {"point": probe, "gap": float(gap[stop])}, stop + 1
+    return {"point": probe, "error": str(exc)}, stop + 1
+
+
+def _injectivity(ops, c, pts, images):
+    """(iii): images may coincide only for the same point.  Pairs go in
+    itertools.combinations order; a distance that is not finite fails."""
+    a, b = np.triu_indices(len(images), 1)
+    dist = _norms(images[a] - images[b], ops.image_shape(c)[0])
+    for k in np.flatnonzero(~np.isfinite(dist) | (dist <= 1e-9)):
+        first, second = ops.box(pts[a[k]]), ops.box(pts[b[k]])
+        if not np.isfinite(dist[k]):
+            return {"point": first.to_json(), "error": "distance between chart images is not finite"}
+        if not ops.same(first, second):
+            return {"first": first.to_json(), "second": second.to_json()}
+    return None
+
+
+def _smoothness(ops, rng, c1, c2, samples, tol):
+    """(iv): the derivative block test on the transition from c1 to c2 at
+    the overlap samples inside its domain, all in one batch.  The witness
+    comes from cr_check at the first failing point, and the count is of
+    the points checked up to it."""
+    trans = ops.transition(c1, c2)
+    state = rng.bit_generator.state
+    pts = ops.overlap(c1, c2, samples)
+    images, stop, error = _images(ops, c1, pts)
+    inside = np.flatnonzero(_re_invertible(trans._predicate, images, resolve_tol(None)))
+    failed = inside[~_cr_rows(trans.func, images[inside], tol)]
+    checked = len(inside)
+    if failed.size:
+        stop = int(failed[0])
+        checked = int(np.searchsorted(inside, stop)) + 1
+        u = unrealify(images[stop], *ops.image_shape(c1))
+        try:
+            witness = {"point": u.to_json(), "residuals": cr_check(trans.func, u, tol=tol).residuals}
+        except (NotInvertible, EvaluationFailed) as exc:
+            witness = {"point": ops.box(pts[stop]).to_json(), "error": str(exc)}
+    elif error is not None:
+        witness = {"point": ops.box(pts[stop]).to_json(), "error": error}
+    else:
+        return None, checked
+    if ops.lazy_overlap and stop + 1 < len(pts):
+        # the overlap points were drawn one at a time, up to the failure
+        _rewind(rng, state, lambda used: ops.overlap(c1, c2, used), stop + 1)
+    return witness, checked
+
+
+def _rewind(rng, state, draw, used):
+    """Leave rng as if a batch drawn from state by draw had stopped after
+    its first used rows: restore the state and draw those rows again."""
+    rng.bit_generator.state = state
+    draw(used)
+
+
+def _norms(rows: np.ndarray, n: int) -> np.ndarray:
+    """core.vector_norm of each realified row with n heads, summed in
+    core.inner's order, so the floats are vector_norm's."""
+    acc = np.zeros(rows.shape[:-1])
+    for k in range(n):
+        acc = acc + (2.0 * rows[..., k] * rows[..., k] + rows[..., n + k] * rows[..., n + k])
+    for k in range(2 * n, rows.shape[-1]):
+        acc = acc + rows[..., k] * rows[..., k]
+    return np.sqrt(acc)
 
 
 class _StandardCharts:
-    """verify_atlas's chart operations for the standard charts [i, j]."""
+    """verify_atlas's batched chart operations for the standard charts
+    [i, j], on realified representatives."""
+
+    # overlap points count as drawn one at a time: an entry that stops at a
+    # failure has drawn only the points up to it
+    lazy_overlap = True
 
     def __init__(self, atlas, rng, tol):
         self.shape, self.rng = (atlas.n, atlas.m), rng
@@ -522,53 +648,76 @@ class _StandardCharts:
         self.same = equivalent
 
     def sample(self, charts, count):
-        return [random_rep(self.rng, *self.shape, active=charts) for _ in range(count)]
+        return random_reps(self.rng, *self.shape, active=charts, count=count)
 
     def overlap(self, c1, c2, samples):
-        # drawn one at a time, so that a failing check stops the draws
-        pair = (c1, c2)
-        return (random_rep(self.rng, *self.shape, active=pair) for _ in range(samples))
+        return self.sample((c1, c2), samples)
 
-    def forward(self, c, p):
-        return chart_map(c[0], c[1], p)
+    def forward(self, c, points):
+        return _chart_rows(c[0], c[1], points, *self.shape), len(points), None
 
-    def round_trip(self, c, u):
-        return chart_map(c[0], c[1], chart_inverse(c[0], c[1], u))
+    def round_trip(self, c, coords):
+        points = _unchart_rows(c[0], c[1], coords, *self.shape)
+        return _chart_rows(c[0], c[1], points, *self.shape), len(coords), None
+
+    def image_shape(self, c):
+        return self.shape
+
+    def box(self, row):
+        n, m = self.shape
+        return unrealify(row, n + 1, m + 1)
 
     def transition(self, c1, c2):
         return transition(c1[0], c1[1], c2[0], c2[1], *self.shape)
 
 
 class _ExprCharts:
-    """verify_atlas's chart operations for ExprAtlas charts, named by index."""
+    """verify_atlas's batched chart operations for ExprAtlas charts, named
+    by index."""
+
+    # overlap draws all of its points before any is checked
+    lazy_overlap = False
 
     def __init__(self, atlas, rng, tol):
         self.atlas, self.rng, self.tol = atlas, rng, tol
         self.charts = range(len(atlas.charts))
 
     def sample(self, charts, count):
-        n, m = self.atlas.ambient
-        domains = [self.atlas.charts[c]._predicate for c in charts]
-        out = []
-        for _ in range(count * 40):
-            x = unrealify(self.rng.uniform(-1.5, 1.5, size=2 * n + m), n, m)
-            if all(_re_invertible(d, x, self.tol) for d in domains):
-                out.append(x)
-                if len(out) == count:
-                    break
-        return out
+        """The first count of count * 40 uniform draws inside every chart
+        domain, leaving the generator after the last draw used."""
+        d = 2 * self.atlas.ambient[0] + self.atlas.ambient[1]
+        count = max(count, 0)
+        state = self.rng.bit_generator.state
+        points = self.rng.uniform(-1.5, 1.5, size=(count * 40, d))
+        inside = np.ones(len(points), dtype=bool)
+        for c in charts:
+            inside &= _re_invertible(self.atlas.charts[c]._predicate, points, self.tol)
+        keep = np.flatnonzero(inside)[:count]
+        if count and len(keep) == count:
+            _rewind(self.rng, state, lambda used: self.rng.uniform(-1.5, 1.5, size=(used, d)), keep[-1] + 1)
+        return points[keep]
 
     def overlap(self, a, b, samples):
         return self.sample((a, b), min(samples, 25))
 
-    def forward(self, c, x):
-        return eval_func(self.atlas.charts[c].forward, x)
+    def forward(self, c, points):
+        return _eval_rows(self.atlas.charts[c].forward, points)
 
-    def round_trip(self, c, u):
-        x = eval_func(self.atlas.charts[c].inverse, u)
-        if not _re_invertible(self.atlas.charts[c]._predicate, x, self.tol):
-            raise EvaluationFailed("preimage left the domain")
-        return self.forward(c, x)
+    def round_trip(self, c, coords):
+        chart = self.atlas.charts[c]
+        points, stop, exc = _eval_rows(chart.inverse, coords)
+        inside = _re_invertible(chart._predicate, points, self.tol)
+        if not inside.all():
+            stop = int(np.argmin(inside))
+            points, exc = points[:stop], "preimage left the domain"
+        images, k, error = _eval_rows(chart.forward, points)
+        return images, k, error if k < stop else exc
+
+    def image_shape(self, c):
+        return self.atlas.charts[c].forward.codomain
+
+    def box(self, row):
+        return unrealify(row, *self.atlas.ambient)
 
     def same(self, x, y):
         return vector_norm(x - y) <= 1e-6

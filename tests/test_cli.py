@@ -7,7 +7,7 @@ import dualmod.core as core
 import dualmod.linalg as linalg
 from dualmod.cli import main
 from dualmod.core import DualNumber, basis_vector, sharp_action, vector
-from dualmod.diff import DualFunc, coord, re_part
+from dualmod.diff import DualFunc, const, coord, re_part
 from dualmod.linalg import ModuleMap
 from dualmod.manifold import ProjectiveAtlas
 from dualmod.symplectic import standard_form
@@ -231,6 +231,23 @@ class TestDiffcheck:
         assert entry["passed"] is False
         assert "not finite" in entry["error"]
         assert "residuals" not in entry
+
+    def test_overflowing_residual_is_an_error(self, tmp_path, capsys):
+        # finite Jacobian, but its ze_match residual overflows to inf
+        x = coord("head", 0)
+        c = const(1e308)
+        func = DualFunc((1, 0), (1, 0), (c * re_part(x) - c * (x - re_part(x)),))
+        doc = {
+            "function": func.to_json(),
+            "points": [vector([DualNumber(0.5, 0.1)], []).to_json()],
+        }
+        path = write_json(tmp_path / "f.json", doc)
+        code, out, err = run(capsys, ["diffcheck", "--input", path])
+        assert code == 1
+        assert err == ""
+        entry = strict_json(out)["entries"][0]
+        assert entry["passed"] is False
+        assert "residuals at the point are not finite" in entry["error"]
 
     def test_bad_function_rejected(self, tmp_path, capsys):
         square = DualFunc((1, 0), (1, 0), (coord("head", 0) * coord("head", 0),)).to_json()

@@ -223,6 +223,17 @@ class TestRealifiedJacobian:
         with pytest.raises(EvaluationFailed, match="not finite"):
             diff.cr_check(f, a)
 
+    def test_overflowing_residual_fails(self):
+        # a finite Jacobian whose two re-to-re copies are +-1e308: their
+        # difference, the ze_match residual, overflows to inf
+        x = head_coord(0)
+        c = const(1e308)
+        f = DualFunc((1, 0), (1, 0), (c * re_part(x) - c * (x - re_part(x)),))
+        a = vector([DualNumber(0.5, 0.1)], [])
+        assert np.isfinite(diff.realified_jacobian(f, a)).all()
+        with pytest.raises(EvaluationFailed, match="residuals at the point are not finite"):
+            diff.cr_check(f, a)
+
     def test_near_singular_inverse_needs_no_probes(self):
         # a central-difference step crosses re = 0; the exact pass does not
         f = DualFunc((1, 0), (1, 0), (inv_expr(head_coord(0)),))

@@ -1,21 +1,30 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 
 from dualmod.core import (
+    DEFAULT_TOL,
     EPS,
     ONE,
     DualNumber,
     DualVector,
+    NotInvertible,
     ShapeMismatch,
     inv,
     mul,
+    set_default_tol,
     vector,
     vector_norm,
 )
 from dualmod.diff import (
     DualFunc,
+    EvaluationFailed,
+    compose_funcs,
     const,
     coord,
+    cr_check,
     eval_expr,
     eval_func,
     func_from_module_map,
@@ -25,7 +34,7 @@ from dualmod.diff import (
     sharp_expr,
     ze_part,
 )
-from dualmod.linalg import ModuleMap, inverse_map
+from dualmod.linalg import ModuleMap, inverse_map, realify, unrealify
 from dualmod.manifold import (
     ExprAtlas,
     ExprChart,
@@ -33,6 +42,7 @@ from dualmod.manifold import (
     NotInChart,
     ProjectiveAtlas,
     ProjectivePoint,
+    TransitionMap,
     atlas_from_json,
     canonical_rep,
     chart_inverse,
@@ -42,6 +52,7 @@ from dualmod.manifold import (
     in_transition_domain,
     is_valid_rep,
     random_rep,
+    random_reps,
     transition,
     verify_atlas,
 )
@@ -310,29 +321,78 @@ class TestVerifyAtlas:
         assert checked == {"ii": 60, "iii": 10, "iv": 10}
 
     def test_no_sample_in_domain_fails(self):
-        # the domain predicate is zero everywhere, so sampling finds nothing
-        chart = ExprChart(identity_func(1, 0), identity_func(1, 0), const(0.0))
-        report = verify_atlas(ExprAtlas((chart,)), samples=20, seed=0)
-        assert [e.axiom for e in report.entries] == ["ii", "iii", "iv"]
-        for e in report.entries:
-            assert not e.passed and e.checked == 0
-            assert "no sample point" in e.witness["error"]
+        # the domain predicate is zero everywhere, so sampling finds nothing;
+        # a sample count below 1 draws nothing at all, and evaluates nothing,
+        # not even an inverse of zero in a forward map or predicate
+        ident = identity_func(1, 0)
+        chart = ExprChart(ident, ident, const(0.0))
+        singular = inv_expr(const(0.0))
+        forward = DualFunc((1, 0), (1, 0), (coord("head", 0) * singular,))
+        for atlas, samples in (
+            (ExprAtlas((chart,)), 20),
+            (ProjectiveAtlas(1, 1), 0),
+            (ProjectiveAtlas(1, 1), -3),
+            (ExprAtlas((chart,)), -3),
+            (ExprAtlas((ExprChart(ident, ident, singular),)), 0),
+            (ExprAtlas((ExprChart(forward, ident, const(ONE)),)), 0),
+        ):
+            report = verify_atlas(atlas, samples=samples, seed=0)
+            charts = len(atlas.charts)
+            axioms = sorted(e.axiom for e in report.entries)
+            assert axioms == ["ii"] * charts + ["iii"] * charts + ["iv"] * charts**2
+            for e in report.entries:
+                assert not e.passed and e.checked == 0
+                assert "no sample point" in e.witness["error"]
 
     def test_forward_failure_fails_openness(self):
         x = coord("head", 0)
         ident = DualFunc((1, 0), (1, 0), (x,))
-        # eps * x is never invertible, so the forward map raises everywhere
+        # eps * x is never invertible, so the first forward map raises
+        # everywhere; the second overflows to inf everywhere, an image that
+        # is not finite
         broken = DualFunc((1, 0), (1, 0), (inv_expr(sharp_expr(x)),))
-        atlas = ExprAtlas(
-            (ExprChart(ident, ident, const(ONE)), ExprChart(broken, ident, const(ONE)))
-        )
+        big = DualFunc((1, 0), (1, 0), (x * 1e200 * 1e200,))
+        small = DualFunc((1, 0), (1, 0), (x * 1e-200 * 1e-200,))
+        for forward, inverse in ((broken, ident), (big, small)):
+            atlas = ExprAtlas(
+                (ExprChart(ident, ident, const(ONE)), ExprChart(forward, inverse, const(ONE)))
+            )
+            report = verify_atlas(atlas, samples=20, seed=0)
+            entry = {(e.axiom, tuple(e.chart_pair)): e for e in report.entries}
+            assert entry["ii", (0,)].passed
+            ii = entry["ii", (1,)]
+            assert not ii.passed and "point" in ii.witness and "error" in ii.witness
+            assert not entry["iii", (1,)].passed
+            assert not entry["iv", (1, 0)].passed
+            assert "error" in entry["iv", (1, 0)].witness
+
+    def test_non_finite_gap_and_distance_fail(self):
+        # finite images whose round-trip gap, or whose distances, overflow
+        x = coord("head", 0)
+        tiny = DualFunc((1, 0), (1, 0), (x * 1e-160,))
+        huge = DualFunc((1, 0), (1, 0), (x * 1e160 * 1e160,))
+        report = verify_atlas(ExprAtlas((ExprChart(tiny, huge, const(ONE)),)), samples=20)
+        ii = report.entries[0]
+        assert ii.axiom == "ii" and not ii.passed and ii.checked == 1
+        assert ii.witness["error"] == "round-trip gap is not finite"
+        wide = DualFunc((1, 0), (1, 0), (x * 1e160,))
+        report = verify_atlas(ExprAtlas((ExprChart(wide, tiny, const(ONE)),)), samples=20)
+        ii, iii = report.entries[:2]
+        assert ii.passed and iii.axiom == "iii" and not iii.passed
+        assert iii.witness["error"] == "distance between chart images is not finite"
+
+    def test_non_finite_residual_fails_smoothness(self):
+        x = coord("head", 0)
+        ident = DualFunc((1, 0), (1, 0), (x,))
+        c = const(1e308)
+        # finite transition Jacobians whose ze_match residual overflows
+        wild = DualFunc((1, 0), (1, 0), (c * re_part(x) - c * (x - re_part(x)),))
+        atlas = ExprAtlas((ExprChart(ident, ident, const(ONE)), ExprChart(wild, ident, const(ONE))))
         report = verify_atlas(atlas, samples=20, seed=0)
-        entry = {(e.axiom, tuple(e.chart_pair)): e for e in report.entries}
-        assert entry["ii", (0,)].passed
-        ii = entry["ii", (1,)]
-        assert not ii.passed and "point" in ii.witness and "error" in ii.witness
-        assert not entry["iv", (1, 0)].passed
-        assert "error" in entry["iv", (1, 0)].witness
+        iv = {tuple(e.chart_pair): e for e in report.entries if e.axiom == "iv"}
+        assert iv[0, 0].passed
+        assert not iv[0, 1].passed and iv[0, 1].checked == 1
+        assert iv[0, 1].witness["error"] == "the block residuals at the point are not finite"
 
     def test_inverse_leaving_domain_fails_openness(self):
         x = coord("head", 0)
@@ -385,6 +445,222 @@ class TestVerifyAtlas:
         atlas = ExprAtlas((ExprChart(fwd, back, const(ONE)),))
         report = verify_atlas(atlas, samples=20, tol=1e-4, seed=2)
         assert report.passed, [e for e in report.entries if not e.passed]
+
+
+def reference_report(atlas, samples, tol=1e-4, seed=0) -> dict:
+    """verify_atlas written as a loop over one point at a time through the
+    public per-point functions: the draw order, checked counts and
+    witnesses that the batched verify_atlas must keep."""
+    rng = np.random.default_rng(seed)
+    if isinstance(atlas, ProjectiveAtlas):
+        n, m = atlas.n, atlas.m
+        charts = [list(c) for c in atlas.charts]
+
+        def sample(cs, count):
+            return [random_rep(rng, n, m, active=cs) for _ in range(count)]
+
+        def overlap(c1, c2):
+            # drawn one at a time, so that a failing check stops the draws
+            return (random_rep(rng, n, m, active=(c1, c2)) for _ in range(samples))
+
+        def forward(c, p):
+            return chart_map(c[0], c[1], p)
+
+        def round_trip(c, u):
+            return chart_map(c[0], c[1], chart_inverse(c[0], c[1], u))
+
+        def trans(c1, c2):
+            return transition(c1[0], c1[1], c2[0], c2[1], n, m)
+
+        same = equivalent
+        point = lambda p: p.rep.to_json()  # noqa: E731
+    else:
+        n, m = atlas.ambient
+        charts = range(len(atlas.charts))
+
+        def inside(c, x):
+            try:
+                return abs(eval_expr(atlas.charts[c].domain, x).re) > tol
+            except NotInvertible:
+                return False
+
+        def sample(cs, count):
+            out = []
+            for _ in range(count * 40):
+                x = unrealify(rng.uniform(-1.5, 1.5, size=2 * n + m), n, m)
+                if all(inside(c, x) for c in cs):
+                    out.append(x)
+                    if len(out) == count:
+                        break
+            return out
+
+        def overlap(a, b):
+            return sample((a, b), min(samples, 25))
+
+        def forward(c, x):
+            return eval_func(atlas.charts[c].forward, x)
+
+        def round_trip(c, u):
+            x = eval_func(atlas.charts[c].inverse, u)
+            if not inside(c, x):
+                raise EvaluationFailed("preimage left the domain")
+            return forward(c, x)
+
+        def trans(a, b):
+            composed = compose_funcs(atlas.charts[b].forward, atlas.charts[a].inverse)
+            return TransitionMap(composed, const(ONE))
+
+        def same(x, y):
+            return vector_norm(x - y) <= 1e-6
+
+        point = DualVector.to_json
+    entries = []
+
+    def entry(axiom, pair, witness, checked, where):
+        if witness is None and not checked:
+            witness = {"error": "no sample point was checked in the %s" % where}
+        entries.append(
+            {"axiom": axiom, "chart_pair": list(pair), "passed": witness is None,
+             "witness": witness, "checked": checked}
+        )
+
+    for c in charts:
+        pts = sample((c,), min(samples, 25))
+        images, witness, probes = [], None, 0
+        for p in pts:
+            try:
+                images.append(forward(c, p))
+            except (NotInvertible, EvaluationFailed) as exc:
+                witness = {"point": point(p), "error": str(exc)}
+                break
+        for u in images[:12] if witness is None else ():
+            s, t = u.shape
+            dirs = rng.normal(size=(6, 2 * s + t))
+            for d in dirs / np.linalg.norm(dirs, axis=1, keepdims=True):
+                probe = unrealify(realify(u) + tol * d, s, t)
+                probes += 1
+                try:
+                    gap = vector_norm(round_trip(c, probe) - probe)
+                except (NotInvertible, EvaluationFailed) as exc:
+                    witness = {"point": probe.to_json(), "error": str(exc)}
+                    break
+                if gap > 0.05 * tol * (1.0 + vector_norm(probe)):
+                    witness = {"point": probe.to_json(), "gap": gap}
+                    break
+            if witness is not None:
+                break
+        entry("ii", (c,), witness, probes, "chart domain")
+        witness = None
+        for a, b in itertools.combinations(range(len(images)), 2):
+            if vector_norm(images[a] - images[b]) <= 1e-9 and not same(pts[a], pts[b]):
+                witness = {"first": point(pts[a]), "second": point(pts[b])}
+                break
+        entry("iii", (c,), witness, len(images), "chart domain")
+    for c1, c2 in itertools.product(charts, repeat=2):
+        tr = trans(c1, c2)
+        witness, checked = None, 0
+        for p in overlap(c1, c2):
+            try:
+                u = forward(c1, p)
+                if not in_transition_domain(tr, u):
+                    continue
+                checked += 1
+                report = cr_check(tr.func, u, tol=tol)
+            except (NotInvertible, EvaluationFailed) as exc:
+                witness = {"point": point(p), "error": str(exc)}
+                break
+            if not report.passed:
+                witness = {"point": u.to_json(), "residuals": report.residuals}
+                break
+        entry("iv", (c1, c2), witness, checked, "transition domain")
+    return {"passed": all(e["passed"] for e in entries), "entries": entries}
+
+
+def reference_atlases():
+    """Expression atlases that reach every branch of verify_atlas: forward
+    failures, a preimage leaving the domain, a non-smooth transition, no
+    sample in the domain, a round-trip gap, a predicate with a singular
+    inverse on part of the draws, and a chart that passes."""
+    x = coord("head", 0)
+    ident = DualFunc((1, 0), (1, 0), (x,))
+    everywhere = const(ONE)
+    broken = DualFunc((1, 0), (1, 0), (inv_expr(sharp_expr(x)),))
+    # 1/x, singular where |re x| <= 1
+    recip = DualFunc((1, 0), (1, 0), (inv_expr(x * 1e-9) * 1e-9,))
+    conj = DualFunc((1, 0), (1, 0), (re_part(x) - sharp_expr(ze_part(x)),))
+    lam = ModuleMap(
+        2, 1, 2, 1,
+        c_re=np.array([[1.0, 0.5], [0.0, 2.0]]),
+        c_ze=np.array([[0.3, 0.0], [0.1, -0.2]]),
+        p=np.array([[0.4], [0.0]]),
+        d=np.array([[0.2, 0.1]]),
+        q=np.array([[1.5]]),
+    )
+    return {
+        "forward_failure": (ExprChart(ident, ident, everywhere), ExprChart(broken, ident, everywhere)),
+        "partial_forward_failure": (ExprChart(ident, ident, everywhere), ExprChart(recip, recip, everywhere)),
+        "inverse_leaves": (ExprChart(ident, DualFunc((1, 0), (1, 0), (sharp_expr(x),)), x),),
+        "conjugation": (ExprChart(ident, ident, everywhere), ExprChart(conj, conj, everywhere)),
+        "no_sample": (ExprChart(ident, ident, const(0.0)),),
+        "bad_inverse": (ExprChart(ident, DualFunc((1, 0), (1, 0), (x * 1.25,)), everywhere),),
+        "singular_predicate": (ExprChart(ident, ident, inv_expr(x * 1e-9)), ExprChart(ident, ident, x)),
+        "module_map": (
+            ExprChart(func_from_module_map(lam), func_from_module_map(inverse_map(lam)), everywhere),
+        ),
+    }
+
+
+class TestReferenceLoop:
+    """The batched verify_atlas against the per-point reference loop."""
+
+    @pytest.mark.parametrize(
+        "n,m,charts",
+        [(0, 1, ()), (1, 0, ()), (1, 1, ()), (2, 1, ()), (1, 2, ()), (2, 2, ()),
+         (2, 1, ((2, 0), (0, 1))), (2, 2, ((1, 1), (0, 2))), (3, 3, ((3, 0),))],
+    )
+    def test_standard_atlases(self, n, m, charts):
+        atlas = ProjectiveAtlas(n, m, charts)
+        for samples, seed in ((20, 1), (3, 2)):
+            want = reference_report(atlas, samples, seed=seed)
+            got = verify_atlas(atlas, samples=samples, seed=seed).to_json()
+            assert json.dumps(got) == json.dumps(want)
+
+    def test_standard_atlases_stopping_early(self):
+        # at a zero tolerance of 0.45, a chart ratio near 0.4 passes the
+        # transition's domain test but its pivot is singular, so iv entries
+        # stop at their first failure and must rewind their draws
+        set_default_tol(0.45)
+        try:
+            for n, m in ((1, 1), (2, 1), (1, 2)):
+                want = reference_report(ProjectiveAtlas(n, m), 20, seed=1)
+                got = verify_atlas(ProjectiveAtlas(n, m), samples=20, seed=1).to_json()
+                assert not got["passed"]
+                assert json.dumps(got) == json.dumps(want)
+        finally:
+            set_default_tol(DEFAULT_TOL)
+
+    @pytest.mark.parametrize("name", sorted(reference_atlases()))
+    def test_expression_atlases(self, name):
+        atlas = ExprAtlas(reference_atlases()[name])
+        for samples, seed, tol in ((20, 0, 1e-4), (30, 1, 1e-2), (2, 2, 1e-4)):
+            want = reference_report(atlas, samples, tol=tol, seed=seed)
+            got = verify_atlas(atlas, samples=samples, tol=tol, seed=seed).to_json()
+            assert json.dumps(got) == json.dumps(want)
+
+    def test_cases_reach_every_witness(self):
+        # the reference cases above fail in each way verify_atlas reports
+        kinds = set()
+        for charts in reference_atlases().values():
+            for e in verify_atlas(ExprAtlas(charts), samples=20).entries:
+                if not e.passed:
+                    kinds.add((e.axiom, tuple(sorted(e.witness))))
+        assert {
+            ("ii", ("error", "point")),
+            ("ii", ("gap", "point")),
+            ("iii", ("error",)),
+            ("iv", ("error", "point")),
+            ("iv", ("point", "residuals")),
+        } <= kinds
 
 
 class TestAtlasJson:
@@ -446,7 +722,54 @@ class TestAtlasJson:
         assert type(atlas.n) is int and type(atlas.charts[0][0]) is int
 
 
+def scalar_rep(rng, n, m, active=(), sparsity=0.3):
+    """random_rep as a loop of scalar draws: the stream random_reps keeps."""
+    need_heads = {i for i, _ in active}
+    need_tails = {j for _, j in active}
+    head = []
+    for a in range(n + 1):
+        re = (1.0 if rng.uniform() < 0.5 else -1.0) * rng.uniform(0.5, 1.5)
+        if a not in need_heads and rng.uniform() < sparsity:
+            re = 0.0
+        head.append(DualNumber(re, rng.uniform(-1.0, 1.0)))
+    if all(h.re == 0.0 for h in head):
+        head[min(need_heads, default=0)] = DualNumber(1.0, head[0].ze)
+    tail = []
+    for b in range(m + 1):
+        r = (1.0 if rng.uniform() < 0.5 else -1.0) * rng.uniform(0.5, 1.5)
+        if b not in need_tails and rng.uniform() < sparsity:
+            r = 0.0
+        tail.append(r)
+    if all(r == 0.0 for r in tail):
+        tail[min(need_tails, default=0)] = 1.0
+    return DualVector(tuple(head), tuple(tail))
+
+
 class TestRandomRep:
+    @pytest.mark.parametrize(
+        "n,m,active",
+        [(0, 1, ()), (1, 1, ((1, 0),)), (2, 2, ((0, 0), (2, 1))), (3, 0, ()), (2, 1, ((1, 1), (1, 1)))],
+    )
+    def test_batch_keeps_the_scalar_stream(self, n, m, active):
+        batch, scalar = np.random.default_rng(41), np.random.default_rng(41)
+        rows = random_reps(batch, n, m, active, count=300, sparsity=0.6)
+        want = [realify(scalar_rep(scalar, n, m, active, sparsity=0.6)) for _ in range(300)]
+        assert np.array_equal(rows, np.array(want))
+        assert batch.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("active", [(), ((1, 0),), ((0, 1), (2, 0))])
+    def test_random_rep_is_the_first_row(self, active):
+        one, many = np.random.default_rng(42), np.random.default_rng(42)
+        p = random_rep(one, 2, 1, active=active)
+        assert realify(p.rep).tolist() == random_reps(many, 2, 1, active, count=5)[0].tolist()
+
+    def test_no_draws_below_one(self):
+        rng = np.random.default_rng(43)
+        state = rng.bit_generator.state
+        for count in (0, -3):
+            assert random_reps(rng, 1, 1, count=count).shape == (0, 6)
+        assert rng.bit_generator.state == state
+
     def test_active_slots_always_usable(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
