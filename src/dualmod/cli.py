@@ -170,6 +170,8 @@ def _run_basis(args, tol):
         basis = linalg.extract_basis(gens, tol=tol)
     except core.ShapeMismatch as exc:
         raise UsageFailure(str(exc))
+    except linalg.NumericalBreakdown as exc:
+        raise MathFailure({"error": str(exc)})
     payload = basis.to_json()
     payload["dims"] = [len(basis.s1), len(basis.s2)]
     return payload
@@ -190,7 +192,7 @@ def _run_solve(args, tol):
         raise UsageFailure(str(exc))
     except linalg.NoSolution as exc:
         raise MathFailure({"solvable": False, "error": str(exc)})
-    residual = core.vector_norm(linalg.apply(lam, sol) - rhs)
+    residual = linalg.residual_norm(lam, sol, rhs)
     return {
         "solvable": True,
         "solution": sol.to_json(),
@@ -337,9 +339,12 @@ def _render_text(payload: dict) -> str:
             )
         )
     elif command == "basis":
-        lines.append(
-            "basis dimensions: %d invertible-head, %d kernel" % tuple(payload["dims"])
-        )
+        if "dims" in payload:
+            lines.append(
+                "basis dimensions: %d invertible-head, %d kernel" % tuple(payload["dims"])
+            )
+        else:
+            lines.append("basis: FAIL (%s)" % payload["error"])
     elif command == "solve":
         if payload.get("solvable"):
             lines.append("solution found, residual %g" % payload["residual"])

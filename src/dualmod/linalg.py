@@ -16,21 +16,19 @@ which is what all rank and solve decisions run on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from dualmod.core import (
-    ZERO,
     DualNumber,
     DualVector,
     ShapeMismatch,
     as_index,
     in_ker_sharp,
-    mul,
     resolve_tol,
     sharp_action,
-    vector_norm,
 )
 
 
@@ -40,6 +38,11 @@ class NotInKer(ValueError):
 
 class NoSolution(Exception):
     """Raised when a linear system has no solution within tolerance."""
+
+
+class NumericalBreakdown(RuntimeError):
+    """A reduction could not complete in floating point or at the working
+    tolerance."""
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,7 @@ class ModuleMap:
     q: np.ndarray
 
     def __post_init__(self):
+        flat = []
         for name, arr, shape in (
             ("c_re", self.c_re, (self.s, self.n)),
             ("c_ze", self.c_ze, (self.s, self.n)),
@@ -67,6 +71,9 @@ class ModuleMap:
             a = np.asarray(arr, dtype=float).reshape(shape)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+            flat.append(a.ravel())
+        if not np.isfinite(np.concatenate(flat)).all():
+            raise ValueError("map blocks hold a non-finite entry")
 
     @property
     def domain(self) -> tuple[int, int]:
@@ -223,27 +230,10 @@ class SplitBasis:
 
 
 def apply(lam: ModuleMap, v: DualVector) -> DualVector:
-    """Apply a map in dual arithmetic (no realification)."""
+    """Apply a map as one product of the realified map and vector."""
     if v.shape != lam.domain:
         raise ShapeMismatch("vector shape %r != map domain %r" % (v.shape, lam.domain))
-    head = []
-    for k in range(lam.s):
-        acc = ZERO
-        for i in range(lam.n):
-            acc = acc + mul(v.head[i], lam.head_entry(k, i))
-        z = 0.0
-        for j in range(lam.m):
-            z += lam.p[k, j] * v.tail[j]
-        head.append(DualNumber(acc.re, acc.ze + z))
-    tail = []
-    for l in range(lam.t):
-        r = 0.0
-        for i in range(lam.n):
-            r += lam.d[l, i] * v.head[i].re
-        for j in range(lam.m):
-            r += lam.q[l, j] * v.tail[j]
-        tail.append(r)
-    return DualVector(tuple(head), tuple(tail))
+    return unrealify(realify_map(lam) @ realify(v), lam.s, lam.t)
 
 
 def compose(outer: ModuleMap, inner_map: ModuleMap) -> ModuleMap:
@@ -269,10 +259,8 @@ def realify(v: DualVector) -> np.ndarray:
 
 
 def unrealify(arr, n: int, m: int) -> DualVector:
-    arr = np.asarray(arr, dtype=float).reshape(2 * n + m)
-    head = tuple(DualNumber(arr[i], arr[n + i]) for i in range(n))
-    tail = tuple(float(r) for r in arr[2 * n :])
-    return DualVector(head, tail)
+    vals = np.asarray(arr, dtype=float).reshape(2 * n + m).tolist()
+    return DualVector(tuple(map(DualNumber, vals[:n], vals[n : 2 * n])), tuple(vals[2 * n :]))
 
 
 def realify_map(lam: ModuleMap) -> np.ndarray:
@@ -385,31 +373,37 @@ def extract_basis(
             raise ShapeMismatch("generator shape %r != %r" % (g.shape, shape))
     n, m = shape
     rows = np.array([realify(g) for g in gens]).reshape(len(gens), 2 * n + m)
+    if not np.isfinite(rows).all():
+        raise ValueError("generators hold a non-finite entry")
     scales = np.abs(rows).max(axis=1, initial=0.0)
     thresh = tol * max(1.0, scales.max())
     rows = rows[scales > thresh]
     sharp = realify_map(ModuleMap.sharp_map(n, m))  # eps times a realified row
     pivots: list[int] = []
 
-    # Phase 1: dual elimination on invertible head entries.
-    while True:
-        mags = np.abs(rows[:, :n])
-        cand = mags > thresh
-        cand[pivots] = False
-        if not cand.any():
-            break
-        scale = np.abs(rows).max(axis=1, keepdims=True)
-        score = np.divide(mags, scale, out=np.zeros_like(mags), where=cand)
-        row, col = divmod(int(np.argmax(score)), n)
-        piv = rows[row]
-        s_r, s_z = 1.0 / piv[col], -piv[n + col] / (piv[col] * piv[col])
-        piv[:] = s_r * piv + s_z * (sharp @ piv)
-        coef = rows[:, [col, n + col]].copy()
-        coef[row] = 0.0
-        rows -= np.outer(coef[:, 0], piv) + np.outer(coef[:, 1], sharp @ piv)
-        rows[:, [col, n + col]] = 0.0
-        piv[col] = 1.0
-        pivots.append(row)
+    # Phase 1: dual elimination on invertible head entries.  Entries near
+    # the float limit can overflow; one check after the loop catches it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            mags = np.abs(rows[:, :n])
+            cand = mags > thresh
+            cand[pivots] = False
+            if not cand.any():
+                break
+            scale = np.abs(rows).max(axis=1, keepdims=True)
+            score = np.divide(mags, scale, out=np.zeros_like(mags), where=cand)
+            row, col = divmod(int(np.argmax(score)), n)
+            piv = rows[row]
+            s_r, s_z = 1.0 / piv[col], -piv[n + col] / (piv[col] * piv[col])
+            piv[:] = s_r * piv + s_z * (sharp @ piv)
+            coef = rows[:, [col, n + col]].copy()
+            coef[row] = 0.0
+            rows -= np.outer(coef[:, 0], piv) + np.outer(coef[:, 1], sharp @ piv)
+            rows[:, [col, n + col]] = 0.0
+            piv[col] = 1.0
+            pivots.append(row)
+    if not np.isfinite(rows).all():
+        raise NumericalBreakdown("elimination overflowed on generators this large")
 
     # Phase 2: the residual rows lie in the kernel of eps up to roundoff.
     _, sv, vt = np.linalg.svd(np.delete(rows, pivots, axis=0)[:, n:], full_matrices=False)
@@ -447,21 +441,41 @@ def basis_map(basis: SplitBasis, codomain: tuple[int, int]) -> ModuleMap:
 def solve(lam: ModuleMap, b: DualVector, tol: float | None = None) -> DualVector:
     """Minimum-norm solution of apply(lam, v) = b on the realification.
 
-    Raises NoSolution when the least-squares residual exceeds
-    tol * (1 + |b|).
+    Raises NoSolution when the least-squares residual is not finite or
+    exceeds tol * (1 + |b|), both norms taken as in residual_norm.
     """
     tol = resolve_tol(tol)
     if b.shape != lam.codomain:
         raise ShapeMismatch(
             "right-hand side shape %r != map codomain %r" % (b.shape, lam.codomain)
         )
-    mat = realify_map(lam)
-    x, *_ = np.linalg.lstsq(mat, realify(b), rcond=None)
+    rhs = realify(b)
+    if not np.isfinite(rhs).all():
+        raise ValueError("right-hand side holds a non-finite entry")
+    x, *_ = np.linalg.lstsq(realify_map(lam), rhs, rcond=None)
     v = unrealify(x, lam.n, lam.m)
-    residual = vector_norm(apply(lam, v) - b)
-    if residual > tol * (1.0 + vector_norm(b)):
+    residual = residual_norm(lam, v, b)
+    if not (math.isfinite(residual) and residual <= tol * (1.0 + _norm(rhs, lam.s))):
         raise NoSolution("least-squares residual %g exceeds tolerance" % residual)
     return v
+
+
+def residual_norm(lam: ModuleMap, v: DualVector, b: DualVector) -> float:
+    """core.vector_norm(apply(lam, v) - b), with the squares summed over the
+    realified residual divided by its largest entry, so that a residual
+    near the float limit does not overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _norm(realify(apply(lam, v)) - realify(b), lam.s)
+
+
+def _norm(x: np.ndarray, n: int) -> float:
+    """core.vector_norm of a realified vector with n heads, summed over x
+    divided by its largest entry; inf and NaN pass through."""
+    big = float(np.abs(x).max(initial=0.0))
+    if not 0.0 < big < math.inf:
+        return big
+    y = x / big
+    return big * math.sqrt(2.0 * float(y[:n] @ y[:n]) + float(y[n:] @ y[n:]))
 
 
 def is_isomorphism(lam: ModuleMap, tol: float | None = None) -> bool:

@@ -17,27 +17,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from dualmod.core import (
-    EPS,
-    ONE,
-    ZERO,
     DualNumber,
     DualVector,
     ShapeMismatch,
     as_index,
     resolve_tol,
-    standard_basis,
 )
-from dualmod.linalg import NotInKer, apply, extract_basis, is_independent, unrealify
+from dualmod.linalg import (
+    NotInKer,
+    NumericalBreakdown,
+    extract_basis,
+    is_independent,
+    realify,
+    realify_map,
+    unrealify,
+)
 
 SV_RATIO = 1e-8
 
 
 class FormInvalid(ValueError):
     """Malformed Gram data (shape, symmetry type, or JSON fields)."""
-
-
-class NumericalBreakdown(RuntimeError):
-    """Pair extraction could not complete at the working tolerance."""
 
 
 class EmptyShape(ValueError):
@@ -69,6 +69,8 @@ class GramForm:
                 raise FormInvalid(
                     "%s must be %dx%d, got %r" % (name, size, size, arr.shape)
                 )
+            if not np.isfinite(arr).all():
+                raise FormInvalid("%s holds a non-finite entry" % name)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -114,11 +116,15 @@ class GramForm:
         return cls(n, m, g_re, g_ze)
 
 
-def _coeffs(form: GramForm, v: DualVector):
+def _check_shape(form: GramForm, v: DualVector) -> None:
     if v.shape != form.shape:
         raise ShapeMismatch(
             "vector shape %r does not match form shape %r" % (v.shape, form.shape)
         )
+
+
+def _coeffs(form: GramForm, v: DualVector):
+    _check_shape(form, v)
     re = np.array([h.re for h in v.head] + list(v.tail))
     ze = np.array([h.ze for h in v.head] + [0.0] * form.m)
     return re, ze
@@ -132,6 +138,20 @@ def eval_form(form: GramForm, v: DualVector, w: DualVector) -> DualNumber:
     re = a_re @ form.g_re @ b_re
     ze = a_ze @ form.g_re @ b_re + a_re @ form.g_ze @ b_re + a_re @ form.g_re @ b_ze
     return DualNumber(float(re), float(ze))
+
+
+def _pairing(form: GramForm) -> np.ndarray:
+    """The (2, 2n+m, 2n+m) tensor h with (re, ze) of eval_form(v, w) equal
+    to realify(v) @ h @ realify(w): eval_form's product rule on realified
+    coordinates (head re parts, head ze parts, tails)."""
+    n, m = form.n, form.m
+    re_cols, ze_cols = np.r_[0:n, 2 * n : 2 * n + m], np.arange(n, 2 * n)
+    h_re, h_ze = h = np.zeros((2, 2 * n + m, 2 * n + m))
+    h_re[np.ix_(re_cols, re_cols)] = form.g_re
+    h_ze[np.ix_(re_cols, re_cols)] = form.g_ze
+    h_ze[np.ix_(ze_cols, re_cols)] = form.g_re[:n]
+    h_ze[np.ix_(re_cols, ze_cols)] = form.g_re[:, :n]
+    return h
 
 
 def standard_form(n: int, m: int) -> GramForm:
@@ -266,14 +286,9 @@ def random_form(n: int, m: int, seed: int = 0) -> GramForm:
     rng = rng_from(seed)
     base = standard_form(n, m)
     auto = random_automorphism(rng, 2 * n, 2 * m)
-    images = [apply(auto, v) for v in standard_basis(2 * n, 2 * m)]
-    size = 2 * n + 2 * m
-    g_re = np.zeros((size, size))
-    g_ze = np.zeros((size, size))
-    for a in range(size):
-        for b in range(size):
-            w = eval_form(base, images[a], images[b])
-            g_re[a, b], g_ze[a, b] = w.re, w.ze
+    # realified images of the standard basis: the head re and tail columns
+    rows = realify_map(auto)[:, np.r_[0 : 2 * n, 4 * n : 4 * n + 2 * m]].T
+    g_re, g_ze = rows @ _pairing(base) @ rows.T
     return GramForm(2 * n, 2 * m, g_re, g_ze)
 
 
@@ -339,13 +354,8 @@ def darboux_basis(form: GramForm, tol: float | None = None) -> DarbouxBasis:
     tol = resolve_tol(tol)
     n, m = form.n, form.m
     thresh = tol * (1.0 + max(np.abs(form.g_re).max(), np.abs(form.g_ze).max()))
-    # eval_form on realified rows v, w: (re, ze) = v h w
-    re_cols, ze_cols = np.r_[0:n, 2 * n : 2 * n + m], np.arange(n, 2 * n)
-    h_re, h_ze = h = np.zeros((2, 2 * n + m, 2 * n + m))
-    h_re[np.ix_(re_cols, re_cols)] = form.g_re
-    h_ze[np.ix_(re_cols, re_cols)] = form.g_ze
-    h_ze[np.ix_(ze_cols, re_cols)] = form.g_re[:n]
-    h_ze[np.ix_(re_cols, ze_cols)] = form.g_re[:, :n]
+    re_cols = np.r_[0:n, 2 * n : 2 * n + m]
+    h = _pairing(form)
 
     def times(c_re, c_ze, v):  # dual scalars c times the realified row v
         eps_v = np.zeros_like(v)
@@ -425,32 +435,34 @@ def verify_darboux(
     basis: DarbouxBasis, form: GramForm, tol: float = 1e-9
 ) -> DarbouxReport:
     """Check pairings against the reference pattern, independence, and that
-    the pairs span the whole space."""
+    the pairs span the whole space.  A basis with a non-finite entry fails
+    all three."""
     vecs = basis.vectors()
-    nh, nt = len(basis.pairs_head), len(basis.pairs_tail)
-    worst = 0.0
-    for a in range(len(vecs)):
-        for b in range(len(vecs)):
-            expected = ZERO
-            if a // 2 == b // 2:
-                if b == a + 1:
-                    expected = ONE if a < 2 * nh else EPS
-                elif a == b + 1:
-                    expected = -ONE if b < 2 * nh else -EPS
-            got = eval_form(form, vecs[a], vecs[b])
-            worst = max(
-                worst, abs(got.re - expected.re), abs(got.ze - expected.ze)
-            )
+    for v in vecs:
+        _check_shape(form, v)
+    n, m = form.shape
+    rows = np.array([realify(v) for v in vecs]).reshape(len(vecs), 2 * n + m)
+    finite = bool(np.isfinite(rows).all())
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = rows @ _pairing(form) @ rows.T
+    want = np.zeros_like(got)
+    heads = 2 * len(basis.pairs_head)
+    for a in range(0, len(vecs), 2):  # head pairs pair to 1, tail pairs to eps
+        part = 0 if a < heads else 1
+        want[part, a, a + 1], want[part, a + 1, a] = 1.0, -1.0
+    worst = float(np.abs(got - want).max(initial=0.0))  # NaN or inf if not finite
     scale = 1.0 + float(max(np.abs(form.g_re).max(), np.abs(form.g_ze).max()))
     pairing_ok = worst <= tol * scale
 
-    s1 = [e for pair in basis.pairs_head for e in pair]
-    s2 = [u for pair in basis.pairs_tail for u in pair]
-    try:
-        independent = bool(is_independent(s1, s2, tol=tol))
-    except NotInKer:
-        independent = False
-    complete = extract_basis(vecs).dim == form.shape
+    independent = complete = False
+    if finite:
+        s1 = [e for pair in basis.pairs_head for e in pair]
+        s2 = [u for pair in basis.pairs_tail for u in pair]
+        try:
+            independent = bool(is_independent(s1, s2, tol=tol))
+        except NotInKer:
+            pass
+        complete = extract_basis(vecs).dim == form.shape
 
     return DarbouxReport(
         bool(pairing_ok and independent and complete), worst, independent, complete

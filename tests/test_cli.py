@@ -144,6 +144,22 @@ class TestBasis:
         assert "shape" in err
 
 
+    def test_overflowing_elimination_exits_one(self, tmp_path, capsys):
+        doc = {
+            "generators": [
+                {"n": 2, "m": 0, "head": [[1.7e308, 1.7e308], [1.7e308, 0]], "tail": []},
+                {"n": 2, "m": 0, "head": [[-1.7e308, 1e308], [1.7e308, 1.7e308]], "tail": []},
+            ]
+        }
+        path = write_json(tmp_path / "gens.json", doc)
+        code, out, err = run(capsys, ["basis", "--input", path])
+        assert code == 1 and err == ""
+        report = strict_json(out)
+        assert "overflow" in report["error"] and "S1" not in report
+        code, out, _ = run(capsys, ["basis", "--input", path, "--format", "text"])
+        assert code == 1 and "basis: FAIL (" in out
+
+
 class TestSolve:
     def test_solves_scalar_equation(self, tmp_path, capsys):
         lam = ModuleMap.scalar(1, 1, DualNumber(2.0, 1.0))
@@ -160,6 +176,23 @@ class TestSolve:
         assert sol.head[0].re == pytest.approx(2.0)
         assert sol.head[0].ze == pytest.approx(-1.0)
         assert sol.tail[0] == pytest.approx(3.0)
+
+    def test_norms_near_float_limit_stay_finite(self, tmp_path, capsys):
+        # |rhs| and the residual (about 1e285) overflow a plain sum of squares
+        doc = {
+            "map": {
+                "n": 2, "m": 0, "s": 2, "t": 0,
+                "C": [[[1.7e308, 1.7e308], [1.7e308, 0]], [[1.7e308, 0], [-1.7e308, 1.7e308]]],
+                "P": [[], []], "D": [], "Q": [],
+            },
+            "rhs": {"n": 2, "m": 0, "head": [[1e300, 1e300], [1e300, -1e300]], "tail": []},
+        }
+        path = write_json(tmp_path / "eq.json", doc)
+        code, out, err = run(capsys, ["solve", "--input", path])
+        assert code == 0 and err == ""
+        report = strict_json(out)
+        assert report["solvable"] is True
+        assert 0.0 < report["residual"] <= 1e-14 * 1e300
 
     def test_unsolvable_exits_one(self, tmp_path, capsys):
         lam = ModuleMap.sharp_map(1, 0)

@@ -234,6 +234,13 @@ class TestRealifiedJacobian:
         with pytest.raises(EvaluationFailed, match="residuals at the point are not finite"):
             diff.cr_check(f, a)
 
+    def test_derivative_near_float_limit_is_finite(self):
+        # averaging the two re-to-re copies must not overflow to inf
+        f = DualFunc((1, 0), (1, 0), (const(1.7e308) * head_coord(0),))
+        report = diff.cr_check(f, vector([DualNumber(0.5, 0.1)], []))
+        assert report.passed
+        assert report.derivative.c_re[0, 0] == 1.7e308
+
     def test_near_singular_inverse_needs_no_probes(self):
         # a central-difference step crosses re = 0; the exact pass does not
         f = DualFunc((1, 0), (1, 0), (inv_expr(head_coord(0)),))

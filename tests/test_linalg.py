@@ -24,6 +24,29 @@ def rand_map(rng, domain, codomain, scale=1.0):
     return ModuleMap(n, m, s, t, u(s, n), u(s, n), u(s, m), u(t, n), u(t, m))
 
 
+def apply_dual(lam, v):
+    """The map applied entry by entry in dual arithmetic: an oracle that
+    shares no code with the realified product in apply."""
+    head = []
+    for k in range(lam.s):
+        acc = ZERO
+        for i in range(lam.n):
+            acc = acc + core.mul(v.head[i], lam.head_entry(k, i))
+        z = 0.0
+        for j in range(lam.m):
+            z += lam.p[k, j] * v.tail[j]
+        head.append(DualNumber(acc.re, acc.ze + z))
+    tail = []
+    for l in range(lam.t):
+        r = 0.0
+        for i in range(lam.n):
+            r += lam.d[l, i] * v.head[i].re
+        for j in range(lam.m):
+            r += lam.q[l, j] * v.tail[j]
+        tail.append(r)
+    return DualVector(tuple(head), tuple(tail))
+
+
 def rank_oracle(vectors, tol=1e-9):
     """Real rank of a family of realified vectors."""
     rows = [linalg.realify(v) for v in vectors]
@@ -86,13 +109,15 @@ class TestModuleMap:
         assert linalg.realify_map(lam).tolist() == [[2.0, 0.0], [3.0, 2.0]]
 
     def test_apply_matches_realified(self):
+        # an entry sums at most 8 products of size <= 2 in another order
+        bound = 8 * 16 * np.finfo(float).eps
         rng = np.random.default_rng(11)
         for _ in range(200):
             lam = rand_map(rng, (3, 2), (2, 2))
             v = rand_vector(rng, 3, 2)
             lhs = linalg.realify(linalg.apply(lam, v))
-            rhs = linalg.realify_map(lam) @ linalg.realify(v)
-            assert np.allclose(lhs, rhs, atol=1e-10)
+            rhs = linalg.realify(apply_dual(lam, v))
+            assert np.abs(lhs - rhs).max() <= bound
 
     def test_commutes_with_eps(self):
         rng = np.random.default_rng(13)
@@ -380,9 +405,9 @@ class TestSolveAndIso:
             hits += 1
             b = rand_vector(rng, 2, 2)
             v = linalg.solve(lam, b, tol=1e-10)
-            assert core.vector_norm(linalg.apply(lam, v) - b) <= 1e-10 * (
-                1.0 + core.vector_norm(b)
-            )
+            residual = core.vector_norm(linalg.apply(lam, v) - b)
+            assert residual <= 1e-10 * (1.0 + core.vector_norm(b))
+            assert linalg.residual_norm(lam, v, b) == pytest.approx(residual, rel=1e-12, abs=1e-300)
         assert hits > 80
 
     def test_solve_no_solution(self):
@@ -436,3 +461,80 @@ class TestSplitBasisJson:
     def test_schema_error(self):
         with pytest.raises(ValueError):
             SplitBasis.from_json({"S1": []})
+
+
+def huge_map(q):
+    """A tail-to-tail map (0, 2) -> (0, 2) with real matrix q."""
+    z = np.zeros
+    return ModuleMap(0, 2, 0, 2, z((0, 0)), z((0, 0)), z((0, 2)), z((2, 0)), q)
+
+
+class TestNonFiniteInput:
+    def test_map_with_non_finite_block_rejected(self):
+        blocks = [np.ones((1, 1)) for _ in range(5)]
+        for k in range(5):
+            for bad in (np.inf, -np.inf, np.nan):
+                arrays = [b.copy() for b in blocks]
+                arrays[k][0, 0] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    ModuleMap(1, 1, 1, 1, *arrays)
+        doc = ModuleMap.identity(1, 1).to_json()
+        doc["Q"] = [[float("inf")]]
+        with pytest.raises(ValueError, match="non-finite"):
+            ModuleMap.from_json(doc)
+
+    def test_non_finite_rhs_rejected(self):
+        lam = ModuleMap.identity(1, 1)
+        for bad in (np.nan, np.inf):
+            for rhs in (
+                core.vector([DualNumber(1.0, bad)], [0.0]),
+                core.vector([DualNumber(1.0, 0.0)], [bad]),
+            ):
+                with pytest.raises(ValueError, match="non-finite"):
+                    linalg.solve(lam, rhs)
+
+    def test_non_finite_generator_rejected(self):
+        for bad in (np.nan, np.inf):
+            gens = [
+                core.vector([DualNumber(1.0, bad)], [0.5]),
+                core.vector([DualNumber(2.0, 0.0)], [1.0]),
+            ]
+            with pytest.raises(ValueError, match="non-finite"):
+                linalg.extract_basis(gens)
+            with pytest.raises(ValueError, match="non-finite"):
+                linalg.extract_basis(gens[::-1])
+
+    def test_overflowing_elimination_breaks_down(self):
+        gens = [
+            core.vector([DualNumber(1.7e308, 1.7e308), DualNumber(1.7e308, 0.0)], []),
+            core.vector([DualNumber(-1.7e308, 1e308), DualNumber(1.7e308, 1.7e308)], []),
+        ]
+        with pytest.raises(linalg.NumericalBreakdown, match="overflow"):
+            linalg.extract_basis(gens)
+
+    def test_solvable_near_float_limit(self):
+        # |b| and the residual both overflow core.vector_norm's squares
+        c = np.array([[1.7e308, 1.7e308], [1.7e308, 0.0]])
+        lam = ModuleMap(2, 0, 2, 0, c, np.array([[1.7e308, 0.0], [-1.7e308, 1.7e308]]),
+                        np.zeros((2, 0)), np.zeros((0, 2)), np.zeros((0, 0)))
+        b = core.vector([DualNumber(1e300, 1e300), DualNumber(1e300, -1e300)], [])
+        v = linalg.solve(lam, b)
+        residual = linalg.residual_norm(lam, v, b)
+        assert 0.0 < residual <= 1e-14 * 1e300
+
+    def test_unsolvable_near_float_limit(self):
+        # b is orthogonal to the image, and |b|**2 overflows: unscaled norms
+        # would compare inf with inf and accept the least-squares vector
+        lam = huge_map(np.full((2, 2), 8.5e307))
+        with pytest.raises(NoSolution):
+            linalg.solve(lam, core.vector([], [1e308, -1e308]))
+
+    def test_overflowing_residual_is_no_solution(self):
+        # lstsq's solution is about 2.6e12; applying the map overflows, and
+        # at 1.7e308 so does |b|, so an infinite residual meets an infinite bound
+        lam = huge_map(np.array([[8.5e307, 8.5e307], [8.5e307, 8.5e307 * (1 + 2.0**-40)]]))
+        for big in (1e308, 1.7e308):
+            with pytest.raises(NoSolution):
+                linalg.solve(lam, core.vector([], [big, -big]))
+        x = core.vector([], [3e12, -3e12])
+        assert not np.isfinite(linalg.residual_norm(lam, x, core.zero_vector(0, 2)))

@@ -4,6 +4,7 @@ import pytest
 from dualmod.core import (
     EPS,
     ONE,
+    ZERO,
     DualNumber,
     ShapeMismatch,
     basis_vector,
@@ -12,6 +13,7 @@ from dualmod.core import (
     standard_basis,
     vector,
 )
+from dualmod.sampling import random_automorphism, rng_from
 from dualmod.symplectic import (
     DarbouxBasis,
     EmptyShape,
@@ -31,6 +33,25 @@ def dn(re, ze=0.0):
     return DualNumber(re, ze)
 
 
+def form_scale(form):
+    return 1.0 + max(np.abs(form.g_re).max(), np.abs(form.g_ze).max())
+
+
+def pairing_residual_oracle(basis, form):
+    """verify_darboux's pairing residual, one eval_form call per pair."""
+    vecs = basis.vectors()
+    heads = 2 * len(basis.pairs_head)
+    worst = 0.0
+    for a, v in enumerate(vecs):
+        for b, w in enumerate(vecs):
+            expected = ZERO
+            if a // 2 == b // 2 and a != b:
+                expected = (ONE if min(a, b) < heads else EPS) * (1.0 if b == a + 1 else -1.0)
+            got = eval_form(form, v, w)
+            worst = max(worst, abs(got.re - expected.re), abs(got.ze - expected.ze))
+    return worst
+
+
 class TestGramForm:
     def test_shape_guard(self):
         with pytest.raises(FormInvalid):
@@ -46,6 +67,15 @@ class TestGramForm:
         assert np.array_equal(again.g_re, form.g_re)
         assert np.array_equal(again.g_ze, form.g_ze)
         assert again.shape == (2, 2)
+
+    def test_non_finite_rejected(self):
+        form = standard_form(1, 1)
+        for name in ("g_re", "g_ze"):
+            for bad in (np.nan, np.inf, -np.inf):
+                parts = {"g_re": form.g_re.copy(), "g_ze": form.g_ze.copy()}
+                parts[name][0, 1] = bad
+                with pytest.raises(FormInvalid, match="non-finite"):
+                    GramForm(2, 2, parts["g_re"], parts["g_ze"])
 
     def test_json_errors(self):
         with pytest.raises(FormInvalid):
@@ -172,6 +202,31 @@ class TestCheckForm:
         assert len(data["checks"]) == 4
 
 
+class TestRandomForm:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_eval_form_gram(self, seed):
+        for total in range(1, 7):
+            for a in range(total + 1):
+                n, m = 2 * a, 2 * (total - a)
+                form = random_form(a, total - a, seed=seed)
+                auto = random_automorphism(rng_from(seed), n, m)  # random_form's draw
+                # images of the standard basis, read off the map's blocks
+                images = [
+                    vector(list(zip(auto.c_re[:, k], auto.c_ze[:, k])), auto.d[:, k])
+                    for k in range(n)
+                ] + [
+                    vector([dn(0.0, z) for z in auto.p[:, j]], auto.q[:, j])
+                    for j in range(m)
+                ]
+                base = standard_form(a, total - a)
+                want = [[eval_form(base, v, w) for w in images] for v in images]
+                want_re = np.array([[x.re for x in row] for row in want])
+                want_ze = np.array([[x.ze for x in row] for row in want])
+                bound = 1e-14 * form_scale(form)
+                assert np.abs(form.g_re - want_re).max() <= bound
+                assert np.abs(form.g_ze - want_ze).max() <= bound
+
+
 class TestBlockOracle:
     """The two nondegeneracy checks must agree with pairing matrices built
     point by point through eval_form."""
@@ -295,6 +350,38 @@ class TestDarboux:
         report = verify_darboux(tampered, form)
         assert not report.passed
         assert not report.independent or report.pairing_residual > 0.5
+
+    def test_pairing_residual_matches_eval_form(self):
+        bases = []
+        for shape, seed in (((1, 1), 0), ((2, 1), 1), ((0, 3), 2), ((3, 0), 3)):
+            form = random_form(*shape, seed=seed)
+            bases.append((darboux_basis(form), form))
+        form = standard_form(1, 1)
+        basis = darboux_basis(form)
+        (e, f), (u, _) = basis.pairs_head[0], basis.pairs_tail[0]
+        bases.append((DarbouxBasis(((e, scalar_mul(dn(2.0), f)),), basis.pairs_tail), form))
+        bases.append((DarbouxBasis(basis.pairs_head, ((u, u),)), form))
+        for basis, form in bases:
+            got = verify_darboux(basis, form).pairing_residual
+            assert abs(got - pairing_residual_oracle(basis, form)) <= 1e-14 * form_scale(form)
+        wrong = DarbouxBasis(basis.pairs_head, ((u, basis_vector(2, 1, 2)),))
+        with pytest.raises(ShapeMismatch):
+            verify_darboux(wrong, form)
+
+    def test_verify_rejects_non_finite(self):
+        form = standard_form(1, 1)
+        basis = darboux_basis(form)
+        (e, f), (u, v) = basis.pairs_head[0], basis.pairs_tail[0]
+        for bad in (np.nan, np.inf):
+            for tampered in (
+                DarbouxBasis(((vector([dn(1.0, bad), dn(0.0)], [0.0, 0.0]), f),), basis.pairs_tail),
+                DarbouxBasis(((e, vector([dn(0.0), dn(bad)], [0.0, 0.0])),), basis.pairs_tail),
+                DarbouxBasis(basis.pairs_head, ((u, vector([dn(0.0), dn(0.0)], [bad, 1.0])),)),
+            ):
+                report = verify_darboux(tampered, form)
+                assert not report.passed
+                assert not report.pairing_residual <= 1e-9 * form_scale(form)
+                assert not report.independent and not report.complete
 
     def test_basis_json_round_trip(self):
         form = random_form(1, 1, seed=3)
