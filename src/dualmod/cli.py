@@ -50,6 +50,10 @@ class UsageFailure(Exception):
     """Bad input data or invocation: exit code 2."""
 
 
+class ReportNotFinite(Exception):
+    """The report holds a NaN or an infinity, so it is not JSON: exit code 1."""
+
+
 class MathFailure(Exception):
     """A computation or check failed: exit code 1; carries a payload."""
 
@@ -389,7 +393,10 @@ def _emit(payload: dict, args) -> None:
     if args.format == "text":
         text = _render_text(payload)
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        try:
+            text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise ReportNotFinite(str(exc)) from None
     if args.output:
         directory = os.path.dirname(os.path.abspath(args.output))
         try:
@@ -437,6 +444,9 @@ def main(argv=None) -> int:
     except UsageFailure as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except ReportNotFinite as exc:
+        sys.stderr.write("error: report holds a non-finite number (%s)\n" % exc)
+        return 1
     return code
 
 

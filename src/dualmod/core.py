@@ -6,14 +6,18 @@ the zero divisors; everything else is invertible.  Vectors come in split
 shape (n, m): n head slots holding full dual scalars and m tail slots
 holding the real coefficient r of an implicit r*eps entry.  Storing the bare
 coefficient makes a further eps multiplication annihilate tail slots by
-construction.
+construction.  A vector is stored as its 2n + m realified reals (head re
+parts, head ze parts, tail coefficients) in one read-only array, and vector
+operations are array operations on it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+
+import numpy as np
 
 DEFAULT_TOL = 1e-9
 
@@ -147,52 +151,116 @@ def scalar_norm(x: DualNumber) -> float:
     return math.sqrt(2.0 * x.re * x.re + x.ze * x.ze)
 
 
-@dataclass(frozen=True)
 class DualVector:
-    """A split vector with n dual head slots and m real tail coefficients."""
+    """A split vector with n dual head slots and m real tail coefficients.
 
-    head: tuple[DualNumber, ...]
-    tail: tuple[float, ...]
+    Its only storage is one contiguous read-only float64 array of the
+    2n + m realified coordinates [head re | head ze | tail], read as
+    `array`.  `head` boxes the head slots as DualNumbers on first access
+    and caches them; `tail`, `n`, `m` and `shape` are read from the array.
+    Vectors are immutable: assigning an attribute raises
+    dataclasses.FrozenInstanceError.  Equality compares shapes and values,
+    so 0.0 equals -0.0, and the hash agrees with it.
+    """
+
+    __slots__ = ("_arr", "_n", "_head")
+
+    def __init__(self, head, tail):
+        head = tuple(map(_coerce_entry, head))
+        arr = np.array(
+            [h.re for h in head] + [h.ze for h in head] + [float(r) for r in tail],
+            dtype=float,
+        )
+        self._store(arr, len(head), head)
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray, n: int) -> "DualVector":
+        """The vector stored as arr, a 1-D float64 array of 2n + m reals
+        that nothing else holds."""
+        v = object.__new__(cls)
+        v._store(arr, n, None)
+        return v
+
+    def _store(self, arr, n, head):
+        object.__setattr__(self, "_arr", arr)
+        object.__setattr__(self, "_n", n)
+        object.__setattr__(self, "_head", head)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "head", tuple(_coerce_entry(h) for h in self.head))
-        object.__setattr__(self, "tail", tuple(float(r) for r in self.tail))
+        # run by every constructor once the fields are set, as in a dataclass
+        self._arr.setflags(write=False)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return (DualVector._wrap, (self._arr, self._n))
+
+    @property
+    def array(self) -> np.ndarray:
+        """The stored read-only array [head re | head ze | tail]."""
+        return self._arr
+
+    @property
+    def head(self) -> tuple[DualNumber, ...]:
+        if self._head is None:
+            n = self._n
+            vals = self._arr[: 2 * n].tolist()
+            object.__setattr__(self, "_head", tuple(map(DualNumber, vals[:n], vals[n:])))
+        return self._head
+
+    @property
+    def tail(self) -> tuple[float, ...]:
+        return tuple(self._arr[2 * self._n :].tolist())
 
     @property
     def n(self) -> int:
-        return len(self.head)
+        return self._n
 
     @property
     def m(self) -> int:
-        return len(self.tail)
+        return len(self._arr) - 2 * self._n
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.head), len(self.tail))
+        return (self._n, len(self._arr) - 2 * self._n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self._n == other._n and self._arr.tolist() == other._arr.tolist()
+        )
+
+    def __hash__(self):
+        return hash((self._n, *self._arr.tolist()))
+
+    def __repr__(self):
+        return "DualVector(head=%r, tail=%r)" % (self.head, self.tail)
 
     def __add__(self, other: "DualVector") -> "DualVector":
         _check_same_shape(self, other)
-        return DualVector(
-            tuple(a + b for a, b in zip(self.head, other.head)),
-            tuple(a + b for a, b in zip(self.tail, other.tail)),
-        )
+        return DualVector._wrap(self._arr + other._arr, self._n)
 
     def __sub__(self, other: "DualVector") -> "DualVector":
         _check_same_shape(self, other)
-        return DualVector(
-            tuple(a - b for a, b in zip(self.head, other.head)),
-            tuple(a - b for a, b in zip(self.tail, other.tail)),
-        )
+        return DualVector._wrap(self._arr - other._arr, self._n)
 
     def __neg__(self) -> "DualVector":
-        return DualVector(tuple(-h for h in self.head), tuple(-r for r in self.tail))
+        return DualVector._wrap(-self._arr, self._n)
 
     def to_json(self) -> dict:
+        n = self._n
+        vals = self._arr.tolist()
         return {
-            "n": self.n,
-            "m": self.m,
-            "head": [h.to_json() for h in self.head],
-            "tail": list(self.tail),
+            "n": n,
+            "m": len(vals) - 2 * n,
+            "head": [[vals[i], vals[n + i]] for i in range(n)],
+            "tail": vals[2 * n :],
         }
 
     @classmethod
@@ -233,20 +301,16 @@ def vector(head=(), tail=()) -> DualVector:
 
 
 def zero_vector(n: int, m: int) -> DualVector:
-    return DualVector((ZERO,) * n, (0.0,) * m)
+    return DualVector._wrap(np.zeros(2 * n + m), n)
 
 
 def basis_vector(n: int, m: int, k: int) -> DualVector:
     """Standard basis: slots 0..n-1 are dual heads, n..n+m-1 are eps tails."""
     if not 0 <= k < n + m:
         raise IndexError("basis index %d out of range for shape (%d, %d)" % (k, n, m))
-    head = [ZERO] * n
-    tail = [0.0] * m
-    if k < n:
-        head[k] = ONE
-    else:
-        tail[k - n] = 1.0
-    return DualVector(tuple(head), tuple(tail))
+    arr = np.zeros(2 * n + m)
+    arr[k if k < n else n + k] = 1.0  # head k's re part, or tail k - n
+    return DualVector._wrap(arr, n)
 
 
 def standard_basis(n: int, m: int) -> list[DualVector]:
@@ -256,32 +320,36 @@ def standard_basis(n: int, m: int) -> list[DualVector]:
 def scalar_mul(a, v: DualVector) -> DualVector:
     """Scale a vector: heads multiply dually, tails see only Re(a)."""
     a = _coerce(a)
-    return DualVector(
-        tuple(mul(a, h) for h in v.head),
-        tuple(a.re * r for r in v.tail),
-    )
+    n, arr = v.n, v.array
+    out = a.re * arr
+    out[n : 2 * n] += a.ze * arr[:n]  # mul's ze part: a.re * h.ze + a.ze * h.re
+    return DualVector._wrap(out, n)
 
 
 def with_head_entry(v: DualVector, i: int, x: DualNumber) -> DualVector:
-    head = list(v.head)
-    head[i] = x
-    return DualVector(tuple(head), v.tail)
+    n = v.n
+    i, x = range(n)[i], _coerce_entry(x)
+    arr = v.array.copy()
+    arr[i], arr[n + i] = x.re, x.ze
+    return DualVector._wrap(arr, n)
 
 
 def with_tail_entry(v: DualVector, j: int, r: float) -> DualVector:
-    tail = list(v.tail)
-    tail[j] = float(r)
-    return DualVector(v.head, tuple(tail))
+    arr = v.array.copy()
+    arr[2 * v.n + range(v.m)[j]] = float(r)
+    return DualVector._wrap(arr, v.n)
 
 
 def inner(x: DualVector, y: DualVector) -> float:
     """Real inner product: 2*sum(re*re) + sum(ze*ze) over heads + sum over tails."""
     _check_same_shape(x, y)
+    n = x.n
+    a, b = x.array.tolist(), y.array.tolist()
     acc = 0.0
-    for a, b in zip(x.head, y.head):
-        acc += 2.0 * a.re * b.re + a.ze * b.ze
-    for r, s in zip(x.tail, y.tail):
-        acc += r * s
+    for k in range(n):
+        acc += 2.0 * a[k] * b[k] + a[n + k] * b[n + k]
+    for k in range(2 * n, len(a)):
+        acc += a[k] * b[k]
     return acc
 
 
@@ -291,21 +359,20 @@ def vector_norm(x: DualVector) -> float:
 
 def sharp_action(v: DualVector) -> DualVector:
     """Multiply by eps: head re parts shift into ze, tails are annihilated."""
-    return DualVector(
-        tuple(DualNumber(0.0, h.re) for h in v.head),
-        (0.0,) * v.m,
-    )
+    n, arr = v.n, v.array
+    out = np.zeros_like(arr)
+    out[n : 2 * n] = arr[:n]
+    return DualVector._wrap(out, n)
 
 
 def in_ker_sharp(v: DualVector, tol: float | None = None) -> bool:
     """Kernel of eps: all head entries are zero divisors."""
     tol = resolve_tol(tol)
-    return all(abs(h.re) <= tol for h in v.head)
+    return all(abs(r) <= tol for r in v.array[: v.n].tolist())
 
 
 def in_im_sharp(v: DualVector, tol: float | None = None) -> bool:
     """Image of eps: zero-divisor heads and vanishing tails."""
     tol = resolve_tol(tol)
-    return all(abs(h.re) <= tol for h in v.head) and all(
-        abs(r) <= tol for r in v.tail
-    )
+    vals = v.array.tolist()
+    return all(abs(r) <= tol for r in vals[: v.n] + vals[2 * v.n :])

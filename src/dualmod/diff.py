@@ -406,12 +406,7 @@ def eval_lowered(lowered, x: DualVector, stats: dict | None = None) -> DualNumbe
     """The first root of lower's result at x, of the shape it was lowered
     for: code that evaluates one expression many times lowers it once."""
     nodes, roots = lowered
-    return DualNumber(*_walk(nodes, _columns(x), stats)[roots[0]])
-
-
-def _columns(x: DualVector) -> list:
-    # realify(x) as floats: head re parts, head ze parts, tail coefficients
-    return [h.re for h in x.head] + [h.ze for h in x.head] + list(x.tail)
+    return DualNumber(*_walk(nodes, x.array.tolist(), stats)[roots[0]])
 
 
 def eval_func(
@@ -421,9 +416,8 @@ def eval_func(
     components must be zero divisors.  stats: as in eval_expr."""
     if x.shape != f.domain:
         raise ShapeMismatch("point shape %r != domain %r" % (x.shape, f.domain))
-    s = f.codomain[0]
-    out = _realified_outputs(f, _columns(x), resolve_tol(tol), stats)
-    return DualVector(tuple(map(DualNumber, out[:s], out[s : 2 * s])), tuple(out[2 * s :]))
+    out = _realified_outputs(f, x.array.tolist(), resolve_tol(tol), stats)
+    return unrealify(out, *f.codomain)
 
 
 def numeric_jacobian(f: DualFunc, a: DualVector, h: float = FD_DEFAULT_STEP) -> np.ndarray:
@@ -489,7 +483,7 @@ def realified_jacobian(f: DualFunc, a: DualVector) -> np.ndarray:
     """
     if a.shape != f.domain:
         raise ShapeMismatch("point shape %r != domain %r" % (a.shape, f.domain))
-    return _jacobian(f, _columns(a))
+    return _jacobian(f, a.array.tolist())
 
 
 def _jacobian(f: DualFunc, x: list, bad: np.ndarray | None = None) -> np.ndarray:
@@ -601,7 +595,7 @@ def cr_check(f: DualFunc, a: DualVector, tol: float = CR_DEFAULT_TOL) -> CrRepor
     n, m = f.domain
     s, t = f.codomain
     try:
-        jac = _jacobian(f, _columns(a))
+        jac = _jacobian(f, a.array.tolist())
     except NotInvertible as exc:
         raise EvaluationFailed("cannot differentiate at the point: %s" % exc) from exc
     values = [float(r) for r in _residuals(jac, n, s)]
@@ -694,7 +688,7 @@ def forward_derivative(f: DualFunc, a: DualVector) -> ModuleMap:
         raise ShapeMismatch("point shape %r != domain %r" % (a.shape, f.domain))
     n, m = f.domain
     s, t = f.codomain
-    x = _columns(a)
+    x = a.array.tolist()
     tol = resolve_tol(None)
     zero = [(0.0, 0.0)] * (n + m)
     seed = [list(zero) for _ in range(n + m)]  # head slot: tangent 1, tail slot: eps

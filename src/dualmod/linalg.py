@@ -141,25 +141,15 @@ class ModuleMap:
         for v in imgs:
             if v.shape != (s, t):
                 raise ShapeMismatch("image shape %r != codomain %r" % (v.shape, (s, t)))
-        n, m = len(head_images), len(tail_images)
-        c_re = np.zeros((s, n))
-        c_ze = np.zeros((s, n))
-        d = np.zeros((t, n))
-        p = np.zeros((s, m))
-        q = np.zeros((t, m))
-        for i, v in enumerate(head_images):
-            for k in range(s):
-                c_re[k, i] = v.head[k].re
-                c_ze[k, i] = v.head[k].ze
-            for l in range(t):
-                d[l, i] = v.tail[l]
         for j, v in enumerate(tail_images):
             if not in_ker_sharp(v, tol):
                 raise NotInKer("tail image %d has an invertible head entry" % j)
-            for k in range(s):
-                p[k, j] = v.head[k].ze
-            for l in range(t):
-                q[l, j] = v.tail[l]
+        # columns of the blocks: realified images [re | ze | tail]
+        n, m = len(head_images), len(tail_images)
+        heads = np.array([v.array for v in head_images]).reshape(n, 2 * s + t).T
+        tails = np.array([v.array for v in tail_images]).reshape(m, 2 * s + t).T
+        c_re, c_ze, d = heads[:s], heads[s : 2 * s], heads[2 * s :]
+        p, q = tails[s : 2 * s], tails[2 * s :]
         return cls(n, m, s, t, c_re, c_ze, p, d, q)
 
     def to_json(self) -> dict:
@@ -233,7 +223,7 @@ def apply(lam: ModuleMap, v: DualVector) -> DualVector:
     """Apply a map as one product of the realified map and vector."""
     if v.shape != lam.domain:
         raise ShapeMismatch("vector shape %r != map domain %r" % (v.shape, lam.domain))
-    return unrealify(realify_map(lam) @ realify(v), lam.s, lam.t)
+    return unrealify(realify_map(lam) @ v.array, lam.s, lam.t)
 
 
 def compose(outer: ModuleMap, inner_map: ModuleMap) -> ModuleMap:
@@ -252,15 +242,15 @@ def compose(outer: ModuleMap, inner_map: ModuleMap) -> ModuleMap:
 
 
 def realify(v: DualVector) -> np.ndarray:
-    """Flatten to 2n + m reals: head re parts, head ze parts, tail."""
-    return np.array(
-        [h.re for h in v.head] + [h.ze for h in v.head] + list(v.tail), dtype=float
-    )
+    """The 2n + m reals head re parts, head ze parts, tail, as a writable
+    copy of the vector's stored array."""
+    return v.array.copy()
 
 
 def unrealify(arr, n: int, m: int) -> DualVector:
-    vals = np.asarray(arr, dtype=float).reshape(2 * n + m).tolist()
-    return DualVector(tuple(map(DualNumber, vals[:n], vals[n : 2 * n])), tuple(vals[2 * n :]))
+    """The shape-(n, m) vector with realified coordinates arr, stored in a
+    read-only copy of arr."""
+    return DualVector._wrap(np.asarray(arr, dtype=float).reshape(2 * n + m).copy(), n)
 
 
 def realify_map(lam: ModuleMap) -> np.ndarray:
@@ -337,9 +327,9 @@ def is_independent(
     for w in s2:
         if not in_ker_sharp(w, tol):
             raise NotInKer("s2 member has an invertible head entry")
-    rows = [realify(v) for v in s1]
-    rows += [realify(sharp_action(v)) for v in s1]
-    rows += [realify(w) for w in s2]
+    rows = [v.array for v in s1]
+    rows += [sharp_action(v).array for v in s1]
+    rows += [w.array for w in s2]
     if not rows:
         return True
     mat = np.vstack(rows)
@@ -372,7 +362,7 @@ def extract_basis(
         if g.shape != shape:
             raise ShapeMismatch("generator shape %r != %r" % (g.shape, shape))
     n, m = shape
-    rows = np.array([realify(g) for g in gens]).reshape(len(gens), 2 * n + m)
+    rows = np.array([g.array for g in gens]).reshape(len(gens), 2 * n + m)
     if not np.isfinite(rows).all():
         raise ValueError("generators hold a non-finite entry")
     scales = np.abs(rows).max(axis=1, initial=0.0)
@@ -465,7 +455,7 @@ def residual_norm(lam: ModuleMap, v: DualVector, b: DualVector) -> float:
     realified residual divided by its largest entry, so that a residual
     near the float limit does not overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _norm(realify(apply(lam, v)) - realify(b), lam.s)
+        return _norm(apply(lam, v).array - b.array, lam.s)
 
 
 def _norm(x: np.ndarray, n: int) -> float:

@@ -124,11 +124,12 @@ def equivalent(x, y, tol: float | None = None) -> bool:
         if abs(d.re) > tol * scale or abs(d.ze) > tol * scale:
             return False
     j0 = _argmax_tail(x)
-    t = y.tail[j0] / x.tail[j0]
+    x_tail, y_tail = x.tail, y.tail
+    t = y_tail[j0] / x_tail[j0]
     if abs(t) <= tol:
         return False
     for b in range(m + 1):
-        if abs(y.tail[b] - t * x.tail[b]) > tol * scale:
+        if abs(y_tail[b] - t * x_tail[b]) > tol * scale:
             return False
     return True
 
@@ -184,8 +185,8 @@ def chart_map(i: int, j: int, p, tol: float | None = None) -> DualVector:
         raise NotInChart("point misses chart (%d, %d)" % (i, j))
     pivot = inv(x.head[i], tol=0.0)
     head = tuple(mul(x.head[a], pivot) for a in range(n + 1) if a != i)
-    tail = tuple(x.tail[b] / x.tail[j] for b in range(m + 1) if b != j)
-    return DualVector(head, tail)
+    tail = x.tail
+    return DualVector(head, tuple(tail[b] / tail[j] for b in range(m + 1) if b != j))
 
 
 def chart_inverse(i: int, j: int, u: DualVector) -> ProjectivePoint:

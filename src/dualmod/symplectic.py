@@ -12,6 +12,7 @@ passing form into normalized pairs pairing to 1 (head pairs) and to eps
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,6 @@ from dualmod.linalg import (
     NumericalBreakdown,
     extract_basis,
     is_independent,
-    realify,
     realify_map,
     unrealify,
 )
@@ -125,8 +125,9 @@ def _check_shape(form: GramForm, v: DualVector) -> None:
 
 def _coeffs(form: GramForm, v: DualVector):
     _check_shape(form, v)
-    re = np.array([h.re for h in v.head] + list(v.tail))
-    ze = np.array([h.ze for h in v.head] + [0.0] * form.m)
+    n, arr = form.n, v.array
+    re = np.concatenate([arr[:n], arr[2 * n :]])
+    ze = np.concatenate([arr[n : 2 * n], np.zeros(form.m)])
     return re, ze
 
 
@@ -221,12 +222,14 @@ def check_form(form: GramForm, tol: float | None = None) -> FormReport:
     scale = 1.0 + float(max(np.abs(form.g_re).max(), np.abs(form.g_ze).max()))
     checks = []
 
-    anti = float(
-        max(
-            np.abs(form.g_re + form.g_re.T).max(),
-            np.abs(form.g_ze + form.g_ze.T).max(),
+    with np.errstate(over="ignore"):  # entries near the float limit
+        anti = float(
+            max(
+                np.abs(form.g_re + form.g_re.T).max(),
+                np.abs(form.g_ze + form.g_ze.T).max(),
+            )
         )
-    )
+    anti = min(anti, sys.float_info.max)  # an overflowed sum saturates
     checks.append(FormCheck("antisymmetric", anti <= tol * scale, anti))
 
     purity = 0.0
@@ -371,7 +374,13 @@ def darboux_basis(form: GramForm, tol: float | None = None) -> DarbouxBasis:
             if upper[a, b] <= thresh:
                 break
             if head:  # the dual inverse of the pairing
-                s = (1.0 / p_re[a, b], -p_ze[a, b] / (p_re[a, b] * p_re[a, b]))
+                with np.errstate(over="ignore"):
+                    square = p_re[a, b] * p_re[a, b]
+                if not np.isfinite(square):
+                    raise NumericalBreakdown(
+                        "the dual inverse of pairing %g overflows" % p_re[a, b]
+                    )
+                s = (1.0 / p_re[a, b], -p_ze[a, b] / square)
             else:
                 s = (1.0 / p_ze[a, b], 0.0)
             e, f = cands[a], times(*s, cands[b])[0]
@@ -441,7 +450,7 @@ def verify_darboux(
     for v in vecs:
         _check_shape(form, v)
     n, m = form.shape
-    rows = np.array([realify(v) for v in vecs]).reshape(len(vecs), 2 * n + m)
+    rows = np.array([v.array for v in vecs]).reshape(len(vecs), 2 * n + m)
     finite = bool(np.isfinite(rows).all())
     with np.errstate(over="ignore", invalid="ignore"):
         got = rows @ _pairing(form) @ rows.T

@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 import dualmod.core as core
 import dualmod.linalg as linalg
+from dualmod import cli
 from dualmod.cli import main
 from dualmod.core import DualNumber, basis_vector, sharp_action, vector
 from dualmod.diff import DualFunc, const, coord, re_part
@@ -402,6 +404,25 @@ class TestDarboux:
         ]
         assert "head_block_nondegenerate" in failed
 
+    @pytest.mark.parametrize("pairing", [[1.7e308, 0], [1.7e308, 1.7e308]], ids=["re", "dual"])
+    def test_gram_near_float_limit_exits_one(self, tmp_path, capsys, pairing):
+        # [1.7e308, 0] twice is not antisymmetric and its check sum
+        # overflows; the antisymmetric dual pairing overflows its inverse
+        below = [-x for x in pairing] if pairing[1] else pairing
+        doc = {"N": 2, "M": 0, "G": [[[0, 0], pairing], [below, [0, 0]]]}
+        path = write_json(tmp_path / "form.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["darboux", "--input", path])
+        assert code == 1 and err == ""
+        report = strict_json(out)
+        anti = report["form_report"]["checks"][0]
+        if pairing[1]:
+            assert anti["passed"] and "overflows" in report["error"]
+        else:
+            assert not anti["passed"] and anti["residual"] == 1.7976931348623157e308
+            assert "basis" not in report
+
     def test_malformed_form_exits_two(self, tmp_path, capsys):
         form = standard_form(1, 1).to_json()
         for doc in ({"N": 2, "M": 0}, dict(form, N=2.6), dict(form, M=2.0)):
@@ -507,3 +528,19 @@ class TestOutputHandling:
             main(["--version"])
         assert info.value.code == 0
         assert "dualmod" in capsys.readouterr().out
+
+
+class TestEmit:
+    def test_non_finite_payload_is_an_error(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli.RUNNERS, "basis", lambda args, tol: {"value": float("nan")})
+        code, out, err = run(capsys, ["basis"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_finite_payload_is_not_written_to_a_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cli.RUNNERS, "basis", lambda args, tol: {"value": float("inf")})
+        target = tmp_path / "report.json"
+        code, out, err = run(capsys, ["basis", "--output", str(target)])
+        assert code == 1 and out == "" and err.startswith("error: ")
+        assert not target.exists()

@@ -1,9 +1,15 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualmod import core
+from dualmod.linalg import realify, unrealify
 from dualmod.core import (
     EPS,
     ONE,
@@ -272,3 +278,137 @@ class TestJson:
             DualVector.from_json({"n": 0, "m": 0, "head": []})
         with pytest.raises(ValueError):
             DualNumber.from_json([1.0])
+
+
+class TestVectorStorage:
+    """A vector is stored as one read-only realified array; heads are boxed
+    only when read."""
+
+    def test_constructor_coerces_into_the_array(self):
+        v = core.vector([1, (2, 3), DualNumber(-0.0, 4.5)], [5])
+        assert v.array.dtype == np.float64 and v.array.flags.c_contiguous
+        assert v.array.tolist() == [1.0, 2.0, -0.0, 0.0, 3.0, 4.5, 5.0]
+        assert math.copysign(1.0, v.array[2]) == -1.0
+        assert v.shape == (3, 1) and v.n == 3 and v.m == 1
+        assert v.head == (DualNumber(1.0, 0.0), DualNumber(2.0, 3.0), DualNumber(-0.0, 4.5))
+        assert v.tail == (5.0,)
+
+    def test_head_is_boxed_once(self):
+        v = unrealify(np.array([1.0, 2.0, 3.0]), 1, 1)
+        assert v.head is v.head
+        assert v.head == (DualNumber(1.0, 2.0),)
+
+    def test_equality_across_signed_zero(self):
+        pos = core.vector([(0.0, 0.0)], [0.0])
+        neg = core.vector([(-0.0, -0.0)], [-0.0])
+        assert pos == neg and hash(pos) == hash(neg)
+
+    def test_equality_needs_the_same_shape(self):
+        # the same three reals as shapes (1, 1) and (0, 3)
+        a = unrealify([1.0, 2.0, 3.0], 1, 1)
+        b = unrealify([1.0, 2.0, 3.0], 0, 3)
+        assert a != b
+        assert core.vector([(1.0, 2.0)], []) != core.vector([], [1.0, 2.0])
+        assert a != (1.0, 2.0, 3.0)
+
+    def test_hash_agrees_with_equality(self):
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            v = core.vector([rand_dual(rng)], [rng.uniform(-1, 1)])
+            w = unrealify(realify(v), 1, 1)
+            assert v == w and hash(v) == hash(w)
+        assert len({core.zero_vector(1, 1), core.vector([ZERO], [-0.0]), core.zero_vector(0, 3)}) == 2
+
+    def test_equal_to_itself_with_nan(self):
+        v = core.vector([(math.nan, 1.0)], [])
+        assert v == v
+
+    def test_repr_unchanged(self):
+        v = core.vector([DualNumber(1.0, 2.0)], [3.0])
+        assert repr(v) == "DualVector(head=(DualNumber(re=1.0, ze=2.0),), tail=(3.0,))"
+        assert repr(core.zero_vector(0, 0)) == "DualVector(head=(), tail=())"
+
+    def test_assignment_raises_frozen_instance_error(self):
+        v = core.vector([ONE], [1.0])
+        for name in ("head", "tail", "array", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(v, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del v.head
+        assert v == core.vector([ONE], [1.0])
+
+    def test_stored_array_is_read_only(self):
+        v = core.vector([DualNumber(1.0, 2.0)], [3.0])
+        assert not v.array.flags.writeable
+        with pytest.raises(ValueError):
+            v.array[0] = 9.0
+        for w in (v + v, -v, core.scalar_mul(2.0, v), core.sharp_action(v), unrealify([1.0, 2.0, 3.0], 1, 1)):
+            assert not w.array.flags.writeable
+
+    def test_realify_returns_a_writable_copy(self):
+        v = core.vector([DualNumber(1.0, 2.0)], [3.0])
+        r = realify(v)
+        assert r.flags.writeable and not np.shares_memory(r, v.array)
+        r[:] = 0.0
+        assert v.array.tolist() == [1.0, 2.0, 3.0]
+
+    def test_unrealify_does_not_alias_its_input(self):
+        src = np.array([1.0, 2.0, 3.0])
+        v = unrealify(src, 1, 1)
+        assert not np.shares_memory(src, v.array)
+        src[:] = 0.0
+        assert v.array.tolist() == [1.0, 2.0, 3.0]
+        assert src.flags.writeable
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_round_trip(self, clone):
+        v = core.vector([DualNumber(1.0, -0.0), DualNumber(0.5, 2.0)], [-3.0])
+        w = clone(v)
+        assert type(w) is DualVector and w == v and w.shape == v.shape
+        assert w.array.tobytes() == v.array.tobytes()
+        assert not w.array.flags.writeable
+        assert w.head == v.head and w.tail == v.tail
+
+    def test_ops_match_boxed_arithmetic(self):
+        # the array ops do the float operations of the DualNumber formulas
+        rng = np.random.default_rng(47)
+        for _ in range(100):
+            x = core.vector([rand_dual(rng) for _ in range(3)], rng.uniform(-1, 1, 2))
+            y = core.vector([rand_dual(rng) for _ in range(3)], rng.uniform(-1, 1, 2))
+            a = rand_dual(rng)
+            cases = [
+                (x + y, [h + k for h, k in zip(x.head, y.head)], [r + t for r, t in zip(x.tail, y.tail)]),
+                (x - y, [h - k for h, k in zip(x.head, y.head)], [r - t for r, t in zip(x.tail, y.tail)]),
+                (-x, [-h for h in x.head], [-r for r in x.tail]),
+                (core.scalar_mul(a, x), [core.mul(a, h) for h in x.head], [a.re * r for r in x.tail]),
+                (core.sharp_action(x), [DualNumber(0.0, h.re) for h in x.head], [0.0, 0.0]),
+            ]
+            for got, head, tail in cases:
+                want = [h.re for h in head] + [h.ze for h in head] + tail
+                assert got.array.tobytes() == np.array(want).tobytes()
+
+    def test_entry_replacement(self):
+        v = core.vector([ONE, EPS], [1.0, 2.0])
+        assert core.with_head_entry(v, -1, DualNumber(3.0, 4.0)) == core.vector([ONE, (3.0, 4.0)], [1.0, 2.0])
+        assert core.with_tail_entry(v, 0, 5.0) == core.vector([ONE, EPS], [5.0, 2.0])
+        with pytest.raises(IndexError):
+            core.with_head_entry(v, 2, ONE)
+        with pytest.raises(IndexError):
+            core.with_tail_entry(v, -3, 0.0)
+        assert v == core.vector([ONE, EPS], [1.0, 2.0])
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(), st.floats()), max_size=4),
+        st.lists(st.floats(), max_size=4),
+    )
+    def test_realify_round_trip_is_bit_exact(self, head, tail):
+        v = core.vector(head, tail)
+        w = unrealify(realify(v), v.n, v.m)
+        assert w.shape == v.shape
+        assert w.array.tobytes() == v.array.tobytes()  # -0.0 and NaN payloads too
+        assert w == v or any(math.isnan(x) for x in v.array)

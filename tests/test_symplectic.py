@@ -1,3 +1,6 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -200,6 +203,30 @@ class TestCheckForm:
         assert data["passed"] is True
         assert data["shape"] == [2, 2]
         assert len(data["checks"]) == 4
+
+
+class TestNearFloatLimit:
+    """Gram entries near the largest float: sums and squares overflow."""
+
+    BIG = 1.7e308
+
+    def test_antisymmetry_residual_saturates(self):
+        g_re = np.array([[0.0, self.BIG], [self.BIG, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_form(GramForm(2, 0, g_re, np.zeros((2, 2))))
+        anti = report.checks[0]
+        assert anti.name == "antisymmetric" and not anti.passed
+        assert anti.residual == sys.float_info.max
+
+    def test_overflowing_dual_inverse_breaks_down(self):
+        big = np.array([[0.0, self.BIG], [-self.BIG, 0.0]])
+        form = GramForm(2, 0, big, big)
+        assert check_form(form).passed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalBreakdown, match="overflows"):
+                darboux_basis(form)
 
 
 class TestRandomForm:
