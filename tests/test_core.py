@@ -391,6 +391,23 @@ class TestVectorStorage:
                 want = [h.re for h in head] + [h.ze for h in head] + tail
                 assert got.array.tobytes() == np.array(want).tobytes()
 
+    def test_inner_keeps_its_summation_order(self):
+        # manifold._norms reproduces vector_norm bit for bit on arrays
+        from dualmod.manifold import _norms
+
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            n, m = rng.integers(0, 4, size=2)
+            vals = rng.normal(size=2 * n + m) * 10.0 ** rng.integers(-8, 9, size=2 * n + m)
+            v = unrealify(vals, n, m)
+            acc = 0.0
+            for h in v.head:
+                acc += 2.0 * h.re * h.re + h.ze * h.ze
+            for r in v.tail:
+                acc += r * r
+            assert core.inner(v, v) == acc
+            assert core.vector_norm(v) == math.sqrt(acc) == _norms(v.array[None], n)[0]
+
     def test_entry_replacement(self):
         v = core.vector([ONE, EPS], [1.0, 2.0])
         assert core.with_head_entry(v, -1, DualNumber(3.0, 4.0)) == core.vector([ONE, (3.0, 4.0)], [1.0, 2.0])
