@@ -156,11 +156,11 @@ class DualVector:
 
     Its only storage is one contiguous read-only float64 array of the
     2n + m realified coordinates [head re | head ze | tail], read as
-    `array`.  `head` boxes the head slots as DualNumbers on first access
-    and caches them; `tail`, `n`, `m` and `shape` are read from the array.
-    Vectors are immutable: assigning an attribute raises
-    dataclasses.FrozenInstanceError.  Equality compares shapes and values,
-    so 0.0 equals -0.0, and the hash agrees with it.
+    `array`; head entries may be given as DualNumbers, numbers or (re, ze)
+    pairs.  `head` boxes them as DualNumbers on first access and caches
+    them; `tail`, `n`, `m` and `shape` are read from the array.
+    Vectors are immutable (assigning raises FrozenInstanceError); equality
+    compares shapes and values, so 0.0 equals -0.0, and the hash agrees.
     """
 
     __slots__ = ("_arr", "_n", "_head")
@@ -176,7 +176,7 @@ class DualVector:
     @classmethod
     def _wrap(cls, arr: np.ndarray, n: int) -> "DualVector":
         """The vector stored as arr, a 1-D float64 array of 2n + m reals
-        that nothing else holds."""
+        that nothing else writes to."""
         v = object.__new__(cls)
         v._store(arr, n, None)
         return v
