@@ -357,6 +357,17 @@ def vector_norm(x: DualVector) -> float:
     return math.sqrt(inner(x, x))
 
 
+def row_norms(rows: np.ndarray, n: int) -> np.ndarray:
+    """vector_norm of each realified row with n heads, summed in inner's
+    order, so the floats are vector_norm's."""
+    acc = np.zeros(rows.shape[:-1])
+    for k in range(n):
+        acc = acc + (2.0 * rows[..., k] * rows[..., k] + rows[..., n + k] * rows[..., n + k])
+    for k in range(2 * n, rows.shape[-1]):
+        acc = acc + rows[..., k] * rows[..., k]
+    return np.sqrt(acc)
+
+
 def sharp_action(v: DualVector) -> DualVector:
     """Multiply by eps: head re parts shift into ze, tails are annihilated."""
     n, arr = v.n, v.array

@@ -6,9 +6,15 @@ evaluate to zero divisors (their ze part is the stored tail coefficient).
 
 Every DualFunc lowers its components once, when it is built, to a list of
 unique nodes (a subtree shared between components or paths appears once),
-and every evaluation is a loop over that list, never a recursion.  One value
-loop serves floats for one point and arrays for a batch of points;
-limit_check and numeric_jacobian evaluate all their probes in one batch.
+and every evaluation is a loop over that list, never a recursion; the node
+list is private to this module.  One value loop serves floats for one point
+and arrays for a batch of points; limit_check and numeric_jacobian evaluate
+all their probes in one batch.  Both batch loops, values and Jacobian, share
+one failure contract: one point raises where an inverse meets a re part
+within tolerance of zero or a tail output is not a zero divisor, while a
+batch marks such points in a mask and carries on.  A batch row does the
+same float operations as its point, so a caller that needs the exception
+replays only the first marked row.
 
 Smooth functions of dual arguments have realified Jacobians with the forced
 block pattern of a module map; cr_check measures the four forced identities
@@ -36,6 +42,7 @@ from dualmod.core import (
     ShapeMismatch,
     as_index,
     resolve_tol,
+    row_norms,
 )
 from dualmod.linalg import ModuleMap, realify, realify_map, unrealify
 
@@ -230,7 +237,7 @@ class DualFunc:
 
 
 def _shape(value, what: str) -> tuple[int, int]:
-    shape = tuple(as_index(x, what) for x in value)
+    shape = tuple([as_index(x, what) for x in value])
     if len(shape) != 2 or min(shape) < 0:
         raise ValueError("%s must be two nonnegative integers, got %r" % (what, value))
     return shape
@@ -318,13 +325,15 @@ class CrReport:
         }
 
 
-def _walk(nodes, x, stats: dict | None = None) -> list:
+def _walk(nodes, x, bad: np.ndarray | None = None, stats: dict | None = None) -> list:
     """(re, ze) of every node of a lowered list at the realified point x:
-    floats for one point, or arrays with one entry per point for a batch.
+    floats for one point, or arrays with one entry per point for a batch,
+    with bad an (S,) mask.
 
     The arithmetic is core.mul's, core.inv's and DualNumber addition's, op
-    for op, so the floats equal those of DualNumber evaluation; an inverse
-    within the default tolerance of zero raises NotInvertible.  stats (one
+    for op, so the floats equal those of DualNumber evaluation.  An inverse
+    within the default tolerance of zero raises NotInvertible for one point
+    and marks the point in bad for a batch (see _inverse_re).  stats (one
     point only) takes the hooks described in eval_expr.
     """
     tol = resolve_tol(None)
@@ -351,9 +360,7 @@ def _walk(nodes, x, stats: dict | None = None) -> list:
             elif op == "inv":
                 if stats is not None:
                     stats["min_inv_re"] = min(stats.get("min_inv_re", np.inf), abs(ur))
-                bad = _offender(ur, abs(ur) <= tol)
-                if bad is not None:
-                    raise NotInvertible("re part %g is within tolerance of zero" % bad)
+                ur = _inverse_re(ur, tol, bad)
                 v = (1.0 / ur, -uz / (ur * ur))
             elif op == "sharp":  # mul(EPS, u)
                 v = (0.0 * ur, 0.0 * uz + 1.0 * ur)
@@ -369,44 +376,54 @@ def _walk(nodes, x, stats: dict | None = None) -> list:
     return vals
 
 
-def _offender(value, flagged):
-    # the flagged value or None; for a batch, the first flagged entry
-    if not isinstance(flagged, np.ndarray):
-        return value if flagged else None
-    return value[flagged][0] if flagged.any() else None
+def _inverse_re(ur, tol: float, bad: np.ndarray | None):
+    """The re part an inverse divides by.  Within tol of zero, one point
+    raises NotInvertible; in a batch the points are marked in bad and
+    divide by 1.0 instead, so no division by zero happens."""
+    small = abs(ur) <= tol
+    if bad is None:
+        if small:
+            raise NotInvertible("re part %g is within tolerance of zero" % ur)
+        return ur
+    bad |= np.ravel(small)
+    return np.where(small, 1.0, ur)
 
 
-def _realified_outputs(f: DualFunc, x, tol: float, stats: dict | None = None) -> list:
+def _check_tail(re, tol: float, l: int, bad: np.ndarray | None) -> None:
+    """Tail output l must be a zero divisor: one point raises
+    EvaluationFailed, a batch marks its points in bad."""
+    far = abs(re) > tol
+    if bad is not None:
+        bad |= np.ravel(far)
+    elif far:
+        raise EvaluationFailed(
+            "tail component %d evaluated to re part %g, not a zero divisor" % (l, re)
+        )
+
+
+def _realified_outputs(
+    f: DualFunc, x, tol: float, bad: np.ndarray | None = None, stats: dict | None = None
+) -> list:
     """f at the realified point (or batch of points) x, realified: head re
-    parts, head ze parts, tail coefficients.  Raises EvaluationFailed where
-    a tail output is not a zero divisor."""
+    parts, head ze parts, tail coefficients.  Where a tail output is not a
+    zero divisor, one point raises EvaluationFailed and a batch marks the
+    point in bad, as _walk does for inverses."""
     s = f.codomain[0]
-    vals = _walk(f._nodes, x, stats)
+    vals = _walk(f._nodes, x, bad, stats)
     out = [vals[p] for p in f._outputs]
     for l, (re, _) in enumerate(out[s:]):
-        bad = _offender(re, abs(re) > tol)
-        if bad is not None:
-            raise EvaluationFailed(
-                "tail component %d evaluated to re part %g, not a zero divisor" % (l, bad)
-            )
+        _check_tail(re, tol, l, bad)
     return [re for re, _ in out[:s]] + [ze for _, ze in out]
 
 
 def eval_expr(e: Expr, x: DualVector, stats: dict | None = None) -> DualNumber:
-    """Evaluate one expression at a point, lowering it on the fly.
+    """Evaluate one expression at a point, as a one-output function.
 
     stats, when given, accumulates 'min_inv_re' (smallest |re| fed to an
     inverse) and 'max_abs' (largest intermediate magnitude) for taming
     sample-based tests.
     """
-    return eval_lowered(lower((e,), x.shape), x, stats)
-
-
-def eval_lowered(lowered, x: DualVector, stats: dict | None = None) -> DualNumber:
-    """The first root of lower's result at x, of the shape it was lowered
-    for: code that evaluates one expression many times lowers it once."""
-    nodes, roots = lowered
-    return DualNumber(*_walk(nodes, x.array.tolist(), stats)[roots[0]])
+    return eval_func(DualFunc(x.shape, (1, 0), (e,)), x, stats=stats).head[0]
 
 
 def eval_func(
@@ -416,7 +433,7 @@ def eval_func(
     components must be zero divisors.  stats: as in eval_expr."""
     if x.shape != f.domain:
         raise ShapeMismatch("point shape %r != domain %r" % (x.shape, f.domain))
-    out = _realified_outputs(f, x.array.tolist(), resolve_tol(tol), stats)
+    out = _realified_outputs(f, x.array.tolist(), resolve_tol(tol), stats=stats)
     return unrealify(out, *f.codomain)
 
 
@@ -446,26 +463,32 @@ def _eval_points(f: DualFunc, points: np.ndarray, label) -> np.ndarray:
     return values
 
 
-def _eval_rows(f: DualFunc, points: np.ndarray) -> tuple[np.ndarray, int, Exception | None]:
-    """f at the rows of points, realified, from one batched walk, up to the
-    first row that cannot be evaluated: the values before that row, its
-    index (len(points) when every row evaluates) and eval_func's exception
-    there, found by replaying the rows one at a time."""
-    if not len(points):  # a constant singular inverse fails no point
-        return np.empty((0, 2 * f.codomain[0] + f.codomain[1])), 0, None
-    try:
-        out = _realified_outputs(f, points.T, resolve_tol(None))
-    except (NotInvertible, EvaluationFailed):
-        for k, x in enumerate(points):
-            try:
-                eval_func(f, unrealify(x, *f.domain))
-            except (NotInvertible, EvaluationFailed) as exc:
-                return _eval_rows(f, points[:k])[0], k, exc
-        raise
+def _eval_batch(f: DualFunc, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f at the rows of points, realified, from one batched walk, and the
+    mask of the rows that cannot be evaluated (their values mean nothing)."""
+    bad = np.zeros(len(points), dtype=bool)
+    out = _realified_outputs(f, points.T, resolve_tol(None), bad)
     values = np.empty((len(points), len(out)))
     for k, column in enumerate(out):
         values[:, k] = column
-    return values, len(points), None
+    return values, bad
+
+
+def _eval_rows(f: DualFunc, points: np.ndarray) -> tuple[np.ndarray, int, Exception | None]:
+    """f at the rows of points, realified, up to the first row that cannot
+    be evaluated: the values before that row, its index (len(points) when
+    every row evaluates) and eval_func's exception there.  A batch row does
+    the same float operations as its point, so only the first marked row
+    is replayed, for its exact exception."""
+    values, bad = _eval_batch(f, points)
+    if not bad.any():
+        return values, len(points), None
+    k = int(np.argmax(bad))
+    try:
+        eval_func(f, unrealify(points[k], *f.domain))
+    except (NotInvertible, EvaluationFailed) as exc:
+        return values[:k], k, exc
+    raise AssertionError("row %d evaluates alone but not in its batch" % k)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -524,12 +547,7 @@ def _jacobian(f: DualFunc, x: list, bad: np.ndarray | None = None) -> np.ndarray
         elif op == "neg":
             v = (-ur, -uz, -dur, -duz)
         elif op == "inv":
-            small = abs(ur) <= tol
-            if bad is not None:
-                bad |= np.ravel(small)
-                ur = np.asarray(ur)  # a constant: divide as numpy does
-            elif small:
-                raise NotInvertible("re part %g is within tolerance of zero" % ur)
+            ur = _inverse_re(ur, tol, bad)
             w = 1.0 / ur
             v = (w, -uz / (ur * ur), -w * w * dur, w * w * (2.0 * w * uz * dur - duz))
         elif op == "sharp":
@@ -547,14 +565,7 @@ def _jacobian(f: DualFunc, x: list, bad: np.ndarray | None = None) -> np.ndarray
         if k < s:
             jac[k] = dre
         else:
-            far = abs(re) > tol
-            if bad is not None:
-                bad |= np.ravel(far)
-            elif far:
-                raise EvaluationFailed(
-                    "tail component %d evaluated to re part %g, not a zero divisor"
-                    % (k - s, re)
-                )
+            _check_tail(re, tol, k - s, bad)
         jac[s + k] = dze
     if bad is not None:
         bad |= ~np.isfinite(jac).all(axis=(0, -1))
@@ -665,13 +676,8 @@ def limit_check(
     fx = _eval_points(f, probes, lambda k: "probe at radius %g" % radii[k // samples])
     steps = probes - base
     rem = fx - fa - (steps[:, None, :] * realify_map(deriv)).sum(axis=2)
-    quot = _norms(rem, f.codomain[0]) / _norms(steps, n)
+    quot = row_norms(rem, f.codomain[0]) / row_norms(steps, n)
     return bool(quot[-samples:].max() <= tol)
-
-
-def _norms(rows: np.ndarray, n: int) -> np.ndarray:
-    # core.vector_norm of realified rows: 2 re**2 + ze**2 per head, r**2 per tail
-    return np.sqrt(2.0 * (rows[:, :n] ** 2).sum(axis=1) + (rows[:, n:] ** 2).sum(axis=1))
 
 
 def forward_derivative(f: DualFunc, a: DualVector) -> ModuleMap:

@@ -31,6 +31,9 @@ from dualmod.core import (
     sharp_action,
 )
 
+# map_from_realified's bound on the forced zero blocks, relative to scale
+BLOCK_ATOL = 1e-8
+
 
 class NotInKer(ValueError):
     """Raised when a tail-slot basis member is not killed by eps."""
@@ -266,10 +269,9 @@ def realify_map(lam: ModuleMap) -> np.ndarray:
     return out
 
 
-def map_from_realified(
-    mat, domain: tuple[int, int], codomain: tuple[int, int], atol: float = 1e-8
-) -> ModuleMap:
-    """Recover blocks from a realified matrix, checking the forced zeros."""
+def map_from_realified(mat, domain: tuple[int, int], codomain: tuple[int, int]) -> ModuleMap:
+    """Recover blocks from a realified matrix, checking that the forced
+    zeros stay within BLOCK_ATOL of the largest entry (or of 1)."""
     n, m = domain
     s, t = codomain
     mat = np.asarray(mat, dtype=float).reshape(2 * s + t, 2 * n + m)
@@ -281,7 +283,7 @@ def map_from_realified(
         mat[0:s, 0:n] - mat[s : 2 * s, n : 2 * n],
     ]
     for block in forced:
-        if block.size and np.abs(block).max() > atol * scale:
+        if block.size and np.abs(block).max() > BLOCK_ATOL * scale:
             raise ValueError("matrix does not commute with eps multiplication")
     return ModuleMap(
         n, m, s, t,

@@ -29,6 +29,7 @@ from dualmod.core import (
     inv,
     mul,
     resolve_tol,
+    row_norms,
     vector_norm,
     with_head_entry,
     with_tail_entry,
@@ -38,15 +39,14 @@ from dualmod.diff import (
     EvaluationFailed,
     Expr,
     _cr_rows,
+    _eval_batch,
     _eval_rows,
-    _walk,
     compose_funcs,
     const,
     coord,
     cr_check,
-    eval_lowered,
+    eval_func,
     inv_expr,
-    lower,
     sharp_expr,
 )
 from dualmod.linalg import realify, unrealify
@@ -241,8 +241,8 @@ class TransitionMap:
     domain: Expr
 
     def __post_init__(self):
-        # lowered once, as DualFunc lowers its components; not a field
-        object.__setattr__(self, "_predicate", lower((self.domain,), self.func.domain))
+        # the predicate as a one-output function, lowered once; not a field
+        object.__setattr__(self, "_predicate", DualFunc(self.func.domain, (1, 0), (self.domain,)))
 
 
 def transition(i: int, j: int, k: int, l: int, n: int, m: int) -> TransitionMap:
@@ -281,28 +281,18 @@ def transition(i: int, j: int, k: int, l: int, n: int, m: int) -> TransitionMap:
 
 
 def in_transition_domain(trans: TransitionMap, u: DualVector, tol=None) -> bool:
-    if u.shape != trans.func.domain:
-        raise ShapeMismatch("point shape %r != domain %r" % (u.shape, trans.func.domain))
     try:
-        return abs(eval_lowered(trans._predicate, u).re) > resolve_tol(tol)
+        return abs(eval_func(trans._predicate, u).array[0]) > resolve_tol(tol)
     except NotInvertible:
         return False
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _re_invertible(predicate, points: np.ndarray, tol: float) -> np.ndarray:
-    """Per realified row of points: does the lowered predicate evaluate
-    there with a re part beyond tol?  A row where the predicate meets a
-    singular inverse is outside; when the batch meets one, its rows are
-    replayed one at a time.  A constant predicate is broadcast."""
-    nodes, roots = predicate
-    try:
-        re = _walk(nodes, points.T)[roots[0]][0]
-    except NotInvertible:
-        if len(points) == 1:
-            return np.zeros(1, dtype=bool)
-        return np.array([_re_invertible(predicate, x[None], tol)[0] for x in points], dtype=bool)
-    return np.broadcast_to(abs(re) > tol, (len(points),))
+def _re_invertible(predicate: DualFunc, points: np.ndarray, tol: float) -> np.ndarray:
+    """Per realified row of points: does the one-output predicate evaluate
+    there with a re part beyond tol?  A row where it meets a singular
+    inverse is outside."""
+    values, bad = _eval_batch(predicate, points)
+    return ~bad & (np.abs(values[:, 0]) > tol)
 
 
 @dataclass(frozen=True)
@@ -356,8 +346,8 @@ class ExprChart:
         shapes = (self.forward.domain, self.forward.codomain)
         if (self.inverse.codomain, self.inverse.domain) != shapes:
             raise ShapeMismatch("chart inverse must map %r -> %r" % shapes[::-1])
-        # lowered once (which checks its slots); not a field
-        object.__setattr__(self, "_predicate", lower((self.domain,), self.forward.domain))
+        # a one-output function, lowered once (which checks its slots); not a field
+        object.__setattr__(self, "_predicate", DualFunc(self.forward.domain, (1, 0), (self.domain,)))
 
     def to_json(self) -> dict:
         return {
@@ -455,8 +445,16 @@ def random_reps(rng, n, m, active=(), count=1, sparsity=0.3) -> np.ndarray:
     All uniforms come from one call, laid out in the order of drawing one
     representative at a time: per head a sign, a magnitude, a zeroing draw
     unless the head is needed, and the ze part; per tail a sign, a
-    magnitude and a zeroing draw unless the tail is needed.
+    magnitude and a zeroing draw unless the tail is needed.  Magnitudes
+    lie in [low, low + 1] with low = 0.5 below a default zero tolerance of
+    0.5 and twice the tolerance from there, so a drawn slot is never zero.
+    A tolerance of 1 or more makes every chart's unit pivot singular and
+    raises ValueError before any draw.
     """
+    tol = resolve_tol(None)
+    if tol >= 1.0:
+        raise ValueError("zero tolerance %g makes the unit chart pivot singular" % tol)
+    low = 0.5 if tol < 0.5 else 2.0 * tol
     need_heads = {i for i, _ in active}
     need_tails = {j for _, j in active}
     lo, hi, signs, zeroing, zeroed, ze = [], [], [], [], [], []
@@ -464,8 +462,8 @@ def random_reps(rng, n, m, active=(), count=1, sparsity=0.3) -> np.ndarray:
         head = slot <= n
         needed = slot in need_heads if head else slot - n - 1 in need_tails
         signs.append(len(lo))
-        lo += [0.0, 0.5]  # sign, then magnitude
-        hi += [1.0, 1.5]
+        lo += [0.0, low]  # sign, then magnitude
+        hi += [1.0, low + 1.0]
         if not needed:
             zeroing.append(len(lo))
             zeroed.append(slot)
@@ -484,7 +482,6 @@ def random_reps(rng, n, m, active=(), count=1, sparsity=0.3) -> np.ndarray:
     # revives head 0 and keeps its ze part
     re[~re.any(axis=1), min(need_heads, default=0)] = 1.0
     tail[~tail.any(axis=1), min(need_tails, default=0)] = 1.0
-    tol = resolve_tol(None)
     if not ((np.abs(re) > tol).any(axis=1) & (np.abs(tail) > tol).any(axis=1)).all():
         raise InvalidRepresentative("representative needs an invertible head and a nonzero tail")
     return np.hstack([re, ze, tail])
@@ -558,8 +555,8 @@ def _openness(ops, rng, c, images, tol):
     probes = np.repeat(images, 6, axis=0) + tol * (dirs / np.linalg.norm(dirs, axis=1, keepdims=True))
     back, stop, exc = ops.round_trip(c, probes)
     n, m = ops.image_shape(c)
-    gap = _norms(back - probes[:stop], n)
-    far = ~np.isfinite(gap) | (gap > 0.05 * tol * (1.0 + _norms(probes[:stop], n)))
+    gap = row_norms(back - probes[:stop], n)
+    far = ~np.isfinite(gap) | (gap > 0.05 * tol * (1.0 + row_norms(probes[:stop], n)))
     if far.any():
         stop = int(np.argmax(far))
         exc = None if np.isfinite(gap[stop]) else "round-trip gap is not finite"
@@ -577,7 +574,7 @@ def _injectivity(ops, c, pts, images):
     """(iii): images may coincide only for the same point.  Pairs go in
     itertools.combinations order; a distance that is not finite fails."""
     a, b = np.triu_indices(len(images), 1)
-    dist = _norms(images[a] - images[b], ops.image_shape(c)[0])
+    dist = row_norms(images[a] - images[b], ops.image_shape(c)[0])
     for k in np.flatnonzero(~np.isfinite(dist) | (dist <= 1e-9)):
         first, second = ops.box(pts[a[k]]), ops.box(pts[b[k]])
         if not np.isfinite(dist[k]):
@@ -622,17 +619,6 @@ def _rewind(rng, state, draw, used):
     its first used rows: restore the state and draw those rows again."""
     rng.bit_generator.state = state
     draw(used)
-
-
-def _norms(rows: np.ndarray, n: int) -> np.ndarray:
-    """core.vector_norm of each realified row with n heads, summed in
-    core.inner's order, so the floats are vector_norm's."""
-    acc = np.zeros(rows.shape[:-1])
-    for k in range(n):
-        acc = acc + (2.0 * rows[..., k] * rows[..., k] + rows[..., n + k] * rows[..., n + k])
-    for k in range(2 * n, rows.shape[-1]):
-        acc = acc + rows[..., k] * rows[..., k]
-    return np.sqrt(acc)
 
 
 class _StandardCharts:

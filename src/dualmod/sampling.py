@@ -21,6 +21,11 @@ from dualmod.diff import (
 )
 from dualmod.linalg import ModuleMap
 
+# tame_case's acceptance rule
+TAME_MARGIN = 0.5
+TAME_CAP = 10.0
+TAME_TRIES = 1000
+
 
 def rng_from(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
@@ -110,24 +115,16 @@ def random_func(rng, domain, codomain, depth) -> DualFunc:
     return DualFunc(domain, codomain, tuple(comps))
 
 
-def tame_case(
-    rng,
-    domain,
-    codomain,
-    depth,
-    margin=0.5,
-    cap=10.0,
-    max_tries=1000,
-    want_jacobian=True,
-):
+def tame_case(rng, domain, codomain, depth):
     """Draw (function, point) pairs until evaluation is well-conditioned.
 
-    Accepts when every inverse sees |re| >= margin and no intermediate
-    exceeds cap in magnitude, and (optionally) a finite-difference Jacobian
-    can be formed.  Degenerate draws are discarded and retried.
+    Accepts when every inverse sees |re| >= TAME_MARGIN, no intermediate
+    exceeds TAME_CAP in magnitude, and a finite-difference Jacobian can be
+    formed.  Degenerate draws are discarded and retried, TAME_TRIES
+    functions at most.
     """
     n, m = domain
-    for _ in range(max_tries):
+    for _ in range(TAME_TRIES):
         f = random_func(rng, domain, codomain, depth)
         for _ in range(8):
             a = random_vector(rng, n, m)
@@ -136,14 +133,13 @@ def tame_case(
                 eval_func(f, a, stats=stats)
             except (NotInvertible, EvaluationFailed):
                 continue
-            if stats.get("min_inv_re", np.inf) < margin:
+            if stats.get("min_inv_re", np.inf) < TAME_MARGIN:
                 continue
-            if stats.get("max_abs", 0.0) > cap:
+            if stats.get("max_abs", 0.0) > TAME_CAP:
                 continue
-            if want_jacobian:
-                try:
-                    numeric_jacobian(f, a)
-                except EvaluationFailed:
-                    continue
+            try:
+                numeric_jacobian(f, a)
+            except EvaluationFailed:
+                continue
             return f, a
     raise RuntimeError("no tame function/point pair found")

@@ -23,6 +23,7 @@ from dualmod.core import (
     ShapeMismatch,
     as_index,
     resolve_tol,
+    row_norms,
 )
 from dualmod.linalg import (
     NotInKer,
@@ -206,9 +207,19 @@ class FormReport:
         }
 
 
-def _sv_kernel_vector(block: np.ndarray) -> list:
-    _, _, vt = np.linalg.svd(block)
-    return [float(x) for x in vt[-1]]
+def _nondegenerate(name: str, block: np.ndarray) -> FormCheck:
+    """A square block is nondegenerate when its size is even and its
+    singular value ratio exceeds SV_RATIO; a failing even block's witness
+    is its last right singular vector.  An empty block passes."""
+    if not len(block):
+        return FormCheck(name, True, None)
+    if len(block) % 2 == 1:
+        return FormCheck(name, False, 0.0, witness=None)
+    sv = np.linalg.svd(block, compute_uv=False)
+    ratio = float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0
+    if ratio > SV_RATIO:
+        return FormCheck(name, True, ratio)
+    return FormCheck(name, False, ratio, [float(x) for x in np.linalg.svd(block)[2][-1]])
 
 
 def check_form(form: GramForm, tol: float | None = None) -> FormReport:
@@ -239,45 +250,8 @@ def check_form(form: GramForm, tol: float | None = None) -> FormReport:
         )
     checks.append(FormCheck("tail_rows_pure", purity <= tol * scale, purity))
 
-    head_block = form.g_re[:n, :n]
-    if n == 0:
-        checks.append(FormCheck("head_block_nondegenerate", True, None))
-    elif n % 2 == 1:
-        checks.append(
-            FormCheck("head_block_nondegenerate", False, 0.0, witness=None)
-        )
-    else:
-        sv = np.linalg.svd(head_block, compute_uv=False)
-        ratio = float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0
-        ok = ratio > SV_RATIO
-        checks.append(
-            FormCheck(
-                "head_block_nondegenerate",
-                ok,
-                ratio,
-                None if ok else _sv_kernel_vector(head_block),
-            )
-        )
-
-    tail_block = form.g_ze[n:, n:]
-    if m == 0:
-        checks.append(FormCheck("kernel_pairing_nondegenerate", True, None))
-    elif m % 2 == 1:
-        checks.append(
-            FormCheck("kernel_pairing_nondegenerate", False, 0.0, witness=None)
-        )
-    else:
-        sv = np.linalg.svd(tail_block, compute_uv=False)
-        ratio = float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0
-        ok = ratio > SV_RATIO
-        checks.append(
-            FormCheck(
-                "kernel_pairing_nondegenerate",
-                ok,
-                ratio,
-                None if ok else _sv_kernel_vector(tail_block),
-            )
-        )
+    checks.append(_nondegenerate("head_block_nondegenerate", form.g_re[:n, :n]))
+    checks.append(_nondegenerate("kernel_pairing_nondegenerate", form.g_ze[n:, n:]))
     return FormReport((n, m), tuple(checks))
 
 
@@ -393,7 +367,7 @@ def darboux_basis(form: GramForm, tol: float | None = None) -> DarbouxBasis:
         return pairs, cands
 
     pairs_head, cands = peel(np.eye(2 * n + m)[re_cols], True)
-    norms = np.sqrt(cands**2 @ np.r_[np.full(n, 2.0), np.ones(n + m)])
+    norms = row_norms(cands, n)
     for residue, norm in zip(np.abs(cands[:, :n]).max(axis=1, initial=0.0), norms):
         if residue > 1e-6 * (1.0 + norm):
             raise NumericalBreakdown(
@@ -444,8 +418,9 @@ def verify_darboux(
     basis: DarbouxBasis, form: GramForm, tol: float = 1e-9
 ) -> DarbouxReport:
     """Check pairings against the reference pattern, independence, and that
-    the pairs span the whole space.  A basis with a non-finite entry fails
-    all three."""
+    the pairs span the whole space.  Independence and span are decided on
+    the members divided by their largest entries, so they do not depend on
+    the form's scale.  A basis with a non-finite entry fails all three."""
     vecs = basis.vectors()
     for v in vecs:
         _check_shape(form, v)
@@ -465,13 +440,16 @@ def verify_darboux(
 
     independent = complete = False
     if finite:
-        s1 = [e for pair in basis.pairs_head for e in pair]
-        s2 = [u for pair in basis.pairs_tail for u in pair]
+        # each member over its largest entry: a nonzero real rescaling
+        # changes neither independence nor span, and the rank tests then
+        # see the directions at unit scale; a zero member stays zero
+        big = np.abs(rows).max(axis=1, initial=0.0)
+        unit = [unrealify(r, n, m) for r in rows / np.where(big > 0.0, big, 1.0)[:, None]]
         try:
-            independent = bool(is_independent(s1, s2, tol=tol))
+            independent = bool(is_independent(unit[:heads], unit[heads:], tol=tol))
         except NotInKer:
             pass
-        complete = extract_basis(vecs).dim == form.shape
+        complete = extract_basis(unit).dim == form.shape
 
     return DarbouxReport(
         bool(pairing_ok and independent and complete), worst, independent, complete

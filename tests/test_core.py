@@ -392,9 +392,7 @@ class TestVectorStorage:
                 assert got.array.tobytes() == np.array(want).tobytes()
 
     def test_inner_keeps_its_summation_order(self):
-        # manifold._norms reproduces vector_norm bit for bit on arrays
-        from dualmod.manifold import _norms
-
+        # core.row_norms reproduces vector_norm bit for bit on arrays
         rng = np.random.default_rng(53)
         for _ in range(200):
             n, m = rng.integers(0, 4, size=2)
@@ -406,7 +404,7 @@ class TestVectorStorage:
             for r in v.tail:
                 acc += r * r
             assert core.inner(v, v) == acc
-            assert core.vector_norm(v) == math.sqrt(acc) == _norms(v.array[None], n)[0]
+            assert core.vector_norm(v) == math.sqrt(acc) == core.row_norms(v.array[None], n)[0]
 
     def test_entry_replacement(self):
         v = core.vector([ONE, EPS], [1.0, 2.0])

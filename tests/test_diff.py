@@ -378,6 +378,49 @@ class TestNodeListEvaluation:
                 )
         assert len(composed._nodes) <= 40
 
+    @pytest.mark.parametrize("kind", ["singular_inverse", "tail_not_zero_divisor"])
+    @pytest.mark.parametrize("bad_rows", [(500,), (500, 700)])
+    def test_batch_replays_only_its_first_bad_row(self, monkeypatch, kind, bad_rows):
+        # a singular inverse reads head 0, the tail's re part is head 1's
+        h0, h1 = head_coord(0), head_coord(1)
+        f = DualFunc((2, 1), (1, 1), (inv_expr(h0) * h1 + h0, tail_coord(0) * h0 + re_part(h1)))
+        rng = np.random.default_rng(61)
+        points = rng.uniform(-1.0, 1.0, size=(1000, 5))
+        points[:, 0] = rng.choice([-1.0, 1.0], size=1000) * rng.uniform(0.5, 1.5, size=1000)
+        points[:, 1] = 0.0
+        col, value = (0, 0.0) if kind == "singular_inverse" else (1, 0.7)
+        points[list(bad_rows), col] = value
+        want, want_stop, want_error = _per_point_rows(f, points)
+        calls = []
+        original = diff.eval_func
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(diff, "eval_func", counting)
+        values, stop, exc = diff._eval_rows(f, points)
+        assert len(calls) == 1
+        assert stop == want_stop == bad_rows[0]
+        assert str(exc) == want_error
+        assert values.tobytes() == np.array(want).tobytes()
+
+    def test_batch_without_bad_rows_replays_nothing(self, monkeypatch):
+        f = DualFunc((1, 0), (1, 0), (inv_expr(head_coord(0) + 3.0),))
+        points = np.random.default_rng(62).uniform(-1.0, 1.0, size=(50, 2))
+        monkeypatch.setattr(diff, "eval_func", None)  # any replay would fail
+        values, stop, exc = diff._eval_rows(f, points)
+        assert (stop, exc) == (50, None)
+        monkeypatch.undo()
+        assert values.tobytes() == np.array(_per_point_rows(f, points)[0]).tobytes()
+
+    def test_constant_singular_inverse_fails_the_first_row(self):
+        f = DualFunc((1, 0), (1, 0), (inv_expr(const(0.0)) + head_coord(0),))
+        for count in (0, 3):
+            values, stop, exc = diff._eval_rows(f, np.ones((count, 2)))
+            assert values.shape == (0, 2) and stop == 0
+            assert (exc is None) == (count == 0)
+
     def test_lowering_marks_dead_values(self):
         x = head_coord(0)
         y = x * x
@@ -385,6 +428,18 @@ class TestNodeListEvaluation:
         assert roots == (2, 1)
         # y stays alive as a root; x dies at y
         assert [freed for *_, freed in nodes] == [(), (0,), ()]
+
+
+def _per_point_rows(f, points):
+    """diff._eval_rows as a loop of eval_func over the rows: the realified
+    values up to the first row that raises, its index and its message."""
+    values = []
+    for k, x in enumerate(points):
+        try:
+            values.append(linalg.realify(diff.eval_func(f, linalg.unrealify(x, *f.domain))))
+        except (NotInvertible, EvaluationFailed) as exc:
+            return values, k, str(exc)
+    return values, len(points), None
 
 
 class TestConstruction:

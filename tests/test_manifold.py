@@ -14,6 +14,7 @@ from dualmod.core import (
     ShapeMismatch,
     inv,
     mul,
+    resolve_tol,
     set_default_tol,
     vector,
     vector_norm,
@@ -43,6 +44,7 @@ from dualmod.manifold import (
     ProjectiveAtlas,
     ProjectivePoint,
     TransitionMap,
+    _re_invertible,
     atlas_from_json,
     canonical_rep,
     chart_inverse,
@@ -292,6 +294,25 @@ class TestTransitions:
         # second head coordinate is a zero divisor: target chart unreachable
         boundary = vector([DualNumber(0.0, 0.5), DualNumber(-2.0, 0.0)], [0.7])
         assert not in_transition_domain(trans, boundary)
+
+    @pytest.mark.parametrize("predicate", ["singular_on_part", "constant", "constant_singular"])
+    def test_batched_domain_test_matches_the_per_point_one(self, predicate):
+        x = coord("head", 0)
+        domain = {
+            # singular where |re x| <= 1, and zero at re x = 1.25
+            "singular_on_part": inv_expr(x * 1e-9) * 1e-9 - 0.8,
+            "constant": const(ONE),
+            "constant_singular": inv_expr(const(0.0)),
+        }[predicate]
+        trans = TransitionMap(identity_func(1, 0), domain)
+        points = np.random.default_rng(63).uniform(-3.0, 3.0, size=(1000, 2))
+        points[:6, 0] = (1.0, -1.0, 1.25, 0.0, 1.0 + 1e-12, -1.25)
+        for tol in (None, 1e-4):
+            got = _re_invertible(trans._predicate, points, resolve_tol(tol))
+            want = [in_transition_domain(trans, unrealify(x, 1, 0), tol) for x in points]
+            assert got.tolist() == want
+        if predicate == "singular_on_part":
+            assert 0 < got.sum() < len(points)
 
     def test_tail_only_space(self):
         # one head direction, two tail directions: transitions are real ratios
@@ -776,6 +797,31 @@ class TestRandomRep:
             p = random_rep(rng, 2, 2, active=((1, 0), (2, 1)))
             assert in_chart(1, 0, p)
             assert in_chart(2, 1, p)
+
+    @pytest.mark.parametrize("tol", [0.6, 0.9, 0.99])
+    def test_zero_tolerance_below_one_gives_a_report(self, tol):
+        set_default_tol(tol)
+        try:
+            rows = random_reps(np.random.default_rng(5), 2, 2, ((1, 0), (2, 2)), count=200)
+            assert (np.abs(rows[:, [1, 2]]) > tol).all() and (np.abs(rows[:, [6, 8]]) > tol).all()
+            for seed in range(3):
+                report = verify_atlas(ProjectiveAtlas(2, 2), samples=40, seed=seed)
+                assert len(report.entries) == 2 * 9 + 81
+        finally:
+            set_default_tol(DEFAULT_TOL)
+
+    def test_zero_tolerance_of_one_is_refused_before_drawing(self):
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        set_default_tol(1.0)
+        try:
+            with pytest.raises(ValueError, match="unit chart pivot"):
+                random_reps(rng, 1, 1, count=5)
+            with pytest.raises(ValueError, match="unit chart pivot"):
+                verify_atlas(ProjectiveAtlas(1, 1), samples=5)
+        finally:
+            set_default_tol(DEFAULT_TOL)
+        assert rng.bit_generator.state == state
 
     def test_every_point_lies_in_some_chart(self):
         rng = np.random.default_rng(32)

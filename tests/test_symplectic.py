@@ -345,6 +345,27 @@ class TestDarboux:
             report = verify_darboux(basis, form)
             assert report.passed, report.to_json()
 
+    @pytest.mark.parametrize("shape", [(1, 0), (1, 1), (2, 1), (0, 2), (3, 2)])
+    def test_scaled_forms_round_trip(self, shape):
+        # scaling by a power of two is exact, so the scaled form is valid
+        # and its pair basis must verify at any scale
+        n, m = shape
+        for seed in range(3):
+            form = random_form(n, m, seed=seed)
+            for k in (30, 40, 330):
+                big = GramForm(form.n, form.m, form.g_re * 2.0**k, form.g_ze * 2.0**k)
+                assert check_form(big).passed
+                report = verify_darboux(darboux_basis(big), big)
+                assert report.passed, (seed, k, report.to_json())
+
+    def test_zero_member_stays_dependent(self):
+        form = standard_form(1, 1)
+        basis = darboux_basis(form)
+        (e, _), pair = basis.pairs_head[0], basis.pairs_tail[0]
+        zero = vector([ZERO, ZERO], [0.0, 0.0])
+        report = verify_darboux(DarbouxBasis(((e, zero),), (pair,)), form)
+        assert not report.independent and not report.complete
+
     def test_dead_head_block_breaks(self):
         form = standard_form(1, 1)
         broken = GramForm(2, 2, np.zeros((4, 4)), form.g_ze)
