@@ -416,6 +416,13 @@ def _realified_outputs(
     return [re for re, _ in out[:s]] + [ze for _, ze in out]
 
 
+def _point(f: DualFunc, a: DualVector) -> list:
+    """a's realified coordinates as floats, once its shape is f's domain."""
+    if a.shape != f.domain:
+        raise ShapeMismatch("point shape %r != domain %r" % (a.shape, f.domain))
+    return a.array.tolist()
+
+
 def eval_expr(e: Expr, x: DualVector, stats: dict | None = None) -> DualNumber:
     """Evaluate one expression at a point, as a one-output function.
 
@@ -431,9 +438,7 @@ def eval_func(
 ) -> DualVector:
     """Evaluate all components in one walk of f's node list; tail
     components must be zero divisors.  stats: as in eval_expr."""
-    if x.shape != f.domain:
-        raise ShapeMismatch("point shape %r != domain %r" % (x.shape, f.domain))
-    out = _realified_outputs(f, x.array.tolist(), resolve_tol(tol), stats=stats)
+    out = _realified_outputs(f, _point(f, x), resolve_tol(tol), stats=stats)
     return unrealify(out, *f.codomain)
 
 
@@ -463,6 +468,7 @@ def _eval_points(f: DualFunc, points: np.ndarray, label) -> np.ndarray:
     return values
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _eval_batch(f: DualFunc, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """f at the rows of points, realified, from one batched walk, and the
     mask of the rows that cannot be evaluated (their values mean nothing)."""
@@ -504,9 +510,7 @@ def realified_jacobian(f: DualFunc, a: DualVector) -> np.ndarray:
     where a tail output is not a zero divisor.  Overflow in the pass is
     silent; a Jacobian that is not finite raises EvaluationFailed.
     """
-    if a.shape != f.domain:
-        raise ShapeMismatch("point shape %r != domain %r" % (a.shape, f.domain))
-    return _jacobian(f, a.array.tolist())
+    return _jacobian(f, _point(f, a))
 
 
 def _jacobian(f: DualFunc, x: list, bad: np.ndarray | None = None) -> np.ndarray:
@@ -601,12 +605,10 @@ def cr_check(f: DualFunc, a: DualVector, tol: float = CR_DEFAULT_TOL) -> CrRepor
     assemble the derivative map.  Raises EvaluationFailed when f cannot be
     evaluated at a, or its Jacobian or a residual there is not finite.
     """
-    if a.shape != f.domain:
-        raise ShapeMismatch("point shape %r != domain %r" % (a.shape, f.domain))
     n, m = f.domain
     s, t = f.codomain
     try:
-        jac = _jacobian(f, a.array.tolist())
+        jac = _jacobian(f, _point(f, a))
     except NotInvertible as exc:
         raise EvaluationFailed("cannot differentiate at the point: %s" % exc) from exc
     values = [float(r) for r in _residuals(jac, n, s)]
@@ -629,16 +631,20 @@ def cr_check(f: DualFunc, a: DualVector, tol: float = CR_DEFAULT_TOL) -> CrRepor
     return CrReport(point=a, passed=passed, residuals=residuals, derivative=deriv)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _cr_rows(f: DualFunc, points: np.ndarray, tol: float) -> np.ndarray:
-    """Per row of the realified points: does cr_check pass there?  False
-    where it fails or would raise.  One batched pass; no ModuleMap."""
+@np.errstate(over="ignore", invalid="ignore")
+def _cr_rows(f: DualFunc, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cr_check at each row of the realified points, in one batched pass:
+    the (S, 4) array of its residuals per row (_RESIDUAL_KEYS order) and the
+    mask of the rows where it would raise, a residual that is not finite
+    included.  An unmarked row's residuals equal cr_check's bit for bit; a
+    caller replays a marked row through cr_check for its message."""
     bad = np.zeros(len(points), dtype=bool)
     jac = _jacobian(f, list(points.T[:, :, None]), bad)
-    ok = ~bad
-    for r in _residuals(jac, f.domain[0], f.codomain[0]):
-        ok &= r <= tol
-    return ok
+    residuals = np.empty((len(points), len(_RESIDUAL_KEYS)))
+    for k, r in enumerate(_residuals(jac, f.domain[0], f.codomain[0])):
+        residuals[:, k] = r
+    bad |= ~np.isfinite(residuals).all(axis=1)
+    return residuals, bad
 
 
 def limit_check(
@@ -690,11 +696,9 @@ def forward_derivative(f: DualFunc, a: DualVector) -> ModuleMap:
     Projections (re_part/ze_part, component coords) are rejected: they are
     not differentiable in the dual sense and would give a wrong map.
     """
-    if a.shape != f.domain:
-        raise ShapeMismatch("point shape %r != domain %r" % (a.shape, f.domain))
+    x = _point(f, a)
     n, m = f.domain
     s, t = f.codomain
-    x = a.array.tolist()
     tol = resolve_tol(None)
     zero = [(0.0, 0.0)] * (n + m)
     seed = [list(zero) for _ in range(n + m)]  # head slot: tangent 1, tail slot: eps

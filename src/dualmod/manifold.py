@@ -594,7 +594,8 @@ def _smoothness(ops, rng, c1, c2, samples, tol):
     pts = ops.overlap(c1, c2, samples)
     images, stop, error = _images(ops, c1, pts)
     inside = np.flatnonzero(_re_invertible(trans._predicate, images, resolve_tol(None)))
-    failed = inside[~_cr_rows(trans.func, images[inside], tol)]
+    residuals, bad = _cr_rows(trans.func, images[inside])
+    failed = inside[bad | (residuals > tol).any(axis=1)]
     checked = len(inside)
     if failed.size:
         stop = int(failed[0])

@@ -15,7 +15,6 @@ from dualmod.diff import (
     eval_func,
     head_coord,
     inv_expr,
-    numeric_jacobian,
     sharp_expr,
     tail_coord,
 )
@@ -118,10 +117,11 @@ def random_func(rng, domain, codomain, depth) -> DualFunc:
 def tame_case(rng, domain, codomain, depth):
     """Draw (function, point) pairs until evaluation is well-conditioned.
 
-    Accepts when every inverse sees |re| >= TAME_MARGIN, no intermediate
-    exceeds TAME_CAP in magnitude, and a finite-difference Jacobian can be
-    formed.  Degenerate draws are discarded and retried, TAME_TRIES
-    functions at most.
+    Accepts when the function evaluates at the point, every inverse sees
+    |re| >= TAME_MARGIN and no intermediate exceeds TAME_CAP in magnitude;
+    these bounds keep the exact Jacobian finite, so no derivative is formed
+    here.  Degenerate draws are discarded and retried, TAME_TRIES functions
+    at most.
     """
     n, m = domain
     for _ in range(TAME_TRIES):
@@ -136,10 +136,6 @@ def tame_case(rng, domain, codomain, depth):
             if stats.get("min_inv_re", np.inf) < TAME_MARGIN:
                 continue
             if stats.get("max_abs", 0.0) > TAME_CAP:
-                continue
-            try:
-                numeric_jacobian(f, a)
-            except EvaluationFailed:
                 continue
             return f, a
     raise RuntimeError("no tame function/point pair found")

@@ -6,10 +6,10 @@ import pytest
 
 import dualmod.core as core
 import dualmod.linalg as linalg
-from dualmod import cli
+from dualmod import cli, diff, sampling
 from dualmod.cli import main
 from dualmod.core import DualNumber, basis_vector, sharp_action, vector
-from dualmod.diff import DualFunc, const, coord, re_part
+from dualmod.diff import DualFunc, const, coord, inv_expr, re_part, sharp_expr
 from dualmod.linalg import ModuleMap
 from dualmod.manifold import ProjectiveAtlas
 from dualmod.symplectic import standard_form
@@ -328,6 +328,62 @@ class TestDiffcheck:
         code, _, err = run(capsys, ["diffcheck", "--input", path])
         assert code == 2
         assert "DUALMOD_TOL" in err
+
+
+    def test_no_points_exits_one(self, tmp_path, capsys):
+        func = DualFunc((1, 1), (1, 0), (coord("head", 0),))
+        path = write_json(tmp_path / "f.json", {"function": func.to_json(), "points": []})
+        code, out, err = run(capsys, ["diffcheck", "--input", path])
+        assert (code, err) == (1, "")
+        report = strict_json(out)
+        assert report["checked"] == 0 and report["entries"] == []
+        assert report["all_passed"] is False and report["points_supplied"] is True
+
+    def test_misshapen_point_exits_two(self, tmp_path, capsys):
+        func = DualFunc((1, 0), (1, 0), (coord("head", 0),))
+        points = [vector([DualNumber(0.5, 0.0)], []), vector([DualNumber(0.5, 0.0)], [1.0])]
+        doc = {"function": func.to_json(), "points": [p.to_json() for p in points]}
+        code, out, err = run(capsys, ["diffcheck", "--input", write_json(tmp_path / "f.json", doc)])
+        assert (code, out) == (2, "")
+        assert "point shape (1, 1) does not match domain (1, 0)" in err
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sampled_points_are_the_first_that_evaluate(self, tmp_path, capsys, seed):
+        # a zero tolerance of 0.3 makes about two draws in three singular
+        x, y = coord("head", 0), coord("head", 1)
+        comps = (inv_expr(x), inv_expr(x + y) * y, sharp_expr(inv_expr(y)) + coord("tail", 0))
+        func = DualFunc((2, 1), (2, 1), comps)
+        path = write_json(tmp_path / "f.json", {"function": func.to_json()})
+        core.set_default_tol(0.3)
+        try:
+            code, out, _ = run(capsys, ["diffcheck", "--input", path, "--samples", "7", "--seed", str(seed)])
+            rng, want = sampling.rng_from(seed), []
+            while len(want) < 7:
+                point = sampling.random_vector(rng, 2, 1)
+                try:
+                    diff.eval_func(func, point)
+                except (core.NotInvertible, diff.EvaluationFailed):
+                    continue
+                want.append(point.to_json())
+        finally:
+            core.set_default_tol(core.DEFAULT_TOL)
+        assert code in (0, 1)
+        assert [e["point"] for e in strict_json(out)["entries"]] == want
+
+    def test_failing_everywhere_draws_fifty_chunks(self, tmp_path, capsys, monkeypatch):
+        # the tail output x is a zero divisor only where re x is 0
+        func = DualFunc((1, 0), (0, 1), (coord("head", 0),))
+        path = write_json(tmp_path / "f.json", {"function": func.to_json()})
+        rows, screen = [], diff._eval_batch
+
+        def counting(f, points):
+            rows.append(len(points))
+            return screen(f, points)
+
+        monkeypatch.setattr(diff, "_eval_batch", counting)
+        code, out, _ = run(capsys, ["diffcheck", "--input", path, "--samples", "4"])
+        assert code == 1 and strict_json(out)["checked"] == 0
+        assert rows == [4] * 50
 
 
 class TestAtlas:

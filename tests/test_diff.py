@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import time
 
 import numpy as np
@@ -440,6 +442,124 @@ def _per_point_rows(f, points):
         except (NotInvertible, EvaluationFailed) as exc:
             return values, k, str(exc)
     return values, len(points), None
+
+
+def _block_rows(f, points):
+    """diff._cr_rows as a loop of cr_check over the rows: the residuals in
+    _RESIDUAL_KEYS order, or None where cr_check raises."""
+    rows = []
+    for x in points:
+        try:
+            report = diff.cr_check(f, linalg.unrealify(x, *f.domain))
+        except EvaluationFailed:
+            rows.append(None)
+            continue
+        rows.append(np.array([report.residuals[k] for k in diff._RESIDUAL_KEYS]))
+    return rows
+
+
+def _assert_block_rows(f, points):
+    """_cr_rows equals cr_check row by row, bit for bit; the mask of the
+    rows where cr_check raises."""
+    residuals, bad = diff._cr_rows(f, points)
+    assert residuals.shape == (len(points), 4) and bad.shape == (len(points),)
+    for k, want in enumerate(_block_rows(f, points)):
+        assert bad[k] == (want is None), k
+        if want is not None:
+            assert residuals[k].tobytes() == want.tobytes(), k
+    return bad
+
+
+class TestBatchedBlockTest:
+    def test_smooth_tame_functions(self):
+        rng = np.random.default_rng(71)
+        for _ in range(12):
+            f, a = sampling.tame_case(rng, (2, 1), (2, 1), depth=3)
+            points = np.vstack([linalg.realify(a), rng.uniform(-1.0, 1.0, size=(30, 5))])
+            _assert_block_rows(f, points)
+
+    @pytest.mark.parametrize("project", [re_part, ze_part])
+    def test_projection_controls(self, project):
+        x = head_coord(0)
+        f = DualFunc((2, 1), (1, 1), (x * x + 0.7 * project(head_coord(1)), sharp_expr(x)))
+        points = np.random.default_rng(72).uniform(-1.0, 1.0, size=(40, 5))
+        assert not _assert_block_rows(f, points).any()
+        residuals, _ = diff._cr_rows(f, points)
+        assert (residuals.max(axis=1) > 0.5).all()
+
+    def test_singular_inverses(self):
+        f = DualFunc((1, 1), (1, 0), (inv_expr(head_coord(0)) * tail_coord(0),))
+        points = np.random.default_rng(73).uniform(-1.0, 1.0, size=(20, 3))
+        points[[2, 7, 8], 0] = (0.0, 1e-10, -1e-9)
+        assert list(np.flatnonzero(_assert_block_rows(f, points))) == [2, 7, 8]
+        constant = DualFunc((1, 0), (1, 0), (inv_expr(const(0.0)) + head_coord(0),))
+        assert _assert_block_rows(constant, np.ones((3, 2))).all()
+
+    def test_tails_that_are_not_zero_divisors(self):
+        f = DualFunc((1, 0), (1, 1), (head_coord(0), head_coord(0) * EPS + 0.0 * head_coord(0)))
+        g = DualFunc((1, 0), (0, 1), (head_coord(0),))
+        points = np.random.default_rng(74).uniform(-1.0, 1.0, size=(20, 2))
+        points[[0, 5], 0] = (0.0, 1e-10)
+        assert not _assert_block_rows(f, points).any()
+        assert list(np.flatnonzero(~_assert_block_rows(g, points))) == [0, 5]
+
+    def test_overflowing_points(self):
+        x = head_coord(0)
+        cube = DualFunc((2, 0), (1, 0), (x * x * x,))
+        points = np.array([[1e200, 0.0, 0.0, 0.0], [0.5, 0.0, 0.1, 2.0]])
+        assert list(_assert_block_rows(cube, points)) == [True, False]
+        # a finite Jacobian whose ze_match residual overflows
+        c = const(1e308)
+        residual = DualFunc((1, 0), (1, 0), (c * re_part(x) - c * (x - re_part(x)),))
+        assert list(_assert_block_rows(residual, np.array([[0.5, 0.1]]))) == [True]
+
+    def test_empty_batch(self):
+        for f in (square_func(), DualFunc((1, 1), (0, 1), (tail_coord(0),))):
+            residuals, bad = diff._cr_rows(f, np.empty((0, 2 * f.domain[0] + f.domain[1])))
+            assert residuals.shape == (0, 4) and bad.shape == (0,)
+
+    def test_smallest_default_tolerance_keeps_rows_equal_to_points(self):
+        f = DualFunc((1, 0), (1, 0), (inv_expr(head_coord(0)),))
+        try:
+            for tol in (1e-200, np.nextafter(2.0**-537, 0.0), float("nan")):
+                with pytest.raises(ValueError):
+                    core.set_default_tol(tol)
+            core.set_default_tol(2.0**-537)
+            for re in (1e-170, 2.0**-537, np.nextafter(2.0**-537, 1.0), 1e-160, 1e-150):
+                row = np.array([[re, 1.0]])
+                values, bad = diff._eval_batch(f, row)
+                a = linalg.unrealify(row[0], 1, 0)
+                try:
+                    want = linalg.realify(diff.eval_func(f, a))
+                except NotInvertible:
+                    assert bad[0], re
+                    with pytest.raises(NotInvertible):
+                        diff.forward_derivative(f, a)
+                    with pytest.raises(NotInvertible):
+                        diff.realified_jacobian(f, a)
+                else:
+                    assert not bad[0] and values[0].tobytes() == want.tobytes(), re
+                _assert_block_rows(f, row)
+        finally:
+            core.set_default_tol(core.DEFAULT_TOL)
+
+
+def _names(path):
+    """Every name a module's code uses: names, attributes, imports and
+    definitions (docstrings and comments do not count)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias, ast.FunctionDef)):
+            names.add(getattr(node, "id", None) or getattr(node, "attr", None) or node.name)
+    return names
+
+
+def test_finite_differences_stay_out_of_production_paths():
+    """numeric_jacobian is an oracle: only diff (which defines it), the
+    selftest and the package's exports may use it."""
+    root = pathlib.Path(diff.__file__).parent
+    users = {p.stem for p in root.rglob("*.py") if "numeric_jacobian" in _names(p)}
+    assert "diff" in users and users <= {"__init__", "diff", "selftest"}
 
 
 class TestConstruction:
