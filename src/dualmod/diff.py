@@ -455,17 +455,10 @@ def numeric_jacobian(f: DualFunc, a: DualVector, h: float = FD_DEFAULT_STEP) -> 
     probes = np.repeat(base[None, :], 2 * base.size, axis=0)
     probes[2 * cols, cols] += steps
     probes[2 * cols + 1, cols] -= steps
-    fx = _eval_points(f, probes, lambda k: "jacobian probe")
-    return ((fx[0::2] - fx[1::2]) / (2.0 * steps[:, None])).T
-
-
-def _eval_points(f: DualFunc, points: np.ndarray, label) -> np.ndarray:
-    """f at each row of points, realified; the first point that cannot be
-    evaluated raises EvaluationFailed, named by label(k)."""
-    values, k, exc = _eval_rows(f, points)
+    fx, _, exc = _eval_rows(f, probes)
     if exc is not None:
-        raise EvaluationFailed("%s failed: %s" % (label(k), exc))
-    return values
+        raise EvaluationFailed("jacobian probe failed: %s" % exc)
+    return ((fx[0::2] - fx[1::2]) / (2.0 * steps[:, None])).T
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -572,7 +565,7 @@ def _jacobian(f: DualFunc, x: list, bad: np.ndarray | None = None) -> np.ndarray
             _check_tail(re, tol, k - s, bad)
         jac[s + k] = dze
     if bad is not None:
-        bad |= ~np.isfinite(jac).all(axis=(0, -1))
+        bad |= ~np.isfinite(jac).all(axis=0).all(axis=-1)  # output axis first: contiguous
     elif not np.isfinite(jac).all():
         raise EvaluationFailed("the Jacobian at the point is not finite")
     return jac
@@ -583,15 +576,17 @@ _RESIDUAL_KEYS = ("head_re_dze", "ze_match", "head_re_dtail", "tail_dze")
 
 def _residuals(jac: np.ndarray, n: int, s: int) -> list:
     """cr_check's four block residuals (largest absolute entry, 0.0 for an
-    empty block) of a Jacobian, or per point of a batch of Jacobians."""
-    axis = None if jac.ndim == 2 else (0, 2)
+    empty block) of a Jacobian, or per point of a batch, whose output axis
+    goes first: the contiguous pass, and a maximum ignores the order."""
     blocks = (
         jac[0:s, ..., n : 2 * n],
         jac[0:s, ..., 0:n] - jac[s : 2 * s, ..., n : 2 * n],
         jac[0:s, ..., 2 * n :],
         jac[2 * s :, ..., n : 2 * n],
     )
-    return [np.abs(b).max(axis=axis) if b.size else 0.0 for b in blocks]
+    if jac.ndim == 2:
+        return [np.abs(b).max() if b.size else 0.0 for b in blocks]
+    return [np.abs(b).max(axis=0).max(axis=-1) if b.size else 0.0 for b in blocks]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -661,10 +656,11 @@ def limit_check(
 
     Samples random directions at radius, radius/2, ..., and requires the
     worst quotient |f(x) - f(a) - deriv(x - a)| / |x - a| at the smallest
-    radius to be at most tol.  All levels x samples probes go through one
-    batched walk of f's node list, and the quotients are taken on realified
-    coordinates.  A failing probe raises EvaluationFailed naming the first
-    failure in (level, direction) order.
+    radius to be at most tol.  The base point and all levels x samples
+    probes go through one batched walk of f's node list, and the quotients
+    are taken on realified coordinates.  A base point or probe that cannot
+    be evaluated raises EvaluationFailed, naming the first failure in
+    (base, level, direction) order.
     """
     if samples < 1 or levels < 1:
         raise ValueError("limit_check needs at least one sample and one level")
@@ -672,14 +668,14 @@ def limit_check(
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(samples, 2 * n + m))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    base = realify(a)
-    try:
-        fa = realify(eval_func(f, a))
-    except (NotInvertible, EvaluationFailed) as exc:
-        raise EvaluationFailed("cannot evaluate at the base point: %s" % exc)
+    base = _point(f, a)
     radii = radius / 2.0 ** np.arange(levels)
     probes = (base + radii[:, None, None] * dirs).reshape(-1, 2 * n + m)
-    fx = _eval_points(f, probes, lambda k: "probe at radius %g" % radii[k // samples])
+    fx, k, exc = _eval_rows(f, np.vstack([base, probes]))
+    if exc is not None:
+        where = "cannot evaluate at the base point" if k == 0 else "probe at radius %g failed" % radii[(k - 1) // samples]
+        raise EvaluationFailed("%s: %s" % (where, exc))
+    fa, fx = fx[0], fx[1:]
     steps = probes - base
     rem = fx - fa - (steps[:, None, :] * realify_map(deriv)).sum(axis=2)
     quot = row_norms(rem, f.codomain[0]) / row_norms(steps, n)
@@ -694,7 +690,9 @@ def forward_derivative(f: DualFunc, a: DualVector) -> ModuleMap:
     eps (the tail coordinate enters the algebra as r*eps).  The rules are
     written apart from realified_jacobian's, so each checks the other.
     Projections (re_part/ze_part, component coords) are rejected: they are
-    not differentiable in the dual sense and would give a wrong map.
+    not differentiable in the dual sense and would give a wrong map.  As
+    realified_jacobian, raises NotInvertible at a singular inverse, and
+    EvaluationFailed where a tangent is not finite.
     """
     x = _point(f, a)
     n, m = f.domain
@@ -745,6 +743,8 @@ def forward_derivative(f: DualFunc, a: DualVector) -> ModuleMap:
         for k in freed:
             vals[k] = None
     d = np.array([vals[p][2] for p in f._outputs]).reshape(s + t, n + m, 2)
+    if not np.isfinite(d).all():
+        raise EvaluationFailed("the derivative at the point is not finite")
     dre, dze = d[..., 0], d[..., 1]
     return ModuleMap(n, m, s, t, dre[:s, :n], dze[:s, :n], dze[:s, n:], dze[s:, :n], dze[s:, n:])
 

@@ -10,11 +10,16 @@ smoothness checking.
 verify_atlas samples points and checks that chart images are open (probe
 balls stay inside the image), that charts are injective on samples, and
 that every transition passes the derivative block test.  Each check runs
-as arrays over its sample points, on realified rows.
+as arrays over its sample points, on realified rows.  Up to a permutation
+of slots, a standard transition (i, j) -> (k, l) has one of four shapes
+(i = k or not, j = l or not), so the transition test runs on four cached
+templates per (n, m), with the pairs of a shape stacked into shared
+batches.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -135,19 +140,11 @@ def equivalent(x, y, tol: float | None = None) -> bool:
 
 
 def _argmax_head_re(x: DualVector) -> int:
-    best, best_mag = 0, -1.0
-    for a, h in enumerate(x.head):
-        if abs(h.re) > best_mag:
-            best, best_mag = a, abs(h.re)
-    return best
+    return int(np.argmax(np.abs(x.array[: x.n])))  # the first largest
 
 
 def _argmax_tail(x: DualVector) -> int:
-    best, best_mag = 0, -1.0
-    for b, r in enumerate(x.tail):
-        if abs(r) > best_mag:
-            best, best_mag = b, abs(r)
-    return best
+    return int(np.argmax(np.abs(x.array[2 * x.n :])))
 
 
 def canonical_rep(x, tol: float | None = None) -> DualVector:
@@ -278,6 +275,13 @@ def transition(i: int, j: int, k: int, l: int, n: int, m: int) -> TransitionMap:
     func = DualFunc((n, m), (n, m), tuple(comps))
     predicate = Expr("mul", (heads[k], coeffs[l]))
     return TransitionMap(func, predicate)
+
+
+@functools.lru_cache(maxsize=128)
+def _template(n: int, m: int, same_head: bool, same_tail: bool) -> TransitionMap:
+    """Up to a permutation of slots, the transition of every standard chart
+    pair (i, j) -> (k, l) with i = k or not and j = l or not as given."""
+    return transition(0, 0, int(not same_head), int(not same_tail), n, m)
 
 
 def in_transition_domain(trans: TransitionMap, u: DualVector, tol=None) -> bool:
@@ -473,7 +477,8 @@ def random_reps(rng, n, m, active=(), count=1, sparsity=0.3) -> np.ndarray:
             ze.append(len(lo))
             lo.append(-1.0)
             hi.append(1.0)
-    u = rng.uniform(lo, hi, size=(max(count, 0), len(lo)))
+    # rng.uniform(lo, hi, size) bit for bit, without its broadcasting loop
+    u = lo + np.subtract(hi, lo) * rng.random((max(count, 0), len(lo)))
     signs = np.array(signs, dtype=int)
     values = np.where(u[:, signs] < 0.5, 1.0, -1.0) * u[:, signs + 1]
     values[:, zeroed] = np.where(u[:, zeroing] < sparsity, 0.0, values[:, zeroed])
@@ -512,18 +517,14 @@ def verify_atlas(atlas, samples: int = 50, tol: float = 1e-4, seed: int = 0) -> 
     entries = []
     for c in ops.charts:
         pts = ops.sample((c,), min(samples, 25))
-        images, stop, error = _images(ops, c, pts)
-        witness, probes = None, 0
-        if error is not None:
-            witness = {"point": ops.box(pts[stop]).to_json(), "error": error}
-        elif len(images):
+        images, _, witness = _images(ops, c, pts)
+        probes = 0
+        if witness is None and len(images):
             witness, probes = _openness(ops, rng, c, images[:12], tol)
         entries.append(_entry("ii", (c,), witness, probes, "chart domain"))
         witness = _injectivity(ops, c, pts, images)
         entries.append(_entry("iii", (c,), witness, len(images), "chart domain"))
-    for c1, c2 in itertools.product(ops.charts, repeat=2):
-        witness, checked = _smoothness(ops, rng, c1, c2, samples, tol)
-        entries.append(_entry("iv", (c1, c2), witness, checked, "transition domain"))
+    entries += _smoothness(ops, rng, samples, tol)
     return AtlasReport(tuple(entries))
 
 
@@ -535,14 +536,14 @@ def _entry(axiom, pair, witness, checked, where) -> AtlasCheck:
 
 def _images(ops, c, pts):
     """Chart c at the sample rows up to the first that fails: the images,
-    the index of that row (len(pts) when none fails) and its error.  An
-    image that is not finite fails."""
+    the index of that row (len(pts) when none fails) and the witness of its
+    error.  An image that is not finite fails."""
     images, stop, exc = ops.forward(c, pts)
     finite = np.isfinite(images).all(axis=1)
     if not finite.all():
         stop = int(np.argmin(finite))
         images, exc = images[:stop], "chart image is not finite"
-    return images, stop, None if exc is None else str(exc)
+    return images, stop, None if exc is None else {"point": ops.box(pts[stop]).to_json(), "error": str(exc)}
 
 
 def _openness(ops, rng, c, images, tol):
@@ -584,35 +585,87 @@ def _injectivity(ops, c, pts, images):
     return None
 
 
-def _smoothness(ops, rng, c1, c2, samples, tol):
-    """(iv): the derivative block test on the transition from c1 to c2 at
-    the overlap samples inside its domain, all in one batch.  The witness
-    comes from cr_check at the first failing point, and the count is of
-    the points checked up to it."""
-    trans = ops.transition(c1, c2)
-    state = rng.bit_generator.state
-    pts = ops.overlap(c1, c2, samples)
-    images, stop, error = _images(ops, c1, pts)
-    inside = np.flatnonzero(_re_invertible(trans._predicate, images, resolve_tol(None)))
-    residuals, bad = _cr_rows(trans.func, images[inside])
-    failed = inside[bad | (residuals > tol).any(axis=1)]
-    checked = len(inside)
-    if failed.size:
-        stop = int(failed[0])
-        checked = int(np.searchsorted(inside, stop)) + 1
-        u = unrealify(images[stop], *ops.image_shape(c1))
-        try:
-            witness = {"point": u.to_json(), "residuals": cr_check(trans.func, u, tol=tol).residuals}
-        except (NotInvertible, EvaluationFailed) as exc:
-            witness = {"point": ops.box(pts[stop]).to_json(), "error": str(exc)}
-    elif error is not None:
-        witness = {"point": ops.box(pts[stop]).to_json(), "error": error}
-    else:
-        return None, checked
-    if ops.lazy_overlap and stop + 1 < len(pts):
-        # the overlap points were drawn one at a time, up to the failure
-        _rewind(rng, state, lambda used: ops.overlap(c1, c2, used), stop + 1)
-    return witness, checked
+def _smoothness(ops, rng, samples, tol) -> list:
+    """(iv), the derivative block test on each transition at the overlap
+    samples inside its domain: one entry per ordered chart pair, in
+    itertools.product order.
+
+    Windows of at most _WINDOW_CELLS Jacobian entries, or of one pair, draw
+    their points in order and stack chart images per source chart and the
+    domain and block tests per template.  At the first failing pair, the
+    entries before it stand, its witness comes from cr_check on its own
+    transition, the generator is left as that failure leaves it, and the
+    next window starts after it with one pair, then doubles."""
+    pairs = list(itertools.product(ops.charts, repeat=2))
+    entries, limit = [], len(pairs)
+    while len(entries) < len(pairs):
+        window, cells, states, pts = [], 0, [rng.bit_generator.state], []
+        for c1, c2 in pairs[len(entries) : len(entries) + limit]:
+            (n, m), (s, t) = ops.image_shape(c1), ops.image_shape(c2)
+            cells += max(samples, 1) * (2 * n + m) * (2 * s + t)
+            if window and cells > _WINDOW_CELLS:
+                break
+            window.append((c1, c2))
+            pts.append(ops.overlap(c1, c2, samples))
+            states.append(rng.bit_generator.state)
+        for p, (witness, checked, stop) in enumerate(_window_verdicts(ops, window, pts, tol)):
+            entries.append(_entry("iv", window[p], witness, checked, "transition domain"))
+            if witness is None:
+                continue
+            if ops.lazy_overlap and stop + 1 < len(pts[p]):
+                # the overlap points were drawn one at a time, up to the failure
+                _rewind(rng, states[p], lambda used: ops.overlap(*window[p], used), stop + 1)
+            else:
+                rng.bit_generator.state = states[p + 1]
+            # the pairs drawn past a failure are drawn again: small windows
+            # keep that waste below the work of the pairs checked
+            limit = 1
+            break
+        else:
+            limit *= 2
+    return entries
+
+
+def _window_verdicts(ops, window, pts, tol):
+    """(witness, checked, stop) of (iv) for each pair of a window in turn,
+    with pts its overlap points: the points checked up to the first failing
+    one, at stop.  A verdict after one with a witness means nothing."""
+    images = []  # per pair: its chart images up to stop, stop and the witness there
+    for c1, group in itertools.groupby(range(len(window)), key=lambda p: window[p][0]):
+        sizes = [len(pts[p]) for p in group]  # consecutive pairs, from len(images) on
+        rows, stop, witness = _images(ops, c1, np.vstack(pts[len(images) : len(images) + len(sizes)]))
+        for start, size in zip(np.cumsum([0] + sizes), sizes):
+            k = min(max(stop - start, 0), size)  # past the failing row: after a failing pair
+            images.append((rows[start : start + k], k, witness if stop < start + size else None))
+    stacks, flags = {}, [None] * len(window)  # per pair: inside the domain, failing
+    for p, pair in enumerate(window):
+        key, trans, cols = ops.template(*pair)
+        _, members, gathered = stacks.setdefault(key, (trans, [], []))
+        members.append(p)
+        gathered.append(images[p][0] if cols is None else images[p][0][:, cols])
+    for trans, members, rows in stacks.values():
+        rows = np.vstack(rows)
+        inside = _re_invertible(trans._predicate, rows, resolve_tol(None))
+        residuals, bad = _cr_rows(trans.func, rows[inside])
+        failed = np.zeros(len(rows), dtype=bool)
+        failed[inside] = bad | (residuals > tol).any(axis=1)
+        cuts = np.cumsum([images[p][1] for p in members])[:-1]
+        for p, *flag in zip(members, np.split(inside, cuts), np.split(failed, cuts)):
+            flags[p] = flag
+    for p, (c1, c2) in enumerate(window):
+        (rows, stop, witness), (inside, failed) = images[p], flags[p]
+        if failed.any():
+            stop = int(np.argmax(failed))
+            u = unrealify(rows[stop], *ops.image_shape(c1))
+            try:
+                witness = {"point": u.to_json(), "residuals": cr_check(ops.transition(c1, c2).func, u, tol=tol).residuals}
+            except (NotInvertible, EvaluationFailed) as exc:
+                witness = {"point": ops.box(pts[p][stop]).to_json(), "error": str(exc)}
+        yield witness, int(inside[: stop + 1].sum()), stop
+
+
+# Jacobian entries checked together; a batched block test peaks near 20 B each
+_WINDOW_CELLS = 3 * 2**15
 
 
 def _rewind(rng, state, draw, used):
@@ -657,6 +710,19 @@ class _StandardCharts:
 
     def transition(self, c1, c2):
         return transition(c1[0], c1[1], c2[0], c2[1], *self.shape)
+
+    def template(self, c1, c2):
+        """Stack key, template and c1's image columns for c1 -> c2: the head
+        re and ze, and the tail, columns permuted into the template's slot
+        order, where each node does the pair's own float operations."""
+        (i, j), (k, l), (n, m) = c1, c2, self.shape
+        # c1's head and tail slots in the template's slot order: k's and l's first
+        heads, tails = (
+            [a - (a > p) for a in sorted(range(size), key=lambda a: a != q) if a != p]
+            for p, q, size in ((i, k, n + 1), (j, l, m + 1))
+        )
+        key = (i == k, j == l)
+        return key, _template(n, m, *key), heads + [n + a for a in heads] + [2 * n + b for b in tails]
 
 
 class _ExprCharts:
@@ -714,3 +780,6 @@ class _ExprCharts:
         # overlap draws only points inside both chart domains
         fwd, back = self.atlas.charts[b].forward, self.atlas.charts[a].inverse
         return TransitionMap(compose_funcs(fwd, back), const(ONE))
+
+    def template(self, a, b):  # each pair is its own stack, read as is
+        return (a, b), self.transition(a, b), None

@@ -721,6 +721,21 @@ class TestForwardDerivative:
                 linalg.realify_map(lhs) - linalg.realify_map(rhs)
             ).max() <= 1e-9
 
+    def test_overflowing_tangent_fails_like_the_jacobian(self):
+        # with the smallest zero tolerance, 1/re at re = 1e-150 is finite but
+        # its tangent -1/re**2 is not
+        f = DualFunc((1, 0), (1, 0), (inv_expr(head_coord(0)),))
+        a = core.vector([DualNumber(1e-150, 1.0)], [])
+        core.set_default_tol(2.0**-537)
+        try:
+            with pytest.raises(EvaluationFailed, match="derivative at the point is not finite"):
+                diff.forward_derivative(f, a)
+            for check in (diff.realified_jacobian, diff.cr_check):
+                with pytest.raises(EvaluationFailed, match="Jacobian at the point is not finite"):
+                    check(f, a)
+        finally:
+            core.set_default_tol(core.DEFAULT_TOL)
+
 
 def _tame(f, a, margin=0.5, cap=10.0):
     stats = {}
@@ -755,6 +770,22 @@ class TestLimitCheck:
             report = diff.cr_check(f, a)
             assert report.passed
             assert diff.limit_check(f, a, report.derivative, radius=0.01)
+
+
+    def test_base_point_failure_is_named_before_the_probes(self):
+        # the base point is row 0 of the probe batch; where it and probes
+        # fail, the base point's message wins, with eval_func's exception
+        singular = DualFunc((1, 0), (1, 0), (inv_expr(head_coord(0)),))
+        not_zero_divisor = DualFunc((1, 0), (0, 1), (head_coord(0),))
+        for f, a, why in (
+            (singular, DualNumber(0.0, 0.5), "re part 0 is within tolerance of zero"),
+            (not_zero_divisor, DualNumber(1.0, 0.5), "tail component 0 evaluated to re part 1, not a zero divisor"),
+        ):
+            a = core.vector([a], [])
+            deriv = linalg.ModuleMap.zero(f.domain, f.codomain)
+            with pytest.raises(EvaluationFailed) as caught:
+                diff.limit_check(f, a, deriv)
+            assert str(caught.value) == "cannot evaluate at the base point: " + why
 
 
 class TestComposeAndJson:

@@ -1,9 +1,11 @@
+import functools
 import itertools
 import json
 
 import numpy as np
 import pytest
 
+from dualmod import diff, manifold
 from dualmod.core import (
     DEFAULT_TOL,
     EPS,
@@ -21,6 +23,8 @@ from dualmod.core import (
 )
 from dualmod.diff import (
     DualFunc,
+    _cr_rows,
+    _eval_batch,
     EvaluationFailed,
     compose_funcs,
     const,
@@ -44,7 +48,9 @@ from dualmod.manifold import (
     ProjectiveAtlas,
     ProjectivePoint,
     TransitionMap,
+    _chart_rows,
     _re_invertible,
+    _StandardCharts,
     atlas_from_json,
     canonical_rep,
     chart_inverse,
@@ -468,6 +474,10 @@ class TestVerifyAtlas:
         assert report.passed, [e for e in report.entries if not e.passed]
 
 
+# the public transition, built once per chart pair across reference runs
+_transition = functools.cache(transition)
+
+
 def reference_report(atlas, samples, tol=1e-4, seed=0) -> dict:
     """verify_atlas written as a loop over one point at a time through the
     public per-point functions: the draw order, checked counts and
@@ -478,11 +488,18 @@ def reference_report(atlas, samples, tol=1e-4, seed=0) -> dict:
         charts = [list(c) for c in atlas.charts]
 
         def sample(cs, count):
-            return [random_rep(rng, n, m, active=cs) for _ in range(count)]
+            rows = random_reps(rng, n, m, active=cs, count=count)
+            return [unrealify(row, n + 1, m + 1) for row in rows]
 
         def overlap(c1, c2):
-            # drawn one at a time, so that a failing check stops the draws
-            return (random_rep(rng, n, m, active=(c1, c2)) for _ in range(samples))
+            return sample((c1, c2), samples)
+
+        def stopped(c1, c2, state, used):
+            # the points count as drawn one at a time, so a check that
+            # stops early leaves the generator after the points it used
+            if used < samples:
+                rng.bit_generator.state = state
+                random_reps(rng, n, m, active=(c1, c2), count=used)
 
         def forward(c, p):
             return chart_map(c[0], c[1], p)
@@ -491,10 +508,9 @@ def reference_report(atlas, samples, tol=1e-4, seed=0) -> dict:
             return chart_map(c[0], c[1], chart_inverse(c[0], c[1], u))
 
         def trans(c1, c2):
-            return transition(c1[0], c1[1], c2[0], c2[1], n, m)
+            return _transition(c1[0], c1[1], c2[0], c2[1], n, m)
 
         same = equivalent
-        point = lambda p: p.rep.to_json()  # noqa: E731
     else:
         n, m = atlas.ambient
         charts = range(len(atlas.charts))
@@ -518,6 +534,9 @@ def reference_report(atlas, samples, tol=1e-4, seed=0) -> dict:
         def overlap(a, b):
             return sample((a, b), min(samples, 25))
 
+        def stopped(a, b, state, used):
+            pass  # every overlap point is drawn before any is checked
+
         def forward(c, x):
             return eval_func(atlas.charts[c].forward, x)
 
@@ -534,7 +553,7 @@ def reference_report(atlas, samples, tol=1e-4, seed=0) -> dict:
         def same(x, y):
             return vector_norm(x - y) <= 1e-6
 
-        point = DualVector.to_json
+    point = DualVector.to_json
     entries = []
 
     def entry(axiom, pair, witness, checked, where):
@@ -579,8 +598,10 @@ def reference_report(atlas, samples, tol=1e-4, seed=0) -> dict:
         entry("iii", (c,), witness, len(images), "chart domain")
     for c1, c2 in itertools.product(charts, repeat=2):
         tr = trans(c1, c2)
-        witness, checked = None, 0
+        witness, checked, used = None, 0, 0
+        state = rng.bit_generator.state
         for p in overlap(c1, c2):
+            used += 1
             try:
                 u = forward(c1, p)
                 if not in_transition_domain(tr, u):
@@ -593,6 +614,7 @@ def reference_report(atlas, samples, tol=1e-4, seed=0) -> dict:
             if not report.passed:
                 witness = {"point": u.to_json(), "residuals": report.residuals}
                 break
+        stopped(c1, c2, state, used)
         entry("iv", (c1, c2), witness, checked, "transition domain")
     return {"passed": all(e["passed"] for e in entries), "entries": entries}
 
@@ -682,6 +704,88 @@ class TestReferenceLoop:
             ("iv", ("error", "point")),
             ("iv", ("point", "residuals")),
         } <= kinds
+
+    @pytest.mark.parametrize("zero_tol", [DEFAULT_TOL, 0.49])
+    @pytest.mark.parametrize("n,m", list(itertools.product(range(4), repeat=2)))
+    def test_every_standard_atlas_up_to_three(self, n, m, zero_tol):
+        # at a zero tolerance of 0.49, chart ratios below it make target
+        # pivots singular, so many iv entries fail, replay and rewind
+        set_default_tol(zero_tol)
+        try:
+            for seed in range(3):
+                want = reference_report(ProjectiveAtlas(n, m), 3, seed=seed)
+                got = verify_atlas(ProjectiveAtlas(n, m), samples=3, seed=seed).to_json()
+                assert json.dumps(got) == json.dumps(want)
+        finally:
+            set_default_tol(DEFAULT_TOL)
+
+    @pytest.mark.parametrize("zero_tol", [DEFAULT_TOL, 0.49])
+    def test_stacks_spanning_windows(self, monkeypatch, zero_tol):
+        # P(1, 1) pairs take 20 rows of 9 Jacobian entries each: windows of
+        # two pairs split every template's stack, and a window smaller than
+        # one pair holds that pair alone
+        atlas = ProjectiveAtlas(1, 1)
+        set_default_tol(zero_tol)
+        try:
+            for cells in (2 * 20 * 9, 100):
+                monkeypatch.setattr(manifold, "_WINDOW_CELLS", cells)
+                for seed in range(3):
+                    want = reference_report(atlas, 20, seed=seed)
+                    got = verify_atlas(atlas, samples=20, seed=seed).to_json()
+                    assert json.dumps(got) == json.dumps(want)
+        finally:
+            set_default_tol(DEFAULT_TOL)
+
+
+class TestTransitionTemplates:
+    """(iv) on the standard charts evaluates each pair through its shape's
+    template with gathered image columns; that must equal the pair's own
+    transition bit for bit."""
+
+    @pytest.mark.parametrize("n,m", list(itertools.product(range(4), repeat=2)))
+    def test_template_matches_the_pair_transition(self, n, m):
+        atlas = ProjectiveAtlas(n, m)
+        rng = np.random.default_rng(17 + 4 * n + m)
+        ops = _StandardCharts(atlas, rng, 1e-4)
+        for c1, c2 in itertools.product(atlas.charts, repeat=2):
+            # active on the source chart only, so the target pivots may be
+            # zero and the masks are mixed
+            pts = random_reps(rng, n, m, active=(c1,), count=64, sparsity=0.5)
+            images = _chart_rows(c1[0], c1[1], pts, n, m)
+            _, template, cols = ops.template(c1, c2)
+            own = transition(*c1, *c2, n, m)
+            for got, want in (
+                (_cr_rows(template.func, images[:, cols]), _cr_rows(own.func, images)),
+                (_eval_batch(template._predicate, images[:, cols]), _eval_batch(own._predicate, images)),
+            ):
+                assert got[0].tobytes() == want[0].tobytes(), (c1, c2)
+                assert got[1].tolist() == want[1].tolist(), (c1, c2)
+
+    def test_rows_fall_on_both_sides(self):
+        # the comparison above sees rows inside and outside the domain
+        n, m, c1, c2 = 2, 2, (0, 0), (1, 2)
+        pts = random_reps(np.random.default_rng(5), n, m, active=(c1,), count=64, sparsity=0.5)
+        images = _chart_rows(c1[0], c1[1], pts, n, m)
+        own = transition(*c1, *c2, n, m)
+        assert 0 < _cr_rows(own.func, images)[1].sum() < 64
+        assert 0 < (_eval_batch(own._predicate, images)[0][:, 0] == 0.0).sum() < 64
+
+    def test_four_templates_are_lowered_once(self, monkeypatch):
+        lowered = []
+
+        def counting_lower(exprs, domain):
+            lowered.append(domain)
+            return lower(exprs, domain)
+
+        lower = diff.lower
+        monkeypatch.setattr(diff, "lower", counting_lower)
+        manifold._template.cache_clear()
+        assert verify_atlas(ProjectiveAtlas(3, 3), samples=20).passed
+        # four transitions and their four predicates
+        assert len(lowered) <= 8
+        lowered.clear()
+        assert verify_atlas(ProjectiveAtlas(3, 3), samples=20, seed=1).passed
+        assert lowered == []
 
 
 class TestAtlasJson:
