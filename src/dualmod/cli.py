@@ -155,22 +155,19 @@ def _load_input(args) -> dict:
         raise UsageFailure("%s: input nests too deeply" % args.input) from None
 
 
-def _parse(args, from_json, data):
-    """from_json(data); data it rejects or that nests too deeply is bad input."""
+def _parse(args, read, *params):
+    """read(*params); input it rejects or that nests too deeply is bad input."""
     try:
-        return from_json(data)
+        return read(*params)
     except (ValueError, TypeError) as exc:
         raise UsageFailure(str(exc))
     except RecursionError:
         raise UsageFailure("%s: input nests too deeply" % args.input) from None
 
 
-def _vectors_from(data, key) -> list[core.DualVector]:
-    if not isinstance(data, dict) or key not in data:
-        raise UsageFailure("input must be an object with a %r field" % key)
-    items = data[key]
-    if not isinstance(items, list):
-        raise UsageFailure("%r must be a list of vectors" % key)
+def _vectors_from(args, data, key) -> list[core.DualVector]:
+    (items,) = _parse(args, core.json_fields, data, "input", (key,))
+    items = _parse(args, core.json_list, items, "input field %r" % key)
     try:
         return [core.DualVector.from_json(item) for item in items]
     except (ValueError, TypeError) as exc:
@@ -187,7 +184,7 @@ def _run_selftest(args, tol):
 
 def _run_basis(args, tol):
     data = _load_input(args)
-    gens = _vectors_from(data, "generators")
+    gens = _vectors_from(args, data, "generators")
     try:
         basis = linalg.extract_basis(gens, tol=tol)
     except core.ShapeMismatch as exc:
@@ -201,10 +198,9 @@ def _run_basis(args, tol):
 
 def _run_solve(args, tol):
     data = _load_input(args)
-    if not isinstance(data, dict) or "map" not in data or "rhs" not in data:
-        raise UsageFailure("input must carry 'map' and 'rhs' fields")
-    lam = _parse(args, linalg.ModuleMap.from_json, data["map"])
-    rhs = _parse(args, core.DualVector.from_json, data["rhs"])
+    lam, rhs = _parse(args, core.json_fields, data, "input", ("map", "rhs"))
+    lam = _parse(args, linalg.ModuleMap.from_json, lam)
+    rhs = _parse(args, core.DualVector.from_json, rhs)
     try:
         sol = linalg.solve(lam, rhs, tol=tol)
     except core.ShapeMismatch as exc:
@@ -225,7 +221,7 @@ def _diffcheck_points(args, data, func):
     n, m = func.domain
     width = 2 * n + m
     if "points" in data:
-        points = _vectors_from(data, "points")
+        points = _vectors_from(args, data, "points")
         for x in points:
             if x.shape != func.domain:
                 raise UsageFailure("point shape %r does not match domain %r" % (x.shape, func.domain))
@@ -244,9 +240,8 @@ def _diffcheck_points(args, data, func):
 
 def _run_diffcheck(args, tol):
     data = _load_input(args)
-    if not isinstance(data, dict) or "function" not in data:
-        raise UsageFailure("input must carry a 'function' field")
-    func = _parse(args, diff.DualFunc.from_json, data["function"])
+    (func,) = _parse(args, core.json_fields, data, "input", ("function",))
+    func = _parse(args, diff.DualFunc.from_json, func)
     points, explicit = _diffcheck_points(args, data, func)
     residuals, bad = diff._cr_rows(func, points)
     entries = []

@@ -13,6 +13,7 @@ operations are array operations on it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
@@ -51,14 +52,51 @@ def resolve_tol(tol: float | None) -> float:
 
 
 def as_index(value, what: str) -> int:
-    """An exact integer: ints and numpy integers pass, floats such as 1.7
-    or 1.0 and bools raise ValueError instead of being truncated."""
+    """An exact nonnegative integer, as every size, slot and chart index
+    is: ints and numpy integers pass; negatives, bools and floats such as
+    1.7 or 1.0 raise ValueError instead of being truncated."""
     try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
+        index = -1 if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        raise ValueError("%s must be an integer, got %r" % (what, value)) from None
+        index = -1
+    if index < 0:
+        raise ValueError("%s must be a nonnegative integer, got %r" % (what, value))
+    return index
+
+
+def json_fields(data, what: str, keys) -> list:
+    """The values of keys in data, an object that must hold every one.
+    This and the two readers below serve every from_json: each returns
+    what it checked or raises ValueError naming what."""
+    if not isinstance(data, dict):
+        raise ValueError("%s must be an object, got %r" % (what, data))
+    for key in keys:
+        if key not in data:
+            raise ValueError("%s is missing field %r" % (what, key))
+    return [data[key] for key in keys]
+
+
+def json_list(data, what: str) -> list:
+    if not isinstance(data, (list, tuple)):
+        raise ValueError("%s must be a list, got %r" % (what, data))
+    return data
+
+
+def json_grid(data, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """data as a float array of the given shape: lists nested exactly
+    len(shape) deep with those lengths, holding numbers (ints and floats,
+    numpy floats included; bools are not numbers).  Checked one nesting
+    level per pass, by the set of types and lengths on that level."""
+    level = [data]
+    for size in shape:
+        if not (set(map(type, level)) <= {list, tuple} and set(map(len, level)) <= {size}):
+            break
+        level = list(itertools.chain.from_iterable(level))
+    else:
+        if all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, level))):
+            return np.array(level, dtype=float).reshape(shape)
+    kind = "list of %d" % shape[0] if len(shape) == 1 else "%s array of" % " x ".join(map(str, shape))
+    raise ValueError("%s must be a %s numbers, got %.80r" % (what, kind, data))
 
 
 @dataclass(frozen=True)
@@ -105,9 +143,7 @@ class DualNumber:
 
     @classmethod
     def from_json(cls, data) -> "DualNumber":
-        if not isinstance(data, (list, tuple)) or len(data) != 2:
-            raise ValueError("dual scalar must be a [re, ze] pair, got %r" % (data,))
-        return cls(float(data[0]), float(data[1]))
+        return cls(*json_grid(data, (2,), "dual scalar").tolist())
 
 
 def _coerce(x) -> DualNumber:
@@ -266,19 +302,11 @@ class DualVector:
 
     @classmethod
     def from_json(cls, data) -> "DualVector":
-        if not isinstance(data, dict):
-            raise ValueError("vector must be an object, got %r" % (data,))
-        for key in ("n", "m", "head", "tail"):
-            if key not in data:
-                raise ValueError("vector is missing field %r" % key)
-        head = [DualNumber.from_json(h) for h in data["head"]]
-        tail = [float(r) for r in data["tail"]]
-        if len(head) != data["n"] or len(tail) != data["m"]:
-            raise ValueError(
-                "vector fields n=%r, m=%r disagree with head/tail lengths %d/%d"
-                % (data["n"], data["m"], len(head), len(tail))
-            )
-        return cls(tuple(head), tuple(tail))
+        n, m, head, tail = json_fields(data, "vector", ("n", "m", "head", "tail"))
+        n, m = as_index(n, "vector field 'n'"), as_index(m, "vector field 'm'")
+        head = json_grid(head, (n, 2), "vector head")
+        tail = json_grid(tail, (m,), "vector tail")
+        return cls._wrap(np.concatenate([head[:, 0], head[:, 1], tail]), n)
 
 
 def _coerce_entry(h) -> DualNumber:

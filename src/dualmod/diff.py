@@ -41,6 +41,8 @@ from dualmod.core import (
     NotInvertible,
     ShapeMismatch,
     as_index,
+    json_fields,
+    json_list,
     resolve_tol,
     row_norms,
 )
@@ -125,19 +127,16 @@ class Expr:
 
     @classmethod
     def from_json(cls, data) -> "Expr":
-        if not isinstance(data, dict) or "op" not in data:
-            raise ValueError("expression must be an object with an 'op' field")
-        op = data["op"]
+        (op,) = json_fields(data, "expression", ("op",))
         if op == "const":
-            return const(DualNumber.from_json(data.get("value")))
+            return const(DualNumber.from_json(*json_fields(data, "const expression", ("value",))))
         if op == "coord":
-            return coord(
-                data.get("part"), data.get("slot"), data.get("component", "full")
-            )
-        if op not in _OPS:
-            raise ValueError("unknown expression op %r" % op)
-        args = data.get("args", [])
-        return cls(op, tuple(cls.from_json(a) for a in args))
+            part, slot = json_fields(data, "coord expression", ("part", "slot"))
+            return coord(part, slot, data.get("component", "full"))
+        if not isinstance(op, str) or op not in _OPS:
+            raise ValueError("unknown expression op %r" % (op,))
+        args = json_list(data.get("args", []), "expression args")
+        return cls(op, tuple(map(cls.from_json, args)))
 
 
 def _as_expr(x) -> Expr:
@@ -163,9 +162,7 @@ def coord(part: str, slot: int, component: str = "full") -> Expr:
         raise ValueError("head coord component must be full/re/ze")
     if part == "tail" and component not in ("full", "ze"):
         raise ValueError("tail coord component must be full or ze")
-    if not isinstance(slot, int) or slot < 0:
-        raise ValueError("coord slot must be a nonnegative integer")
-    return Expr("coord", part=part, slot=slot, component=component)
+    return Expr("coord", part=part, slot=as_index(slot, "coord slot"), component=component)
 
 
 def head_coord(i: int) -> Expr:
@@ -224,21 +221,14 @@ class DualFunc:
 
     @classmethod
     def from_json(cls, data) -> "DualFunc":
-        if not isinstance(data, dict):
-            raise ValueError("function must be an object, got %r" % (data,))
-        for key in ("domain", "codomain", "components"):
-            if key not in data:
-                raise ValueError("function is missing field %r" % key)
-        return cls(
-            tuple(data["domain"]),
-            tuple(data["codomain"]),
-            tuple(Expr.from_json(c) for c in data["components"]),
-        )
+        domain, codomain, components = json_fields(data, "function", ("domain", "codomain", "components"))
+        components = json_list(components, "function components")
+        return cls(domain, codomain, tuple(map(Expr.from_json, components)))
 
 
 def _shape(value, what: str) -> tuple[int, int]:
-    shape = tuple([as_index(x, what) for x in value])
-    if len(shape) != 2 or min(shape) < 0:
+    shape = tuple([as_index(x, what + " entry") for x in json_list(value, what)])
+    if len(shape) != 2:
         raise ValueError("%s must be two nonnegative integers, got %r" % (what, value))
     return shape
 

@@ -27,6 +27,9 @@ from dualmod.core import (
     ShapeMismatch,
     as_index,
     in_ker_sharp,
+    json_fields,
+    json_grid,
+    json_list,
     resolve_tol,
     sharp_action,
 )
@@ -63,20 +66,32 @@ class ModuleMap:
     q: np.ndarray
 
     def __post_init__(self):
-        flat = []
-        for name, arr, shape in (
-            ("c_re", self.c_re, (self.s, self.n)),
-            ("c_ze", self.c_ze, (self.s, self.n)),
-            ("p", self.p, (self.s, self.m)),
-            ("d", self.d, (self.t, self.n)),
-            ("q", self.q, (self.t, self.m)),
+        for name in ("n", "m", "s", "t"):
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
+        for name, shape in (
+            ("c_re", (self.s, self.n)),
+            ("c_ze", (self.s, self.n)),
+            ("p", (self.s, self.m)),
+            ("d", (self.t, self.n)),
+            ("q", (self.t, self.m)),
         ):
-            a = np.asarray(arr, dtype=float).reshape(shape)
+            a = np.asarray(getattr(self, name), dtype=float).reshape(shape)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-            flat.append(a.ravel())
-        if not np.isfinite(np.concatenate(flat)).all():
+        if not np.isfinite(self._entries()).all():
             raise ValueError("map blocks hold a non-finite entry")
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def _values(self) -> tuple:  # the shape, then the entries: 0.0 equals -0.0
+        return (self.n, self.m, self.s, self.t, *self._entries().tolist())
+
+    def _entries(self) -> np.ndarray:
+        return np.concatenate([b.ravel() for b in (self.c_re, self.c_ze, self.p, self.d, self.q)])
 
     @property
     def domain(self) -> tuple[int, int]:
@@ -170,24 +185,15 @@ class ModuleMap:
 
     @classmethod
     def from_json(cls, data) -> "ModuleMap":
-        if not isinstance(data, dict):
-            raise ValueError("map must be an object, got %r" % (data,))
-        for key in ("n", "m", "s", "t", "C", "P", "D", "Q"):
-            if key not in data:
-                raise ValueError("map is missing field %r" % key)
-        n, m, s, t = (as_index(data[k], k) for k in ("n", "m", "s", "t"))
-        c = data["C"]
-        if len(c) != s or any(len(row) != n for row in c):
-            raise ValueError("field 'C' must be an s x n grid of [re, ze] pairs")
-        c_re = np.array([[e[0] for e in row] for row in c], dtype=float).reshape(s, n)
-        c_ze = np.array([[e[1] for e in row] for row in c], dtype=float).reshape(s, n)
-        try:
-            p = np.array(data["P"], dtype=float).reshape(s, m)
-            d = np.array(data["D"], dtype=float).reshape(t, n)
-            q = np.array(data["Q"], dtype=float).reshape(t, m)
-        except ValueError as exc:
-            raise ValueError("map blocks P/D/Q have inconsistent shapes: %s" % exc)
-        return cls(n, m, s, t, c_re, c_ze, p, d, q)
+        n, m, s, t, c, p, d, q = json_fields(data, "map", ("n", "m", "s", "t", "C", "P", "D", "Q"))
+        n, m, s, t = (as_index(v, k) for k, v in zip("nmst", (n, m, s, t)))
+        c = json_grid(c, (s, n, 2), "map field 'C'")
+        return cls(
+            n, m, s, t, c[..., 0], c[..., 1],
+            json_grid(p, (s, m), "map field 'P'"),
+            json_grid(d, (t, n), "map field 'D'"),
+            json_grid(q, (t, m), "map field 'Q'"),
+        )
 
 
 @dataclass(frozen=True)
@@ -214,11 +220,10 @@ class SplitBasis:
 
     @classmethod
     def from_json(cls, data) -> "SplitBasis":
-        if not isinstance(data, dict) or "S1" not in data or "S2" not in data:
-            raise ValueError("split basis must be an object with fields S1 and S2")
+        s1, s2 = json_fields(data, "split basis", ("S1", "S2"))
         return cls(
-            tuple(DualVector.from_json(v) for v in data["S1"]),
-            tuple(DualVector.from_json(v) for v in data["S2"]),
+            tuple(map(DualVector.from_json, json_list(s1, "split basis field 'S1'"))),
+            tuple(map(DualVector.from_json, json_list(s2, "split basis field 'S2'"))),
         )
 
 

@@ -32,6 +32,8 @@ from dualmod.core import (
     ShapeMismatch,
     as_index,
     inv,
+    json_fields,
+    json_list,
     mul,
     resolve_tol,
     row_norms,
@@ -310,13 +312,11 @@ class ProjectiveAtlas:
     def __post_init__(self):
         object.__setattr__(self, "n", as_index(self.n, "n"))
         object.__setattr__(self, "m", as_index(self.m, "m"))
-        if self.n < 0 or self.m < 0:
-            raise ValueError("negative dimensions (%d, %d)" % (self.n, self.m))
         charts = tuple(
             (as_index(i, "chart index"), as_index(j, "chart index")) for i, j in self.charts
         ) or tuple((i, j) for i in range(self.n + 1) for j in range(self.m + 1))
         for i, j in charts:
-            if not (0 <= i <= self.n and 0 <= j <= self.m):
+            if i > self.n or j > self.m:
                 raise ValueError(
                     "chart (%d, %d) out of range for (%d, %d)" % (i, j, self.n, self.m)
                 )
@@ -331,11 +331,9 @@ class ProjectiveAtlas:
 
     @classmethod
     def from_json(cls, data) -> "ProjectiveAtlas":
-        try:
-            charts = tuple((c["i"], c["j"]) for c in data.get("charts", []))
-        except (KeyError, TypeError):
-            raise ValueError('each chart must be an object with "i" and "j"') from None
-        return cls(data["n"], data["m"], charts)
+        n, m = json_fields(data, "atlas", ("n", "m"))
+        charts = json_list(data.get("charts", []), "atlas field 'charts'")
+        return cls(n, m, tuple(tuple(json_fields(c, "chart", ("i", "j"))) for c in charts))
 
 
 @dataclass(frozen=True)
@@ -362,14 +360,8 @@ class ExprChart:
 
     @classmethod
     def from_json(cls, data) -> "ExprChart":
-        for key in ("forward", "inverse", "domain"):
-            if key not in data:
-                raise ValueError("chart is missing field %r" % key)
-        return cls(
-            DualFunc.from_json(data["forward"]),
-            DualFunc.from_json(data["inverse"]),
-            Expr.from_json(data["domain"]),
-        )
+        forward, inverse, domain = json_fields(data, "chart", ("forward", "inverse", "domain"))
+        return cls(DualFunc.from_json(forward), DualFunc.from_json(inverse), Expr.from_json(domain))
 
 
 @dataclass(frozen=True)
@@ -393,15 +385,15 @@ class ExprAtlas:
 
     @classmethod
     def from_json(cls, data) -> "ExprAtlas":
-        return cls(tuple(ExprChart.from_json(c) for c in data.get("charts", [])))
+        (charts,) = json_fields(data, "atlas", ("charts",))
+        return cls(tuple(map(ExprChart.from_json, json_list(charts, "atlas field 'charts'"))))
 
 
 def atlas_from_json(data):
-    if not isinstance(data, dict) or "charts" not in data and "n" not in data:
-        raise ValueError("atlas must carry either n/m or a chart list")
-    if "n" in data and "m" in data:
-        return ProjectiveAtlas.from_json(data)
-    return ExprAtlas.from_json(data)
+    """A ProjectiveAtlas when the object data carries n or m, else an ExprAtlas."""
+    json_fields(data, "atlas", ())
+    kind = ProjectiveAtlas if "n" in data or "m" in data else ExprAtlas
+    return kind.from_json(data)
 
 
 @dataclass(frozen=True)
@@ -593,8 +585,9 @@ def _smoothness(ops, rng, samples, tol) -> list:
     Windows of at most _WINDOW_CELLS Jacobian entries, or of one pair, draw
     their points in order and stack chart images per source chart and the
     domain and block tests per template.  At the first failing pair, the
-    entries before it stand, its witness comes from cr_check on its own
-    transition, the generator is left as that failure leaves it, and the
+    entries before it stand, its witness comes from cr_check on its
+    template at the failing row's gathered columns (the witness point is
+    the row itself), the generator is left as that failure leaves it, and the
     next window starts after it with one pair, then doubles."""
     pairs = list(itertools.product(ops.charts, repeat=2))
     entries, limit = [], len(pairs)
@@ -637,12 +630,12 @@ def _window_verdicts(ops, window, pts, tol):
         for start, size in zip(np.cumsum([0] + sizes), sizes):
             k = min(max(stop - start, 0), size)  # past the failing row: after a failing pair
             images.append((rows[start : start + k], k, witness if stop < start + size else None))
+    templates = [ops.template(*pair) for pair in window]  # per pair: key, transition, columns
     stacks, flags = {}, [None] * len(window)  # per pair: inside the domain, failing
-    for p, pair in enumerate(window):
-        key, trans, cols = ops.template(*pair)
+    for p, (key, trans, cols) in enumerate(templates):
         _, members, gathered = stacks.setdefault(key, (trans, [], []))
         members.append(p)
-        gathered.append(images[p][0] if cols is None else images[p][0][:, cols])
+        gathered.append(images[p][0][:, cols])
     for trans, members, rows in stacks.values():
         rows = np.vstack(rows)
         inside = _re_invertible(trans._predicate, rows, resolve_tol(None))
@@ -652,13 +645,14 @@ def _window_verdicts(ops, window, pts, tol):
         cuts = np.cumsum([images[p][1] for p in members])[:-1]
         for p, *flag in zip(members, np.split(inside, cuts), np.split(failed, cuts)):
             flags[p] = flag
-    for p, (c1, c2) in enumerate(window):
-        (rows, stop, witness), (inside, failed) = images[p], flags[p]
+    for p, (c1, _) in enumerate(window):
+        (rows, stop, witness), (inside, failed), (_, trans, cols) = images[p], flags[p], templates[p]
         if failed.any():
             stop = int(np.argmax(failed))
-            u = unrealify(rows[stop], *ops.image_shape(c1))
+            shape, row = ops.image_shape(c1), rows[stop]
             try:
-                witness = {"point": u.to_json(), "residuals": cr_check(ops.transition(c1, c2).func, u, tol=tol).residuals}
+                residuals = cr_check(trans.func, unrealify(row[cols], *shape), tol=tol).residuals
+                witness = {"point": unrealify(row, *shape).to_json(), "residuals": residuals}
             except (NotInvertible, EvaluationFailed) as exc:
                 witness = {"point": ops.box(pts[p][stop]).to_json(), "error": str(exc)}
         yield witness, int(inside[: stop + 1].sum()), stop
@@ -707,9 +701,6 @@ class _StandardCharts:
     def box(self, row):
         n, m = self.shape
         return unrealify(row, n + 1, m + 1)
-
-    def transition(self, c1, c2):
-        return transition(c1[0], c1[1], c2[0], c2[1], *self.shape)
 
     def template(self, c1, c2):
         """Stack key, template and c1's image columns for c1 -> c2: the head
@@ -776,10 +767,8 @@ class _ExprCharts:
     def same(self, x, y):
         return vector_norm(x - y) <= 1e-6
 
-    def transition(self, a, b):
-        # overlap draws only points inside both chart domains
+    def template(self, a, b):
+        """Each pair is its own stack, read as is; overlap draws only
+        points inside both chart domains, so the domain is everything."""
         fwd, back = self.atlas.charts[b].forward, self.atlas.charts[a].inverse
-        return TransitionMap(compose_funcs(fwd, back), const(ONE))
-
-    def template(self, a, b):  # each pair is its own stack, read as is
-        return (a, b), self.transition(a, b), None
+        return (a, b), TransitionMap(compose_funcs(fwd, back), const(ONE)), slice(None)

@@ -22,6 +22,9 @@ from dualmod.core import (
     DualVector,
     ShapeMismatch,
     as_index,
+    json_fields,
+    json_grid,
+    json_list,
     resolve_tol,
     row_norms,
 )
@@ -75,6 +78,15 @@ class GramForm:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def _values(self) -> tuple:  # the shape, then the entries: 0.0 equals -0.0
+        return (self.n, self.m, *self.g_re.ravel().tolist(), *self.g_ze.ravel().tolist())
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n, self.m)
@@ -92,29 +104,13 @@ class GramForm:
 
     @classmethod
     def from_json(cls, data) -> "GramForm":
-        if not isinstance(data, dict):
-            raise FormInvalid("form must be an object, got %r" % (data,))
-        for key in ("N", "M", "G"):
-            if key not in data:
-                raise FormInvalid("form is missing field %r" % key)
         try:
-            n, m = as_index(data["N"], "N"), as_index(data["M"], "M")
+            n, m, g = json_fields(data, "form", ("N", "M", "G"))
+            n, m = as_index(n, "N"), as_index(m, "M")
+            g = json_grid(g, (n + m, n + m, 2), "G")
         except ValueError as exc:
             raise FormInvalid(str(exc)) from None
-        size = n + m
-        rows = data["G"]
-        if len(rows) != size or any(len(r) != size for r in rows):
-            raise FormInvalid("G must be a %dx%d matrix of [re, ze] pairs" % (size, size))
-        g_re = np.zeros((size, size))
-        g_ze = np.zeros((size, size))
-        for a, row in enumerate(rows):
-            for b, cell in enumerate(row):
-                if not isinstance(cell, (list, tuple)) or len(cell) != 2:
-                    raise FormInvalid(
-                        "G[%d][%d] must be an [re, ze] pair, got %r" % (a, b, cell)
-                    )
-                g_re[a, b], g_ze[a, b] = float(cell[0]), float(cell[1])
-        return cls(n, m, g_re, g_ze)
+        return cls(n, m, g[..., 0], g[..., 1])
 
 
 def _check_shape(form: GramForm, v: DualVector) -> None:
@@ -296,20 +292,13 @@ class DarbouxBasis:
 
     @classmethod
     def from_json(cls, data) -> "DarbouxBasis":
-        if not isinstance(data, dict):
-            raise ValueError("basis must be an object, got %r" % (data,))
-        for key in ("pairs_head", "pairs_tail"):
-            if key not in data:
-                raise ValueError("basis is missing field %r" % key)
-        heads = tuple(
-            (DualVector.from_json(e), DualVector.from_json(f))
-            for e, f in data["pairs_head"]
-        )
-        tails = tuple(
-            (DualVector.from_json(u), DualVector.from_json(v))
-            for u, v in data["pairs_tail"]
-        )
-        return cls(heads, tails)
+        groups = [
+            [json_list(p, "basis pair") for p in json_list(g, "basis pairs")]
+            for g in json_fields(data, "basis", ("pairs_head", "pairs_tail"))
+        ]
+        if any(len(p) != 2 for g in groups for p in g):
+            raise ValueError("basis pairs must hold two vectors each")
+        return cls(*(tuple(tuple(map(DualVector.from_json, p)) for p in g) for g in groups))
 
 
 def darboux_basis(form: GramForm, tol: float | None = None) -> DarbouxBasis:

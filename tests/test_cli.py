@@ -1,4 +1,7 @@
+import copy
 import json
+import os
+import random
 import warnings
 
 import numpy as np
@@ -600,3 +603,129 @@ class TestEmit:
         code, out, err = run(capsys, ["basis", "--output", str(target)])
         assert code == 1 and out == "" and err.startswith("error: ")
         assert not target.exists()
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+# golden input -> subcommand and its arguments, small enough for many runs
+GOLDEN_RUNS = {
+    "atlas": ["atlas", "--samples", "3", "--seed", "2"],
+    "basis": ["basis"],
+    "darboux": ["darboux"],
+    "diffcheck": ["diffcheck", "--samples", "4", "--seed", "3"],
+    "diffcheck_fail": ["diffcheck", "--samples", "3", "--seed", "1"],
+    "solve": ["solve"],
+}
+
+
+def golden_input(name):
+    with open(os.path.join(GOLDEN, name + ".input.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def run_doc(capsys, tmp_path, name, doc):
+    return run(capsys, GOLDEN_RUNS[name] + ["--input", write_json(tmp_path / "in.json", doc)])
+
+
+def _nodes(node, path=()):
+    """Every (path, node) under node, the root included; a path lists the
+    keys and indices from the root."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _set(doc, path, value):
+    """A copy of doc with the node at path replaced by value."""
+    if not path:
+        return copy.deepcopy(value)
+    doc = copy.deepcopy(doc)
+    _parent(doc, path)[path[-1]] = value
+    return doc
+
+
+def _malformed_cases():
+    solve, diffcheck = golden_input("solve"), golden_input("diffcheck")
+    cell = ("map", "C", 0, 0)
+    slot = next(p for p, e in _nodes(diffcheck) if isinstance(e, dict) and e.get("op") == "coord") + ("slot",)
+    # case -> golden input, its malformed copy, and a fragment of the error
+    return {
+        "C cell too short": ("solve", _set(solve, cell, [1.0]), "map field 'C'"),
+        "C cell a string": ("solve", _set(solve, cell, "12"), "map field 'C'"),
+        "rhs tail a string": ("solve", _set(solve, ("rhs", "tail"), ["0.5"]), "vector tail"),
+        "negative map width": ("solve", _set(solve, ("map", "m"), -1), "m must be a nonnegative integer"),
+        "C leaf true": ("solve", _set(solve, cell, [True, 0.0]), "map field 'C'"),
+        "C leaf null": ("solve", _set(solve, cell, [None, 0.0]), "map field 'C'"),
+        "C cell of three": ("solve", _set(solve, cell, [1.0, 2.0, 99.0]), "map field 'C'"),
+        "coord slot false": ("diffcheck", _set(diffcheck, slot, False), "coord slot must be a nonnegative integer"),
+        "chart a string": ("atlas", {"charts": ["forward inverse domain"]}, "chart must be an object"),
+    }
+
+
+class TestMalformedInput:
+    """Inputs that once ended in a traceback, a silent exit 0 or a
+    misleading message: each is bad input, exit 2, with one error line
+    naming what is wrong and no report."""
+
+    @pytest.mark.parametrize("case", sorted(_malformed_cases()))
+    def test_exits_two_with_one_error_line(self, tmp_path, capsys, case):
+        name, doc, fragment = _malformed_cases()[case]
+        code, out, err = run_doc(capsys, tmp_path, name, doc)
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment in err, err
+
+
+# replacement values for the mutation fuzz; no number exceeds 8, since a
+# large dimension is a valid input that can take unbounded time or memory
+FUZZ_POOL = (
+    None, True, False, 0, 1, -1, -7, 1.5, "x", "12",
+    [], [1], [1.0, 2.0, 3.0], {}, {"op": "const"}, [[1.0]],
+)
+
+
+def mutations(doc, rng, count):
+    """count (description, document) pairs, each doc with one node replaced
+    by a FUZZ_POOL value or one object field deleted."""
+    nodes = list(_nodes(doc))
+    fields = [path for path, _ in nodes if path and isinstance(_parent(doc, path), dict)]
+    for _ in range(count):
+        if fields and rng.random() < 0.2:
+            path = rng.choice(fields)
+            mutated = copy.deepcopy(doc)
+            del _parent(mutated, path)[path[-1]]
+            yield "delete %r" % (path,), mutated
+        else:
+            path, _ = rng.choice(nodes)
+            value = rng.choice(FUZZ_POOL)
+            yield "set %r to %r" % (path, value), _set(doc, path, value)
+
+
+class TestMutationFuzz:
+    """Golden inputs with one node replaced or one field deleted: whatever
+    the mutation, main returns 0, 1 or 2 without raising, a report is
+    strict JSON, and bad input gets one error line."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_mutated_golden_input(self, tmp_path, capsys, name):
+        rng = random.Random(name)
+        failures = []
+        for what, doc in mutations(golden_input(name), rng, 100):
+            try:
+                code, out, err = run_doc(capsys, tmp_path, name, doc)
+                assert code in (0, 1, 2), code
+                if code == 2:
+                    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+                else:
+                    strict_json(out)
+            except Exception as exc:  # noqa: BLE001 - every escape is a finding
+                failures.append("%s: %s: %s" % (what, type(exc).__name__, exc))
+        assert failures == []

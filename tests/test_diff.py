@@ -598,6 +598,12 @@ class TestCrCheck:
         assert d.c_re[0, 0] == pytest.approx(2.0, abs=1e-6)
         assert d.c_ze[0, 0] == pytest.approx(2.0, abs=1e-6)
 
+    def test_reports_compare_by_value(self):
+        f = square_func()
+        a = core.vector([DualNumber(1.0, 1.0)], [])
+        assert diff.cr_check(f, a) == diff.cr_check(f, a)
+        assert diff.cr_check(f, a) != diff.cr_check(f, core.vector([DualNumber(2.0, 1.0)], []))
+
     def test_re_part_fails_with_unit_residual(self):
         f = DualFunc((1, 0), (1, 0), (re_part(head_coord(0)),))
         report = diff.cr_check(f, core.vector([DualNumber(0.3, -0.7)], []))

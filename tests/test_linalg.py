@@ -196,6 +196,30 @@ class TestModuleMap:
             with pytest.raises(ValueError):
                 ModuleMap.from_json(dict(data, **shape))
 
+    def test_value_equality_and_hash(self):
+        rng = np.random.default_rng(31)
+        lam = rand_map(rng, (2, 1), (1, 2))
+        back = ModuleMap.from_json(lam.to_json())
+        assert back == lam and hash(back) == hash(lam)
+        assert ModuleMap.identity(2, 1) == ModuleMap.identity(2, 1)
+        assert len({ModuleMap.identity(2, 1), ModuleMap.identity(2, 1)}) == 1
+        # -0.0 equals 0.0, so the hashes agree too
+        negated = ModuleMap.scalar(1, 1, DualNumber(-0.0, 0.0))
+        assert negated == ModuleMap.zero((1, 1), (1, 1))
+        assert hash(negated) == hash(ModuleMap.zero((1, 1), (1, 1)))
+        # same entries (none), different shapes
+        assert ModuleMap.zero((0, 2), (0, 0)) != ModuleMap.zero((0, 0), (0, 2))
+        assert ModuleMap.identity(1, 0) != ModuleMap.identity(0, 1)
+        assert ModuleMap.identity(1, 0) != "not a map"
+
+    def test_shape_must_be_nonnegative_integers(self):
+        z = np.zeros((0, 0))
+        for n, m in ((-1, 0), (0, -1), (1.0, 0), (True, 0)):
+            with pytest.raises(ValueError):
+                ModuleMap(n, m, 0, 0, z, z, z, z, z)
+        lam = ModuleMap(np.int64(1), 0, 1, 0, [[2.0]], [[0.0]], z, z, z)
+        assert type(lam.n) is int and lam == ModuleMap.scalar(1, 0, DualNumber(2.0, 0.0))
+
 
 class TestIndependence:
     def test_dependent_pair_example(self):

@@ -787,6 +787,25 @@ class TestTransitionTemplates:
         assert verify_atlas(ProjectiveAtlas(3, 3), samples=20, seed=1).passed
         assert lowered == []
 
+    def test_failing_pairs_replay_through_their_templates(self, monkeypatch):
+        built = []
+
+        def counting_transition(*args):
+            built.append(args)
+            return build(*args)
+
+        build = manifold.transition
+        monkeypatch.setattr(manifold, "transition", counting_transition)
+        manifold._template.cache_clear()
+        set_default_tol(0.49)
+        try:
+            report = verify_atlas(ProjectiveAtlas(3, 3), samples=20)
+        finally:
+            set_default_tol(DEFAULT_TOL)
+            manifold._template.cache_clear()
+        assert any(e.axiom == "iv" and not e.passed for e in report.entries)
+        assert len(built) <= 4
+
 
 class TestAtlasJson:
     def test_projective_round_trip(self):

@@ -71,6 +71,15 @@ class TestGramForm:
         assert np.array_equal(again.g_ze, form.g_ze)
         assert again.shape == (2, 2)
 
+    def test_value_equality_and_hash(self):
+        form = standard_form(1, 1)
+        again = GramForm.from_json(form.to_json())
+        assert again == form and hash(again) == hash(form)
+        assert form != standard_form(2, 0) and form != standard_form(0, 2)
+        negated = GramForm(1, 0, np.array([[-0.0]]), np.zeros((1, 1)))
+        assert negated == GramForm(1, 0, np.zeros((1, 1)), np.zeros((1, 1)))
+        assert hash(negated) == hash(GramForm(1, 0, np.zeros((1, 1)), np.zeros((1, 1))))
+
     def test_non_finite_rejected(self):
         form = standard_form(1, 1)
         for name in ("g_re", "g_ze"):
