@@ -99,6 +99,28 @@ def json_grid(data, shape: tuple[int, ...], what: str) -> np.ndarray:
     raise ValueError("%s must be a %s numbers, got %.80r" % (what, kind, data))
 
 
+def json_writer(*keys):
+    """A to_json method writing the named attributes in order: an object
+    with its own to_json goes through it, a tuple or list becomes a new
+    list and a dict a new dict, each with its items written by the same
+    rule, and any other value is kept, so no container is shared."""
+
+    def to_json(self) -> dict:
+        return {key: _json_value(getattr(self, key)) for key in keys}
+
+    return to_json
+
+
+def _json_value(value):
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    return value
+
+
 @dataclass(frozen=True)
 class DualNumber:
     """A scalar re + ze*eps with eps**2 = 0."""
@@ -383,18 +405,25 @@ def inner(x: DualVector, y: DualVector) -> float:
 
 
 def vector_norm(x: DualVector) -> float:
-    return math.sqrt(inner(x, x))
+    return float(row_norms(x.array, x.n))
 
 
 def row_norms(rows: np.ndarray, n: int) -> np.ndarray:
-    """vector_norm of each realified row with n heads, summed in inner's
-    order, so the floats are vector_norm's."""
+    """sqrt(inner(x, x)) of each realified row x with n heads, summed in
+    inner's order.  When some entry exceeds 2**500, each row is divided
+    by a power of two near its largest entry before summing and the norm
+    multiplied back, so large finite rows do not overflow; the division
+    is exact, and arrays below 2**500 are summed as they are."""
+    scaled = np.fmax.reduce(np.abs(rows), axis=None, initial=0.0) > 2.0**500  # fmax skips NaN
+    if scaled:
+        exp = np.frexp(np.abs(rows).max(axis=-1, initial=0.0))[1]
+        rows = np.ldexp(rows, -exp[..., None])
     acc = np.zeros(rows.shape[:-1])
     for k in range(n):
         acc = acc + (2.0 * rows[..., k] * rows[..., k] + rows[..., n + k] * rows[..., n + k])
     for k in range(2 * n, rows.shape[-1]):
         acc = acc + rows[..., k] * rows[..., k]
-    return np.sqrt(acc)
+    return np.ldexp(np.sqrt(acc), exp) if scaled else np.sqrt(acc)
 
 
 def sharp_action(v: DualVector) -> DualVector:

@@ -43,6 +43,7 @@ from dualmod.core import (
     as_index,
     json_fields,
     json_list,
+    json_writer,
     resolve_tol,
     row_norms,
 )
@@ -212,12 +213,7 @@ class DualFunc:
         object.__setattr__(self, "_nodes", nodes)
         object.__setattr__(self, "_outputs", outputs)
 
-    def to_json(self) -> dict:
-        return {
-            "domain": list(self.domain),
-            "codomain": list(self.codomain),
-            "components": [c.to_json() for c in self.components],
-        }
+    to_json = json_writer("domain", "codomain", "components")
 
     @classmethod
     def from_json(cls, data) -> "DualFunc":
@@ -306,27 +302,20 @@ class CrReport:
     residuals: dict[str, float] = field(default_factory=dict)
     derivative: ModuleMap | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "point": self.point.to_json(),
-            "passed": self.passed,
-            "residuals": dict(self.residuals),
-            "derivative": None if self.derivative is None else self.derivative.to_json(),
-        }
+    to_json = json_writer("point", "passed", "residuals", "derivative")
 
 
-def _walk(nodes, x, bad: np.ndarray | None = None, stats: dict | None = None) -> list:
+def _walk(nodes, x, tol: float, bad: np.ndarray | None = None, stats: dict | None = None) -> list:
     """(re, ze) of every node of a lowered list at the realified point x:
     floats for one point, or arrays with one entry per point for a batch,
     with bad an (S,) mask.
 
     The arithmetic is core.mul's, core.inv's and DualNumber addition's, op
     for op, so the floats equal those of DualNumber evaluation.  An inverse
-    within the default tolerance of zero raises NotInvertible for one point
-    and marks the point in bad for a batch (see _inverse_re).  stats (one
-    point only) takes the hooks described in eval_expr.
+    within tol of zero raises NotInvertible for one point and marks the
+    point in bad for a batch (see _inverse_re).  stats (one point only)
+    takes the hooks described in eval_expr.
     """
-    tol = resolve_tol(None)
     vals = []
     for op, args, payload, freed in nodes:
         if op == "const":
@@ -397,9 +386,10 @@ def _realified_outputs(
     """f at the realified point (or batch of points) x, realified: head re
     parts, head ze parts, tail coefficients.  Where a tail output is not a
     zero divisor, one point raises EvaluationFailed and a batch marks the
-    point in bad, as _walk does for inverses."""
+    point in bad, as _walk does for inverses; tol is the zero tolerance of
+    both tests."""
     s = f.codomain[0]
-    vals = _walk(f._nodes, x, bad, stats)
+    vals = _walk(f._nodes, x, tol, bad, stats)
     out = [vals[p] for p in f._outputs]
     for l, (re, _) in enumerate(out[s:]):
         _check_tail(re, tol, l, bad)
@@ -427,7 +417,9 @@ def eval_func(
     f: DualFunc, x: DualVector, tol: float | None = None, stats: dict | None = None
 ) -> DualVector:
     """Evaluate all components in one walk of f's node list; tail
-    components must be zero divisors.  stats: as in eval_expr."""
+    components must be zero divisors.  tol (the default when None) is the
+    zero tolerance of the inverses and of the tail test.  stats: as in
+    eval_expr."""
     out = _realified_outputs(f, _point(f, x), resolve_tol(tol), stats=stats)
     return unrealify(out, *f.codomain)
 

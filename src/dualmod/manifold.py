@@ -34,6 +34,7 @@ from dualmod.core import (
     inv,
     json_fields,
     json_list,
+    json_writer,
     mul,
     resolve_tol,
     row_norms,
@@ -351,12 +352,7 @@ class ExprChart:
         # a one-output function, lowered once (which checks its slots); not a field
         object.__setattr__(self, "_predicate", DualFunc(self.forward.domain, (1, 0), (self.domain,)))
 
-    def to_json(self) -> dict:
-        return {
-            "forward": self.forward.to_json(),
-            "inverse": self.inverse.to_json(),
-            "domain": self.domain.to_json(),
-        }
+    to_json = json_writer("forward", "inverse", "domain")
 
     @classmethod
     def from_json(cls, data) -> "ExprChart":
@@ -380,8 +376,7 @@ class ExprAtlas:
     def ambient(self) -> tuple[int, int]:
         return self.charts[0].forward.domain
 
-    def to_json(self) -> dict:
-        return {"charts": [c.to_json() for c in self.charts]}
+    to_json = json_writer("charts")
 
     @classmethod
     def from_json(cls, data) -> "ExprAtlas":
@@ -407,14 +402,7 @@ class AtlasCheck:
     witness: dict | None = None
     checked: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "chart_pair": list(self.chart_pair),
-            "passed": self.passed,
-            "witness": self.witness,
-            "checked": self.checked,
-        }
+    to_json = json_writer("axiom", "chart_pair", "passed", "witness", "checked")
 
 
 @dataclass(frozen=True)
@@ -425,11 +413,7 @@ class AtlasReport:
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "entries": [e.to_json() for e in self.entries],
-        }
+    to_json = json_writer("passed", "entries")
 
 
 def random_reps(rng, n, m, active=(), count=1, sparsity=0.3) -> np.ndarray:

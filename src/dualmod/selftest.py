@@ -29,13 +29,7 @@ class CheckResult:
     worst: float | None  # None when the check raised; detail names the error
     detail: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "worst": self.worst,
-            "detail": self.detail,
-        }
+    to_json = core.json_writer("name", "passed", "worst", "detail")
 
 
 @dataclass(frozen=True)
@@ -49,14 +43,7 @@ class SelftestReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "checks": [c.to_json() for c in self.checks],
-        }
+    to_json = core.json_writer("passed", "samples", "seed", "tolerance", "checks")
 
 
 def _dist(x, y) -> float:

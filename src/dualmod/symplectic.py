@@ -25,6 +25,7 @@ from dualmod.core import (
     json_fields,
     json_grid,
     json_list,
+    json_writer,
     resolve_tol,
     row_norms,
 )
@@ -62,8 +63,8 @@ class GramForm:
     g_ze: np.ndarray
 
     def __post_init__(self):
-        if self.n < 0 or self.m < 0:
-            raise FormInvalid("negative shape")
+        object.__setattr__(self, "n", _size(self.n, "n"))
+        object.__setattr__(self, "m", _size(self.m, "m"))
         if self.n + self.m == 0:
             raise EmptyShape("a form needs at least one direction")
         size = self.n + self.m
@@ -113,6 +114,14 @@ class GramForm:
         return cls(n, m, g[..., 0], g[..., 1])
 
 
+def _size(value, what: str) -> int:
+    """as_index for a form's shape, raising FormInvalid."""
+    try:
+        return as_index(value, what)
+    except ValueError as exc:
+        raise FormInvalid(str(exc)) from None
+
+
 def _check_shape(form: GramForm, v: DualVector) -> None:
     if v.shape != form.shape:
         raise ShapeMismatch(
@@ -155,8 +164,7 @@ def _pairing(form: GramForm) -> np.ndarray:
 def standard_form(n: int, m: int) -> GramForm:
     """The reference structure on shape (2n, 2m): consecutive head slots
     pair to 1, consecutive tail slots pair to eps."""
-    if n < 0 or m < 0:
-        raise FormInvalid("negative shape")
+    n, m = _size(n, "n"), _size(m, "m")
     size = 2 * n + 2 * m
     g_re = np.zeros((size, size))
     g_ze = np.zeros((size, size))
@@ -177,13 +185,7 @@ class FormCheck:
     residual: float | None = None
     witness: list | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "residual": self.residual,
-            "witness": self.witness,
-        }
+    to_json = json_writer("name", "passed", "residual", "witness")
 
 
 @dataclass(frozen=True)
@@ -195,12 +197,7 @@ class FormReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json(self) -> dict:
-        return {
-            "shape": list(self.shape),
-            "passed": self.passed,
-            "checks": [c.to_json() for c in self.checks],
-        }
+    to_json = json_writer("shape", "passed", "checks")
 
 
 def _nondegenerate(name: str, block: np.ndarray) -> FormCheck:
@@ -280,15 +277,7 @@ class DarbouxBasis:
             out.extend((u, v))
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "pairs_head": [
-                [e.to_json(), f.to_json()] for e, f in self.pairs_head
-            ],
-            "pairs_tail": [
-                [u.to_json(), v.to_json()] for u, v in self.pairs_tail
-            ],
-        }
+    to_json = json_writer("pairs_head", "pairs_tail")
 
     @classmethod
     def from_json(cls, data) -> "DarbouxBasis":
@@ -394,13 +383,7 @@ class DarbouxReport:
     independent: bool
     complete: bool
 
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "pairing_residual": self.pairing_residual,
-            "independent": self.independent,
-            "complete": self.complete,
-        }
+    to_json = json_writer("passed", "pairing_residual", "independent", "complete")
 
 
 def verify_darboux(

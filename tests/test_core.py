@@ -406,6 +406,21 @@ class TestVectorStorage:
             assert core.inner(v, v) == acc
             assert core.vector_norm(v) == math.sqrt(acc) == core.row_norms(v.array[None], n)[0]
 
+    def test_norms_of_large_rows_scale_exactly(self):
+        # above 2**500 a row is divided by a power of two before its squares
+        # are summed, which is exact: the norms scale with the rows and a
+        # row's norm does not depend on the others in its array
+        rng = np.random.default_rng(54)
+        for _ in range(50):
+            n, m = rng.integers(0, 4, size=2)
+            rows = rng.normal(size=(3, 2 * n + m)) * 10.0 ** rng.integers(-8, 9, size=(3, 2 * n + m))
+            norms = core.row_norms(rows, n)
+            assert core.row_norms(rows * 2.0**700, n).tolist() == (norms * 2.0**700).tolist()
+            mixed = np.vstack([rows, np.full(2 * n + m, 1e300)])
+            assert core.row_norms(mixed, n)[:3].tolist() == norms.tolist()
+        assert core.vector_norm(core.vector([(1e200, 0.0)], [])) == pytest.approx(2.0**0.5 * 1e200)
+        assert core.vector_norm(core.vector([(1e300, 1e300)], [1e300])) == pytest.approx(2e300)
+
     def test_entry_replacement(self):
         v = core.vector([ONE, EPS], [1.0, 2.0])
         assert core.with_head_entry(v, -1, DualNumber(3.0, 4.0)) == core.vector([ONE, (3.0, 4.0)], [1.0, 2.0])

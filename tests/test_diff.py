@@ -75,6 +75,17 @@ class TestEval:
         with pytest.raises(NotInvertible):
             diff.eval_func(f, core.vector([EPS], []))
 
+    def test_tol_reaches_the_inverse_test(self):
+        # one zero tolerance serves the inverses and the tail test
+        x = head_coord(0)
+        point = core.vector([(0.3, 0.0)], [])
+        inverse = DualFunc((1, 0), (1, 0), (inv_expr(x),))
+        with pytest.raises(NotInvertible):
+            diff.eval_func(inverse, point, tol=0.5)
+        assert diff.eval_func(inverse, point).head[0].re == 1.0 / 0.3
+        tail = DualFunc((1, 0), (0, 1), (x,))
+        assert diff.eval_func(tail, point, tol=0.5).tail == (0.0,)
+
     def test_eval_shape_checks(self):
         f = square_func()
         with pytest.raises(ShapeMismatch):
@@ -777,6 +788,13 @@ class TestLimitCheck:
             assert report.passed
             assert diff.limit_check(f, a, report.derivative, radius=0.01)
 
+
+    def test_large_values_do_not_overflow_the_norms(self):
+        # the remainders near 1e200 square past the float limit, which
+        # the norms avoid; pytest turns a RuntimeWarning into an error
+        f = DualFunc((1, 0), (1, 0), (const(1e200) * head_coord(0),))
+        a = core.vector([DualNumber(0.7, 0.1)], [])
+        assert isinstance(diff.limit_check(f, a, diff.forward_derivative(f, a)), bool)
 
     def test_base_point_failure_is_named_before_the_probes(self):
         # the base point is row 0 of the probe batch; where it and probes

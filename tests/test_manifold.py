@@ -402,11 +402,23 @@ class TestVerifyAtlas:
         ii = report.entries[0]
         assert ii.axiom == "ii" and not ii.passed and ii.checked == 1
         assert ii.witness["error"] == "round-trip gap is not finite"
-        wide = DualFunc((1, 0), (1, 0), (x * 1e160,))
-        report = verify_atlas(ExprAtlas((ExprChart(wide, tiny, const(ONE)),)), samples=20)
+        # a correct chart whose images are finite but differ by more than
+        # the float limit
+        wide = DualFunc((1, 0), (1, 0), (x * 1.1e308,))
+        narrow = DualFunc((1, 0), (1, 0), (x * (1 / 1.1e308),))
+        report = verify_atlas(ExprAtlas((ExprChart(wide, narrow, const(ONE)),)), samples=20)
         ii, iii = report.entries[:2]
         assert ii.passed and iii.axiom == "iii" and not iii.passed
         assert iii.witness["error"] == "distance between chart images is not finite"
+
+    def test_large_finite_chart_passes(self):
+        # images near 1e200 square past the float limit; the norms divide
+        # such rows by a power of two first, so the correct chart passes
+        x = coord("head", 0)
+        big = DualFunc((1, 0), (1, 0), (const(1e200) * x,))
+        small = DualFunc((1, 0), (1, 0), (const(1e-200) * x,))
+        report = verify_atlas(ExprAtlas((ExprChart(big, small, const(ONE)),)), samples=20)
+        assert report.passed and all(e.checked for e in report.entries)
 
     def test_non_finite_residual_fails_smoothness(self):
         x = coord("head", 0)

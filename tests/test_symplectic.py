@@ -80,6 +80,17 @@ class TestGramForm:
         assert negated == GramForm(1, 0, np.zeros((1, 1)), np.zeros((1, 1)))
         assert hash(negated) == hash(GramForm(1, 0, np.zeros((1, 1)), np.zeros((1, 1))))
 
+    @pytest.mark.parametrize("size", [2.0, True, -1])
+    def test_sizes_must_be_nonnegative_integers(self, size):
+        blocks = standard_form(1, 0)
+        for form in (
+            lambda: GramForm(size, 0, blocks.g_re, blocks.g_ze),
+            lambda: GramForm(size, size, np.zeros((2, 2)), np.zeros((2, 2))),
+            lambda: standard_form(size, 0),
+        ):
+            with pytest.raises(FormInvalid, match="n must be a nonnegative integer"):
+                form()
+
     def test_non_finite_rejected(self):
         form = standard_form(1, 1)
         for name in ("g_re", "g_ze"):
