@@ -122,8 +122,8 @@ def _resolve_tol(args) -> float:
             tol = float(env)
         except ValueError:
             raise UsageFailure("DUALMOD_TOL must be a number, got %r" % env)
-    if not tol > 0.0:
-        raise UsageFailure("tolerance must be positive, got %g" % tol)
+    if not 0.0 < tol < math.inf:
+        raise UsageFailure("tolerance must be positive and finite, got %g" % tol)
     return tol
 
 

@@ -14,7 +14,8 @@ as arrays over its sample points, on realified rows.  Up to a permutation
 of slots, a standard transition (i, j) -> (k, l) has one of four shapes
 (i = k or not, j = l or not), so the transition test runs on four cached
 templates per (n, m), with the pairs of a shape stacked into shared
-batches.
+batches.  A transition is defined where it evaluates: for a standard one,
+where its head and tail pivots are invertible.
 """
 
 from __future__ import annotations
@@ -123,19 +124,20 @@ def equivalent(x, y, tol: float | None = None) -> bool:
     scale = 1.0 + max(
         float(np.abs(realify(x)).max()), float(np.abs(realify(y)).max())
     )
+    # s and t are invertible exactly when y's entries at x's pivots are
     i0 = _argmax_head_re(x)
-    s = mul(y.head[i0], inv(x.head[i0], tol=0.0))
-    if abs(s.re) <= tol:
+    if abs(y.head[i0].re) <= tol:
         return False
+    s = mul(y.head[i0], inv(x.head[i0], tol=0.0))
     for a in range(n + 1):
         d = y.head[a] - mul(s, x.head[a])
         if abs(d.re) > tol * scale or abs(d.ze) > tol * scale:
             return False
     j0 = _argmax_tail(x)
     x_tail, y_tail = x.tail, y.tail
-    t = y_tail[j0] / x_tail[j0]
-    if abs(t) <= tol:
+    if abs(y_tail[j0]) <= tol:
         return False
+    t = y_tail[j0] / x_tail[j0]
     for b in range(m + 1):
         if abs(y_tail[b] - t * x_tail[b]) > tol * scale:
             return False
@@ -229,28 +231,14 @@ def _check_chart_index(i, j, n, m):
         raise IndexError("chart (%d, %d) out of range for (%d, %d)" % (i, j, n, m))
 
 
-@dataclass(frozen=True)
-class TransitionMap:
-    """A chart-to-chart change of coordinates with its domain predicate.
-
-    The point is inside the domain when the predicate evaluates with
-    invertible re part.
-    """
-
-    func: DualFunc
-    domain: Expr
-
-    def __post_init__(self):
-        # the predicate as a one-output function, lowered once; not a field
-        object.__setattr__(self, "_predicate", DualFunc(self.func.domain, (1, 0), (self.domain,)))
-
-
-def transition(i: int, j: int, k: int, l: int, n: int, m: int) -> TransitionMap:
+def transition(i: int, j: int, k: int, l: int, n: int, m: int) -> DualFunc:
     """Coordinates of chart (k, l) as expressions in chart (i, j) coordinates.
 
     Head outputs are dual ratios; tail outputs are real ratios re-embedded
     as eps coefficients, which keeps the whole map inside the expression
-    language."""
+    language.  Its domain, the image of the charts' overlap, is where it
+    evaluates: where head k and tail coefficient l, the two entries it
+    inverts, are invertible."""
     _check_chart_index(i, j, n, m)
     _check_chart_index(k, l, n, m)
     heads = []
@@ -275,29 +263,30 @@ def transition(i: int, j: int, k: int, l: int, n: int, m: int) -> TransitionMap:
     for b in range(m + 1):
         if b != l:
             comps.append(sharp_expr(Expr("mul", (coeffs[b], inv_coeff))))
-    func = DualFunc((n, m), (n, m), tuple(comps))
-    predicate = Expr("mul", (heads[k], coeffs[l]))
-    return TransitionMap(func, predicate)
+    return DualFunc((n, m), (n, m), tuple(comps))
 
 
 @functools.lru_cache(maxsize=128)
-def _template(n: int, m: int, same_head: bool, same_tail: bool) -> TransitionMap:
+def _template(n: int, m: int, same_head: bool, same_tail: bool) -> DualFunc:
     """Up to a permutation of slots, the transition of every standard chart
     pair (i, j) -> (k, l) with i = k or not and j = l or not as given."""
     return transition(0, 0, int(not same_head), int(not same_tail), n, m)
 
 
-def in_transition_domain(trans: TransitionMap, u: DualVector, tol=None) -> bool:
+def in_transition_domain(trans: DualFunc, u: DualVector, tol=None) -> bool:
+    """Does trans evaluate at u, with tol (the default when None) as the
+    zero tolerance of its inverses?"""
     try:
-        return abs(eval_func(trans._predicate, u).array[0]) > resolve_tol(tol)
-    except NotInvertible:
+        eval_func(trans, u, tol)
+    except (NotInvertible, EvaluationFailed):
         return False
+    return True
 
 
 def _re_invertible(predicate: DualFunc, points: np.ndarray, tol: float) -> np.ndarray:
-    """Per realified row of points: does the one-output predicate evaluate
-    there with a re part beyond tol?  A row where it meets a singular
-    inverse is outside."""
+    """Per realified row of points: does an ExprChart's one-output domain
+    predicate evaluate there with a re part beyond tol?  A row where it
+    meets a singular inverse is outside."""
     values, bad = _eval_batch(predicate, points)
     return ~bad & (np.abs(values[:, 0]) > tol)
 
@@ -481,12 +470,16 @@ def verify_atlas(atlas, samples: int = 50, tol: float = 1e-4, seed: int = 0) -> 
 
     Each entry is evaluated as whole arrays over its sample points, with
     the draws, counts and witnesses of checking them one at a time in draw
-    order: an entry stops at its first failure and leaves the generator
-    where that failure left it.  A chart image, round-trip gap or image
-    distance that is not finite is a failure.
+    order: an entry stops at its first failure.  An (ii) entry leaves the
+    generator where that failure left it; an (iv) entry leaves it after its
+    pair's whole overlap draw.  A chart image, round-trip gap or image
+    distance that is not finite is a failure.  tol must be a finite number
+    of at least 0, or ValueError is raised.
     """
     if not isinstance(atlas, (ProjectiveAtlas, ExprAtlas)):
         raise TypeError("not an atlas: %r" % (atlas,))
+    if not 0.0 <= tol < np.inf:
+        raise ValueError("atlas tolerance must be finite and at least 0, got %r" % (tol,))
     rng = np.random.default_rng(seed)
     kind = _StandardCharts if isinstance(atlas, ProjectiveAtlas) else _ExprCharts
     ops = kind(atlas, rng, tol)
@@ -571,12 +564,12 @@ def _smoothness(ops, rng, samples, tol) -> list:
     domain and block tests per template.  At the first failing pair, the
     entries before it stand, its witness comes from cr_check on its
     template at the failing row's gathered columns (the witness point is
-    the row itself), the generator is left as that failure leaves it, and the
-    next window starts after it with one pair, then doubles."""
+    the row itself), the generator is left after that pair's overlap draw,
+    and the next window starts after it with one pair, then doubles."""
     pairs = list(itertools.product(ops.charts, repeat=2))
     entries, limit = [], len(pairs)
     while len(entries) < len(pairs):
-        window, cells, states, pts = [], 0, [rng.bit_generator.state], []
+        window, cells, states, pts = [], 0, [], []
         for c1, c2 in pairs[len(entries) : len(entries) + limit]:
             (n, m), (s, t) = ops.image_shape(c1), ops.image_shape(c2)
             cells += max(samples, 1) * (2 * n + m) * (2 * s + t)
@@ -585,15 +578,11 @@ def _smoothness(ops, rng, samples, tol) -> list:
             window.append((c1, c2))
             pts.append(ops.overlap(c1, c2, samples))
             states.append(rng.bit_generator.state)
-        for p, (witness, checked, stop) in enumerate(_window_verdicts(ops, window, pts, tol)):
+        for p, (witness, checked) in enumerate(_window_verdicts(ops, window, pts, tol)):
             entries.append(_entry("iv", window[p], witness, checked, "transition domain"))
             if witness is None:
                 continue
-            if ops.lazy_overlap and stop + 1 < len(pts[p]):
-                # the overlap points were drawn one at a time, up to the failure
-                _rewind(rng, states[p], lambda used: ops.overlap(*window[p], used), stop + 1)
-            else:
-                rng.bit_generator.state = states[p + 1]
+            rng.bit_generator.state = states[p]
             # the pairs drawn past a failure are drawn again: small windows
             # keep that waste below the work of the pairs checked
             limit = 1
@@ -604,9 +593,10 @@ def _smoothness(ops, rng, samples, tol) -> list:
 
 
 def _window_verdicts(ops, window, pts, tol):
-    """(witness, checked, stop) of (iv) for each pair of a window in turn,
-    with pts its overlap points: the points checked up to the first failing
-    one, at stop.  A verdict after one with a witness means nothing."""
+    """(witness, checked) of (iv) for each pair of a window in turn, with
+    pts its overlap points: checked counts the points inside the domain up
+    to the first failing one.  A verdict after one with a witness means
+    nothing."""
     images = []  # per pair: its chart images up to stop, stop and the witness there
     for c1, group in itertools.groupby(range(len(window)), key=lambda p: window[p][0]):
         sizes = [len(pts[p]) for p in group]  # consecutive pairs, from len(images) on
@@ -614,32 +604,33 @@ def _window_verdicts(ops, window, pts, tol):
         for start, size in zip(np.cumsum([0] + sizes), sizes):
             k = min(max(stop - start, 0), size)  # past the failing row: after a failing pair
             images.append((rows[start : start + k], k, witness if stop < start + size else None))
-    templates = [ops.template(*pair) for pair in window]  # per pair: key, transition, columns
+    templates = [ops.template(*pair) for pair in window]  # per pair: key, transition, columns, pivots
     stacks, flags = {}, [None] * len(window)  # per pair: inside the domain, failing
-    for p, (key, trans, cols) in enumerate(templates):
-        _, members, gathered = stacks.setdefault(key, (trans, [], []))
+    for p, (key, trans, cols, pivots) in enumerate(templates):
+        _, _, members, gathered = stacks.setdefault(key, (trans, pivots, [], []))
         members.append(p)
         gathered.append(images[p][0][:, cols])
-    for trans, members, rows in stacks.values():
+    for trans, pivots, members, rows in stacks.values():
         rows = np.vstack(rows)
-        inside = _re_invertible(trans._predicate, rows, resolve_tol(None))
-        residuals, bad = _cr_rows(trans.func, rows[inside])
+        # the template evaluates exactly where the columns it inverts are invertible
+        inside = (np.abs(rows[:, pivots]) > resolve_tol(None)).all(axis=1)
+        residuals, bad = _cr_rows(trans, rows[inside])
         failed = np.zeros(len(rows), dtype=bool)
         failed[inside] = bad | (residuals > tol).any(axis=1)
         cuts = np.cumsum([images[p][1] for p in members])[:-1]
         for p, *flag in zip(members, np.split(inside, cuts), np.split(failed, cuts)):
             flags[p] = flag
     for p, (c1, _) in enumerate(window):
-        (rows, stop, witness), (inside, failed), (_, trans, cols) = images[p], flags[p], templates[p]
+        (rows, stop, witness), (inside, failed), (_, trans, cols, _) = images[p], flags[p], templates[p]
         if failed.any():
             stop = int(np.argmax(failed))
             shape, row = ops.image_shape(c1), rows[stop]
             try:
-                residuals = cr_check(trans.func, unrealify(row[cols], *shape), tol=tol).residuals
+                residuals = cr_check(trans, unrealify(row[cols], *shape), tol=tol).residuals
                 witness = {"point": unrealify(row, *shape).to_json(), "residuals": residuals}
             except (NotInvertible, EvaluationFailed) as exc:
                 witness = {"point": ops.box(pts[p][stop]).to_json(), "error": str(exc)}
-        yield witness, int(inside[: stop + 1].sum()), stop
+        yield witness, int(inside[: stop + 1].sum())
 
 
 # Jacobian entries checked together; a batched block test peaks near 20 B each
@@ -656,10 +647,6 @@ def _rewind(rng, state, draw, used):
 class _StandardCharts:
     """verify_atlas's batched chart operations for the standard charts
     [i, j], on realified representatives."""
-
-    # overlap points count as drawn one at a time: an entry that stops at a
-    # failure has drawn only the points up to it
-    lazy_overlap = True
 
     def __init__(self, atlas, rng, tol):
         self.shape, self.rng = (atlas.n, atlas.m), rng
@@ -687,9 +674,12 @@ class _StandardCharts:
         return unrealify(row, n + 1, m + 1)
 
     def template(self, c1, c2):
-        """Stack key, template and c1's image columns for c1 -> c2: the head
-        re and ze, and the tail, columns permuted into the template's slot
-        order, where each node does the pair's own float operations."""
+        """Stack key, template, c1's image columns and the template's pivot
+        columns for c1 -> c2.  The image columns are the head re and ze, and
+        the tail, columns permuted into the template's slot order, where each
+        node does the pair's own float operations.  The pivots, among the
+        gathered columns, are the two the template inverts: column 0 unless
+        i = k and column 2n unless j = l."""
         (i, j), (k, l), (n, m) = c1, c2, self.shape
         # c1's head and tail slots in the template's slot order: k's and l's first
         heads, tails = (
@@ -697,15 +687,13 @@ class _StandardCharts:
             for p, q, size in ((i, k, n + 1), (j, l, m + 1))
         )
         key = (i == k, j == l)
-        return key, _template(n, m, *key), heads + [n + a for a in heads] + [2 * n + b for b in tails]
+        pivots = [0] * (i != k) + [2 * n] * (j != l)
+        return key, _template(n, m, *key), heads + [n + a for a in heads] + [2 * n + b for b in tails], pivots
 
 
 class _ExprCharts:
     """verify_atlas's batched chart operations for ExprAtlas charts, named
     by index."""
-
-    # overlap draws all of its points before any is checked
-    lazy_overlap = False
 
     def __init__(self, atlas, rng, tol):
         self.atlas, self.rng, self.tol = atlas, rng, tol
@@ -752,7 +740,8 @@ class _ExprCharts:
         return vector_norm(x - y) <= 1e-6
 
     def template(self, a, b):
-        """Each pair is its own stack, read as is; overlap draws only
-        points inside both chart domains, so the domain is everything."""
+        """Each pair is its own stack, read as is, with no pivots; overlap
+        draws only points inside both chart domains, so every row is inside
+        and a row where the transition cannot be evaluated fails."""
         fwd, back = self.atlas.charts[b].forward, self.atlas.charts[a].inverse
-        return (a, b), TransitionMap(compose_funcs(fwd, back), const(ONE)), slice(None)
+        return (a, b), compose_funcs(fwd, back), slice(None), []

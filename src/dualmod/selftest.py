@@ -269,7 +269,7 @@ def run_selftest(samples: int = 100, seed: int = 0, tol: float | None = None) ->
             p = manifold.random_rep(rng, 2, 1, active=((0, 0), (1, 0)))
             u = manifold.chart_map(0, 0, p)
             direct = manifold.chart_map(1, 0, p)
-            stepped = diff.eval_func(trans.func, u)
+            stepped = diff.eval_func(trans, u)
             worst = max(worst, core.vector_norm(direct - stepped))
         return worst
 

@@ -192,7 +192,7 @@ def test_criterion_4_projective_atlas():
                     u = chart_map(c1[0], c1[1], p)
                     if not in_transition_domain(trans, u):
                         continue
-                    result = cr_check(trans.func, u, tol=1e-4)
+                    result = cr_check(trans, u, tol=1e-4)
                     points_checked += 1
                     transition_failures += not result.passed
 

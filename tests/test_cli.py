@@ -101,11 +101,16 @@ class TestSelftest:
         assert code == 2
         assert "--samples" in err
 
-    def test_nonpositive_tolerance_rejected(self, capsys):
-        for flag in ("--tol=-1e-9", "--tol=0"):
+    def test_nonpositive_tolerance_rejected(self, capsys, monkeypatch):
+        # a tolerance that is not finite is bad input too, before any check runs
+        for flag in ("--tol=-1e-9", "--tol=0", "--tol=inf", "--tol=1e400"):
             code, _, err = run(capsys, ["selftest", flag])
             assert code == 2
             assert "tolerance" in err
+        monkeypatch.setenv("DUALMOD_TOL", "inf")
+        code, _, err = run(capsys, ["selftest"])
+        assert code == 2
+        assert "tolerance" in err
 
 
 class TestBasis:
