@@ -202,28 +202,43 @@ def chart_inverse(i: int, j: int, u: DualVector) -> ProjectivePoint:
     return ProjectivePoint(DualVector(tuple(head), tuple(tail)))
 
 
-def _chart_rows(i, j, points, n, m) -> np.ndarray:
+@functools.lru_cache(maxsize=1024)
+def _kept_columns(i, j, n, m):
+    """The realified columns that chart (i, j) of the (n, m) space keeps, in
+    chart coordinate order."""
+    kept = [a for a in range(n + 1) if a != i]
+    return _frozen(kept + [n + 1 + a for a in kept] + [2 * n + 2 + b for b in range(m + 1) if b != j], np.intp)
+
+
+def _frozen(values, dtype=None) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+def _chart_rows(i, j, points, n, m, tol) -> np.ndarray:
     """chart_map on realified representatives of the (n, m) space, one per
-    row, with core.inv's and core.mul's operations on columns."""
-    h = n + 1
-    re, ze, tail = points[:, :h], points[:, h : 2 * h], points[:, 2 * h :]
-    tol = resolve_tol(None)
-    if not ((np.abs(re[:, i]) > tol) & (np.abs(tail[:, j]) > tol)).all():
+    row, with core.inv's and core.mul's operations on columns and tol as
+    the zero tolerance."""
+    re, tail = points[:, i, None], points[:, 2 * n + 2 + j, None]
+    if not ((np.abs(re) > tol) & (np.abs(tail) > tol)).all():
         raise NotInChart("point misses chart (%d, %d)" % (i, j))
-    pivot_re = 1.0 / re[:, i : i + 1]
-    pivot_ze = -ze[:, i : i + 1] / (re[:, i : i + 1] * re[:, i : i + 1])
-    re, ze, tail = (np.delete(a, k, axis=1) for a, k in ((re, i), (ze, i), (tail, j)))
-    return np.hstack(
-        [re * pivot_re, re * pivot_ze + ze * pivot_re, tail / points[:, 2 * h + j : 2 * h + j + 1]]
-    )
+    pivot_re, pivot_ze = 1.0 / re, -points[:, n + 1 + i, None] / (re * re)
+    out = points[:, _kept_columns(i, j, n, m)]
+    head_re, head_ze = out[:, :n], out[:, n : 2 * n]
+    head_ze *= pivot_re
+    head_ze += head_re * pivot_ze
+    head_re *= pivot_re
+    out[:, 2 * n :] /= tail
+    return out
 
 
 def _unchart_rows(i, j, coords, n, m) -> np.ndarray:
     """chart_inverse on realified chart coordinates, one point per row."""
-    re, ze, tail = coords[:, :n], coords[:, n : 2 * n], coords[:, 2 * n :]
-    return np.hstack(
-        [np.insert(re, i, 1.0, axis=1), np.insert(ze, i, 0.0, axis=1), np.insert(tail, j, 1.0, axis=1)]
-    )
+    out = np.empty((len(coords), 2 * n + m + 3))
+    out[:, _kept_columns(i, j, n, m)] = coords
+    out[:, [i, n + 1 + i, 2 * n + 2 + j]] = (1.0, 0.0, 1.0)
+    return out
 
 
 def _check_chart_index(i, j, n, m):
@@ -415,46 +430,62 @@ def random_reps(rng, n, m, active=(), count=1, sparsity=0.3) -> np.ndarray:
     representative at a time: per head a sign, a magnitude, a zeroing draw
     unless the head is needed, and the ze part; per tail a sign, a
     magnitude and a zeroing draw unless the tail is needed.  Magnitudes
-    lie in [low, low + 1] with low = 0.5 below a default zero tolerance of
-    0.5 and twice the tolerance from there, so a drawn slot is never zero.
-    A tolerance of 1 or more makes every chart's unit pivot singular and
-    raises ValueError before any draw.
+    lie in [low, low + 1], where low / (low + 1), the smallest ratio of two
+    drawn slots, exceeds the default zero tolerance tol: low = 0.5 below a
+    tolerance of 1/3 and 2 tol / (1 - tol) from there.  A row whose heads,
+    none of them needed, are all zeroed gets 1.0 in head 0, and likewise
+    for tails, so every row is valid.  A tolerance of 1 or more makes every
+    chart's unit pivot singular and raises ValueError before any draw.
     """
-    tol = resolve_tol(None)
+    rows = _draw_reps(rng, [_layout(n, m, active, resolve_tol(None), sparsity)], count)[0]
+    rows[~rows[:, : n + 1].any(axis=1), 0] = 1.0
+    rows[~rows[:, 2 * n + 2 :].any(axis=1), 2 * n + 2] = 1.0
+    return rows
+
+
+def _layout(n, m, active, tol, sparsity=0.3):
+    """random_reps's layout for the chart indices active at zero tolerance tol."""
     if tol >= 1.0:
         raise ValueError("zero tolerance %g makes the unit chart pivot singular" % tol)
-    low = 0.5 if tol < 0.5 else 2.0 * tol
-    need_heads = {i for i, _ in active}
-    need_tails = {j for _, j in active}
-    lo, hi, signs, zeroing, zeroed, ze = [], [], [], [], [], []
+    low = 0.5 if tol < 1.0 / 3.0 else 2.0 * tol / (1.0 - tol)
+    return _sampling_layout(n, m, frozenset(i for i, _ in active), frozenset(j for _, j in active), low, sparsity)
+
+
+@functools.lru_cache(maxsize=1024)
+def _sampling_layout(n, m, heads, tails, low, sparsity):
+    """(row width, gather, lo, span, sign cut, zeroing cut): the gather takes
+    each output column's sign, magnitude and zeroing draws from a row of
+    uniforms, and the column is lo + span * magnitude, negated unless sign
+    < sign cut, and 0.0 where zeroing < zeroing cut.  A ze part is never
+    negated (cut 2.0), and neither it nor a needed slot is zeroed (cut 0)."""
+    h, size = n + 1, 2 * n + m + 3
+    cols = np.zeros((3, size), dtype=np.intp)  # a zeroing draw is never entry 0
+    lo, span = np.full(size, low), np.full(size, (low + 1.0) - low)
+    lo[h : 2 * h], span[h : 2 * h] = -1.0, 2.0
+    width = 0
     for slot in range(n + m + 2):
-        head = slot <= n
-        needed = slot in need_heads if head else slot - n - 1 in need_tails
-        signs.append(len(lo))
-        lo += [0.0, low]  # sign, then magnitude
-        hi += [1.0, low + 1.0]
-        if not needed:
-            zeroing.append(len(lo))
-            zeroed.append(slot)
-            lo.append(0.0)
-            hi.append(1.0)
-        if head:
-            ze.append(len(lo))
-            lo.append(-1.0)
-            hi.append(1.0)
-    # rng.uniform(lo, hi, size) bit for bit, without its broadcasting loop
-    u = lo + np.subtract(hi, lo) * rng.random((max(count, 0), len(lo)))
-    signs = np.array(signs, dtype=int)
-    values = np.where(u[:, signs] < 0.5, 1.0, -1.0) * u[:, signs + 1]
-    values[:, zeroed] = np.where(u[:, zeroing] < sparsity, 0.0, values[:, zeroed])
-    re, ze, tail = values[:, : n + 1], u[:, ze], values[:, n + 1 :]
-    # a needed slot is never zeroed, so with no live head the fix-up
-    # revives head 0 and keeps its ze part
-    re[~re.any(axis=1), min(need_heads, default=0)] = 1.0
-    tail[~tail.any(axis=1), min(need_tails, default=0)] = 1.0
-    if not ((np.abs(re) > tol).any(axis=1) & (np.abs(tail) > tol).any(axis=1)).all():
-        raise InvalidRepresentative("representative needs an invertible head and a nonzero tail")
-    return np.hstack([re, ze, tail])
+        head, out = slot <= n, slot if slot <= n else slot + h  # tail b is column 2h + b
+        needed = slot in heads if head else slot - h in tails
+        for k, col in [(0, out), (1, out)] + [(2, out)] * (not needed) + [(1, h + slot)] * head:
+            cols[k, col], width = width, width + 1
+    sign_cut = np.where(np.arange(size) // h == 1, 2.0, 0.5)
+    zero_cut = np.where(cols[2] > 0, sparsity, 0.0)
+    return (width, *map(_frozen, (cols, lo, span, sign_cut, zero_cut)))
+
+
+def _draw_reps(rng, layouts, count) -> list:
+    """random_reps for each layout in turn, from one draw: the same bits and
+    generator state as drawing layout after layout, since each uniform is
+    one generator step.  Without the fix-up, which a needed chart rules out."""
+    count = max(count, 0)
+    uniforms = rng.random(count * sum(layout[0] for layout in layouts))
+    out, start = [], 0
+    for width, cols, lo, span, sign_cut, zero_cut in layouts:
+        u = uniforms[start : start + count * width].reshape(count, width)[:, cols]
+        start += count * width
+        mag = lo + span * u[:, 1]
+        out.append(np.where(u[:, 2] < zero_cut, 0.0, np.where(u[:, 0] < sign_cut, mag, -mag)))
+    return out
 
 
 def random_rep(rng, n, m, active=(), sparsity=0.3) -> ProjectivePoint:
@@ -474,7 +505,8 @@ def verify_atlas(atlas, samples: int = 50, tol: float = 1e-4, seed: int = 0) -> 
     generator where that failure left it; an (iv) entry leaves it after its
     pair's whole overlap draw.  A chart image, round-trip gap or image
     distance that is not finite is a failure.  tol must be a finite number
-    of at least 0, or ValueError is raised.
+    of at least 0, or ValueError is raised.  The default zero tolerance is
+    read once, when the call starts.
     """
     if not isinstance(atlas, (ProjectiveAtlas, ExprAtlas)):
         raise TypeError("not an atlas: %r" % (atlas,))
@@ -482,7 +514,7 @@ def verify_atlas(atlas, samples: int = 50, tol: float = 1e-4, seed: int = 0) -> 
         raise ValueError("atlas tolerance must be finite and at least 0, got %r" % (tol,))
     rng = np.random.default_rng(seed)
     kind = _StandardCharts if isinstance(atlas, ProjectiveAtlas) else _ExprCharts
-    ops = kind(atlas, rng, tol)
+    ops = kind(atlas, rng, tol, resolve_tol(None))
     entries = []
     for c in ops.charts:
         pts = ops.sample((c,), min(samples, 25))
@@ -493,7 +525,7 @@ def verify_atlas(atlas, samples: int = 50, tol: float = 1e-4, seed: int = 0) -> 
         entries.append(_entry("ii", (c,), witness, probes, "chart domain"))
         witness = _injectivity(ops, c, pts, images)
         entries.append(_entry("iii", (c,), witness, len(images), "chart domain"))
-    entries += _smoothness(ops, rng, samples, tol)
+    entries += _smoothness(ops, samples, tol)
     return AtlasReport(tuple(entries))
 
 
@@ -543,7 +575,7 @@ def _openness(ops, rng, c, images, tol):
 def _injectivity(ops, c, pts, images):
     """(iii): images may coincide only for the same point.  Pairs go in
     itertools.combinations order; a distance that is not finite fails."""
-    a, b = np.triu_indices(len(images), 1)
+    a, b = _index_pairs(len(images))
     dist = row_norms(images[a] - images[b], ops.image_shape(c)[0])
     for k in np.flatnonzero(~np.isfinite(dist) | (dist <= 1e-9)):
         first, second = ops.box(pts[a[k]]), ops.box(pts[b[k]])
@@ -554,13 +586,19 @@ def _injectivity(ops, c, pts, images):
     return None
 
 
-def _smoothness(ops, rng, samples, tol) -> list:
+@functools.lru_cache(maxsize=64)
+def _index_pairs(count):
+    """np.triu_indices(count, 1), read-only."""
+    return tuple(_frozen(a) for a in np.triu_indices(count, 1))
+
+
+def _smoothness(ops, samples, tol) -> list:
     """(iv), the derivative block test on each transition at the overlap
     samples inside its domain: one entry per ordered chart pair, in
     itertools.product order.
 
     Windows of at most _WINDOW_CELLS Jacobian entries, or of one pair, draw
-    their points in order and stack chart images per source chart and the
+    their points together and stack chart images per source chart and the
     domain and block tests per template.  At the first failing pair, the
     entries before it stand, its witness comes from cr_check on its
     template at the failing row's gathered columns (the witness point is
@@ -569,20 +607,19 @@ def _smoothness(ops, rng, samples, tol) -> list:
     pairs = list(itertools.product(ops.charts, repeat=2))
     entries, limit = [], len(pairs)
     while len(entries) < len(pairs):
-        window, cells, states, pts = [], 0, [], []
+        window, cells = [], 0
         for c1, c2 in pairs[len(entries) : len(entries) + limit]:
             (n, m), (s, t) = ops.image_shape(c1), ops.image_shape(c2)
             cells += max(samples, 1) * (2 * n + m) * (2 * s + t)
             if window and cells > _WINDOW_CELLS:
                 break
             window.append((c1, c2))
-            pts.append(ops.overlap(c1, c2, samples))
-            states.append(rng.bit_generator.state)
+        pts, rewind = ops.overlaps(window, samples)
         for p, (witness, checked) in enumerate(_window_verdicts(ops, window, pts, tol)):
             entries.append(_entry("iv", window[p], witness, checked, "transition domain"))
             if witness is None:
                 continue
-            rng.bit_generator.state = states[p]
+            rewind(p)
             # the pairs drawn past a failure are drawn again: small windows
             # keep that waste below the work of the pairs checked
             limit = 1
@@ -601,11 +638,11 @@ def _window_verdicts(ops, window, pts, tol):
     for c1, group in itertools.groupby(range(len(window)), key=lambda p: window[p][0]):
         sizes = [len(pts[p]) for p in group]  # consecutive pairs, from len(images) on
         rows, stop, witness = _images(ops, c1, np.vstack(pts[len(images) : len(images) + len(sizes)]))
-        for start, size in zip(np.cumsum([0] + sizes), sizes):
+        for start, size in zip(itertools.accumulate([0] + sizes), sizes):
             k = min(max(stop - start, 0), size)  # past the failing row: after a failing pair
             images.append((rows[start : start + k], k, witness if stop < start + size else None))
     templates = [ops.template(*pair) for pair in window]  # per pair: key, transition, columns, pivots
-    stacks, flags = {}, [None] * len(window)  # per pair: inside the domain, failing
+    stacks, flags = {}, [None] * len(window)  # per pair: its first failing row or None, checked
     for p, (key, trans, cols, pivots) in enumerate(templates):
         _, _, members, gathered = stacks.setdefault(key, (trans, pivots, [], []))
         members.append(p)
@@ -613,24 +650,26 @@ def _window_verdicts(ops, window, pts, tol):
     for trans, pivots, members, rows in stacks.values():
         rows = np.vstack(rows)
         # the template evaluates exactly where the columns it inverts are invertible
-        inside = (np.abs(rows[:, pivots]) > resolve_tol(None)).all(axis=1)
+        inside = (np.abs(rows[:, pivots]) > ops.zero_tol).all(axis=1)
         residuals, bad = _cr_rows(trans, rows[inside])
         failed = np.zeros(len(rows), dtype=bool)
         failed[inside] = bad | (residuals > tol).any(axis=1)
-        cuts = np.cumsum([images[p][1] for p in members])[:-1]
-        for p, *flag in zip(members, np.split(inside, cuts), np.split(failed, cuts)):
-            flags[p] = flag
+        offsets = [0, *itertools.accumulate(images[p][1] for p in members)]
+        counts = [0, *np.cumsum(inside).tolist()]  # inside rows before each row
+        fails = np.flatnonzero(failed).tolist()
+        for p, start, end in zip(members, offsets, offsets[1:]):
+            fail = next((f - start for f in fails if start <= f < end), None)
+            flags[p] = fail, counts[end if fail is None else start + fail + 1] - counts[start]
     for p, (c1, _) in enumerate(window):
-        (rows, stop, witness), (inside, failed), (_, trans, cols, _) = images[p], flags[p], templates[p]
-        if failed.any():
-            stop = int(np.argmax(failed))
+        (rows, _, witness), (stop, checked), (_, trans, cols, _) = images[p], flags[p], templates[p]
+        if stop is not None:
             shape, row = ops.image_shape(c1), rows[stop]
             try:
                 residuals = cr_check(trans, unrealify(row[cols], *shape), tol=tol).residuals
                 witness = {"point": unrealify(row, *shape).to_json(), "residuals": residuals}
             except (NotInvertible, EvaluationFailed) as exc:
                 witness = {"point": ops.box(pts[p][stop]).to_json(), "error": str(exc)}
-        yield witness, int(inside[: stop + 1].sum())
+        yield witness, checked
 
 
 # Jacobian entries checked together; a batched block test peaks near 20 B each
@@ -648,23 +687,27 @@ class _StandardCharts:
     """verify_atlas's batched chart operations for the standard charts
     [i, j], on realified representatives."""
 
-    def __init__(self, atlas, rng, tol):
-        self.shape, self.rng = (atlas.n, atlas.m), rng
+    def __init__(self, atlas, rng, tol, zero_tol):
+        self.shape, self.rng, self.zero_tol = (atlas.n, atlas.m), rng, zero_tol
         self.charts = [list(c) for c in atlas.charts]
         self.same = equivalent
 
     def sample(self, charts, count):
-        return random_reps(self.rng, *self.shape, active=charts, count=count)
+        return _draw_reps(self.rng, [_layout(*self.shape, charts, self.zero_tol)], count)[0]
 
-    def overlap(self, c1, c2, samples):
-        return self.sample((c1, c2), samples)
+    def overlaps(self, window, samples):
+        """Each pair's overlap draw, from one uniform draw, and a rewind to
+        after pair p's: restore the start state and redraw up to there."""
+        layouts = [_layout(*self.shape, pair, self.zero_tol) for pair in window]
+        state, ends = self.rng.bit_generator.state, np.cumsum([max(samples, 0) * lay[0] for lay in layouts])
+        return _draw_reps(self.rng, layouts, samples), lambda p: _rewind(self.rng, state, self.rng.random, ends[p])
 
     def forward(self, c, points):
-        return _chart_rows(c[0], c[1], points, *self.shape), len(points), None
+        return _chart_rows(c[0], c[1], points, *self.shape, self.zero_tol), len(points), None
 
     def round_trip(self, c, coords):
         points = _unchart_rows(c[0], c[1], coords, *self.shape)
-        return _chart_rows(c[0], c[1], points, *self.shape), len(coords), None
+        return _chart_rows(c[0], c[1], points, *self.shape, self.zero_tol), len(coords), None
 
     def image_shape(self, c):
         return self.shape
@@ -695,8 +738,8 @@ class _ExprCharts:
     """verify_atlas's batched chart operations for ExprAtlas charts, named
     by index."""
 
-    def __init__(self, atlas, rng, tol):
-        self.atlas, self.rng, self.tol = atlas, rng, tol
+    def __init__(self, atlas, rng, tol, zero_tol):
+        self.atlas, self.rng, self.tol, self.zero_tol = atlas, rng, tol, zero_tol
         self.charts = range(len(atlas.charts))
 
     def sample(self, charts, count):
@@ -714,8 +757,14 @@ class _ExprCharts:
             _rewind(self.rng, state, lambda used: self.rng.uniform(-1.5, 1.5, size=(used, d)), keep[-1] + 1)
         return points[keep]
 
-    def overlap(self, a, b, samples):
-        return self.sample((a, b), min(samples, 25))
+    def overlaps(self, window, samples):
+        """Each pair's overlap draw in turn, and a rewind to after pair p's:
+        the sampler rejects points, so each pair's end state is kept."""
+        pts, states = [], []
+        for a, b in window:
+            pts.append(self.sample((a, b), min(samples, 25)))
+            states.append(self.rng.bit_generator.state)
+        return pts, lambda p: setattr(self.rng.bit_generator, "state", states[p])
 
     def forward(self, c, points):
         return _eval_rows(self.atlas.charts[c].forward, points)

@@ -48,8 +48,14 @@ from dualmod.manifold import (
     ProjectiveAtlas,
     ProjectivePoint,
     _chart_rows,
+    _draw_reps,
+    _index_pairs,
+    _kept_columns,
+    _layout,
     _re_invertible,
+    _sampling_layout,
     _StandardCharts,
+    _unchart_rows,
     atlas_from_json,
     canonical_rep,
     chart_inverse,
@@ -798,12 +804,12 @@ class TestTransitionTemplates:
     def test_template_matches_the_pair_transition(self, n, m):
         atlas = ProjectiveAtlas(n, m)
         rng = np.random.default_rng(17 + 4 * n + m)
-        ops = _StandardCharts(atlas, rng, 1e-4)
+        ops = _StandardCharts(atlas, rng, 1e-4, DEFAULT_TOL)
         for c1, c2 in itertools.product(atlas.charts, repeat=2):
             # active on the source chart only, so the target pivots may be
             # zero and the masks are mixed
             pts = random_reps(rng, n, m, active=(c1,), count=64, sparsity=0.5)
-            images = _chart_rows(c1[0], c1[1], pts, n, m)
+            images = _chart_rows(c1[0], c1[1], pts, n, m, DEFAULT_TOL)
             _, template, cols, pivots = ops.template(c1, c2)
             own = transition(*c1, *c2, n, m)
             got, want = _cr_rows(template, images[:, cols]), _cr_rows(own, images)
@@ -817,9 +823,9 @@ class TestTransitionTemplates:
         # the comparisons above see rows inside and outside the domain
         n, m, c1, c2 = 2, 2, (0, 0), (1, 2)
         pts = random_reps(np.random.default_rng(5), n, m, active=(c1,), count=64, sparsity=0.5)
-        images = _chart_rows(c1[0], c1[1], pts, n, m)
+        images = _chart_rows(c1[0], c1[1], pts, n, m, DEFAULT_TOL)
         own = transition(*c1, *c2, n, m)
-        _, _, cols, pivots = _StandardCharts(ProjectiveAtlas(n, m), None, 1e-4).template(c1, c2)
+        _, _, cols, pivots = _StandardCharts(ProjectiveAtlas(n, m), None, 1e-4, DEFAULT_TOL).template(c1, c2)
         inside = pivot_test(images[:, cols], pivots)
         assert 0 < _cr_rows(own, images)[1].sum() < 64
         assert 0 < inside.sum() < 64
@@ -990,3 +996,127 @@ class TestRandomRep:
             assert any(
                 in_chart(i, j, p) for i in range(3) for j in range(3)
             )
+
+
+class TestMagnitudeFloor:
+    """The drawn magnitudes keep every ratio of two drawn slots above the
+    zero tolerance, so no overlap point misses a transition's domain."""
+
+    def test_the_floor_keeps_ratios_above_the_tolerance(self):
+        def low(tol):  # the head re parts' lo
+            return _layout(1, 1, (), tol)[2][0]
+
+        for tol in (DEFAULT_TOL, 0.2, 1.0 / 3.0, 0.34, 0.45, 0.49, 0.6, 0.99):
+            assert low(tol) / (low(tol) + 1.0) > tol
+        # below 1/3 the floor, and so the default-tolerance stream, is as before
+        assert low(DEFAULT_TOL) == low(0.33) == 0.5
+
+    def test_p13_entry_at_0_49_checks_its_three_samples(self):
+        # a floor of 0.5 would allow pivot ratios down to 1/3, below 0.49,
+        # and this entry would check none of its points
+        set_default_tol(0.49)
+        try:
+            report = verify_atlas(ProjectiveAtlas(1, 3), samples=3, seed=2)
+        finally:
+            set_default_tol(DEFAULT_TOL)
+        entry = next(e for e in report.entries if e.chart_pair == ([0, 3], [1, 2]))
+        assert entry.passed and entry.checked == 3
+
+    @pytest.mark.parametrize("zero_tol", [0.34, 0.45, 0.49, 0.6, 0.99])
+    def test_every_iv_entry_checks_every_sample(self, zero_tol):
+        set_default_tol(zero_tol)
+        try:
+            for n, m, seed in itertools.product(range(4), range(4), range(3)):
+                report = verify_atlas(ProjectiveAtlas(n, m), samples=3, seed=seed)
+                assert report.passed, (n, m, seed)
+                assert all(e.checked == 3 for e in report.entries if e.axiom == "iv"), (n, m, seed)
+        finally:
+            set_default_tol(DEFAULT_TOL)
+
+
+class TestWindowDraw:
+    """(iv) draws a window's overlap points from one uniform draw; that must
+    equal random_reps pair by pair, bit for bit and in generator state."""
+
+    @pytest.mark.parametrize("n,m", [(0, 1), (1, 0), (2, 1), (3, 3)])
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    @pytest.mark.parametrize("sparsity", [0.0, 0.3, 1.0])
+    def test_window_equals_pair_by_pair(self, n, m, count, sparsity):
+        charts = [(i, j) for i in range(n + 1) for j in range(m + 1)]
+        # single charts and chart pairs, as verify_atlas draws them
+        window = [(c,) for c in charts] + list(itertools.product(charts, repeat=2))[:9]
+        one, many = np.random.default_rng(11), np.random.default_rng(11)
+        got = _draw_reps(one, [_layout(n, m, pair, DEFAULT_TOL, sparsity) for pair in window], count)
+        want = [random_reps(many, n, m, pair, count, sparsity) for pair in window]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (count, 2 * n + m + 3)
+            assert g.tobytes() == w.tobytes()
+        assert one.bit_generator.state == many.bit_generator.state
+
+    @pytest.mark.parametrize("samples", [0, 5])
+    def test_rewind_lands_after_the_pair(self, samples):
+        atlas = ProjectiveAtlas(2, 1)
+        window = list(itertools.product(map(list, atlas.charts), repeat=2))[:6]
+        for p in range(len(window)):
+            ops = _StandardCharts(atlas, np.random.default_rng(13), 1e-4, DEFAULT_TOL)
+            pts, rewind = ops.overlaps(window, samples)
+            rewind(p)
+            one = np.random.default_rng(13)
+            want = [random_reps(one, 2, 1, pair, samples) for pair in window[: p + 1]]
+            assert ops.rng.bit_generator.state == one.bit_generator.state
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(pts, want))
+
+    def test_layouts_are_cached_and_read_only(self):
+        layout = _layout(2, 2, ((0, 1), (2, 2)), DEFAULT_TOL)
+        assert _layout(2, 2, ((2, 2), (0, 1)), DEFAULT_TOL) is layout
+        arrays = [a for a in layout if isinstance(a, np.ndarray)]
+        assert len(arrays) == 5
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0
+        assert _sampling_layout.cache_info().currsize > 0
+
+
+class TestChartRows:
+    """The batched chart maps equal the per-point ones bit for bit."""
+
+    @pytest.mark.parametrize("n,m", list(itertools.product(range(4), repeat=2)))
+    def test_rows_equal_the_per_point_maps(self, n, m):
+        rng = np.random.default_rng(19 + 4 * n + m)
+        for i, j in ProjectiveAtlas(n, m).charts:
+            pts = random_reps(rng, n, m, active=((i, j),), count=20, sparsity=0.5)
+            images = _chart_rows(i, j, pts, n, m, DEFAULT_TOL)
+            want = [realify(chart_map(i, j, unrealify(row, n + 1, m + 1))) for row in pts]
+            assert images.tobytes() == np.array(want).reshape(images.shape).tobytes(), (i, j)
+            coords = images + rng.uniform(-0.5, 0.5, size=images.shape)
+            back = _unchart_rows(i, j, coords, n, m)
+            want = [realify(chart_inverse(i, j, unrealify(u, n, m)).rep) for u in coords]
+            assert back.tobytes() == np.array(want).reshape(back.shape).tobytes(), (i, j)
+
+    def test_points_outside_the_chart_are_refused(self):
+        pts = random_reps(np.random.default_rng(20), 1, 1, active=((0, 0),), count=4)
+        pts[2, 1] = 0.0  # head 1's re part
+        with pytest.raises(NotInChart):
+            _chart_rows(1, 0, pts, 1, 1, DEFAULT_TOL)
+        # the zero tolerance given is the one applied
+        pts = random_reps(np.random.default_rng(20), 1, 1, active=((0, 0),), count=4)
+        with pytest.raises(NotInChart):
+            _chart_rows(0, 0, pts, 1, 1, 2.0)
+
+    def test_cached_index_arrays_are_read_only(self):
+        for a in (_kept_columns(1, 2, 2, 3), *_index_pairs(7)):
+            with pytest.raises(ValueError):
+                a[0] = 0
+        assert [a.tolist() for a in _index_pairs(7)] == [a.tolist() for a in np.triu_indices(7, 1)]
+
+    def test_zero_tolerance_is_read_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(tol):
+            calls.append(tol)
+            return resolve_tol(tol)
+
+        monkeypatch.setattr(manifold, "resolve_tol", counting)
+        assert verify_atlas(ProjectiveAtlas(2, 2), samples=20).passed
+        assert calls == [None]
