@@ -412,6 +412,8 @@ def main(argv=None) -> int:
             raise UsageFailure(
                 "--samples must be at least 1, got %d" % args.samples
             )
+        if args.seed < 0:
+            raise UsageFailure("--seed must be at least 0, got %d" % args.seed)
         tol = _resolve_tol(args)
         payload = RUNNERS[args.command](args, tol)
         code = 0

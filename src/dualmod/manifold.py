@@ -502,11 +502,12 @@ def verify_atlas(atlas, samples: int = 50, tol: float = 1e-4, seed: int = 0) -> 
     Each entry is evaluated as whole arrays over its sample points, with
     the draws, counts and witnesses of checking them one at a time in draw
     order: an entry stops at its first failure.  An (ii) entry leaves the
-    generator where that failure left it; an (iv) entry leaves it after its
-    pair's whole overlap draw.  A chart image, round-trip gap or image
-    distance that is not finite is a failure.  tol must be a finite number
-    of at least 0, or ValueError is raised.  The default zero tolerance is
-    read once, when the call starts.
+    generator where that failure left it; an (iv) entry draws its pair's
+    whole overlap sample whatever its verdict, so no verdict moves a later
+    pair's draw.  A chart image, round-trip gap or image distance that is
+    not finite is a failure.  tol must be a finite number of at least 0,
+    or ValueError is raised.  The default zero tolerance is read once,
+    when the call starts.
     """
     if not isinstance(atlas, (ProjectiveAtlas, ExprAtlas)):
         raise TypeError("not an atlas: %r" % (atlas,))
@@ -599,48 +600,45 @@ def _smoothness(ops, samples, tol) -> list:
 
     Windows of at most _WINDOW_CELLS Jacobian entries, or of one pair, draw
     their points together and stack chart images per source chart and the
-    domain and block tests per template.  At the first failing pair, the
-    entries before it stand, its witness comes from cr_check on its
-    template at the failing row's gathered columns (the witness point is
-    the row itself), the generator is left after that pair's overlap draw,
-    and the next window starts after it with one pair, then doubles."""
-    pairs = list(itertools.product(ops.charts, repeat=2))
-    entries, limit = [], len(pairs)
-    while len(entries) < len(pairs):
-        window, cells = [], 0
-        for c1, c2 in pairs[len(entries) : len(entries) + limit]:
-            (n, m), (s, t) = ops.image_shape(c1), ops.image_shape(c2)
-            cells += max(samples, 1) * (2 * n + m) * (2 * s + t)
-            if window and cells > _WINDOW_CELLS:
-                break
-            window.append((c1, c2))
-        pts, rewind = ops.overlaps(window, samples)
-        for p, (witness, checked) in enumerate(_window_verdicts(ops, window, pts, tol)):
-            entries.append(_entry("iv", window[p], witness, checked, "transition domain"))
-            if witness is None:
-                continue
-            rewind(p)
-            # the pairs drawn past a failure are drawn again: small windows
-            # keep that waste below the work of the pairs checked
-            limit = 1
-            break
-        else:
-            limit *= 2
+    domain and block tests per template.  Each pair's verdict rests on its
+    own rows only, and its draw takes the same uniforms whatever any
+    verdict says, so every window's verdicts are final.  A failing pair's
+    witness comes from cr_check on its template at the failing row's
+    gathered columns (the witness point is the row itself)."""
+    windows, cells = [[]], 0
+    for c1, c2 in itertools.product(ops.charts, repeat=2):
+        (n, m), (s, t) = ops.image_shape(c1), ops.image_shape(c2)
+        size = max(samples, 1) * (2 * n + m) * (2 * s + t)
+        if windows[-1] and cells + size > _WINDOW_CELLS:
+            windows.append([])
+            cells = 0
+        windows[-1].append((c1, c2))
+        cells += size
+    entries = []
+    for window in windows:
+        verdicts = _window_verdicts(ops, window, ops.overlaps(window, samples), tol)
+        entries += [_entry("iv", pair, *verdict, "transition domain") for pair, verdict in zip(window, verdicts)]
     return entries
 
 
 def _window_verdicts(ops, window, pts, tol):
     """(witness, checked) of (iv) for each pair of a window in turn, with
     pts its overlap points: checked counts the points inside the domain up
-    to the first failing one.  A verdict after one with a witness means
-    nothing."""
-    images = []  # per pair: its chart images up to stop, stop and the witness there
+    to the first failing one."""
+    images = []  # per pair: its chart images up to its first failing row, and the witness there
     for c1, group in itertools.groupby(range(len(window)), key=lambda p: window[p][0]):
-        sizes = [len(pts[p]) for p in group]  # consecutive pairs, from len(images) on
-        rows, stop, witness = _images(ops, c1, np.vstack(pts[len(images) : len(images) + len(sizes)]))
-        for start, size in zip(itertools.accumulate([0] + sizes), sizes):
-            k = min(max(stop - start, 0), size)  # past the failing row: after a failing pair
-            images.append((rows[start : start + k], k, witness if stop < start + size else None))
+        sizes = [len(pts[p]) for p in group]  # consecutive pairs not yet mapped, from len(images) on
+        while sizes:
+            # one map for them all; the pair that holds a failing row ends
+            # there, and the pairs after it are mapped again
+            rows, stop, witness = _images(ops, c1, np.vstack(pts[len(images) : len(images) + len(sizes)]))
+            start = 0
+            while sizes and start + sizes[0] <= stop:
+                images.append((rows[start : start + sizes[0]], None))
+                start += sizes.pop(0)
+            if sizes:
+                images.append((rows[start:stop], witness))
+                sizes.pop(0)
     templates = [ops.template(*pair) for pair in window]  # per pair: key, transition, columns, pivots
     stacks, flags = {}, [None] * len(window)  # per pair: its first failing row or None, checked
     for p, (key, trans, cols, pivots) in enumerate(templates):
@@ -654,14 +652,14 @@ def _window_verdicts(ops, window, pts, tol):
         residuals, bad = _cr_rows(trans, rows[inside])
         failed = np.zeros(len(rows), dtype=bool)
         failed[inside] = bad | (residuals > tol).any(axis=1)
-        offsets = [0, *itertools.accumulate(images[p][1] for p in members)]
+        offsets = [0, *itertools.accumulate(len(images[p][0]) for p in members)]
         counts = [0, *np.cumsum(inside).tolist()]  # inside rows before each row
         fails = np.flatnonzero(failed).tolist()
         for p, start, end in zip(members, offsets, offsets[1:]):
             fail = next((f - start for f in fails if start <= f < end), None)
             flags[p] = fail, counts[end if fail is None else start + fail + 1] - counts[start]
     for p, (c1, _) in enumerate(window):
-        (rows, _, witness), (stop, checked), (_, trans, cols, _) = images[p], flags[p], templates[p]
+        (rows, witness), (stop, checked), (_, trans, cols, _) = images[p], flags[p], templates[p]
         if stop is not None:
             shape, row = ops.image_shape(c1), rows[stop]
             try:
@@ -696,11 +694,8 @@ class _StandardCharts:
         return _draw_reps(self.rng, [_layout(*self.shape, charts, self.zero_tol)], count)[0]
 
     def overlaps(self, window, samples):
-        """Each pair's overlap draw, from one uniform draw, and a rewind to
-        after pair p's: restore the start state and redraw up to there."""
-        layouts = [_layout(*self.shape, pair, self.zero_tol) for pair in window]
-        state, ends = self.rng.bit_generator.state, np.cumsum([max(samples, 0) * lay[0] for lay in layouts])
-        return _draw_reps(self.rng, layouts, samples), lambda p: _rewind(self.rng, state, self.rng.random, ends[p])
+        """Each pair's overlap draw, from one uniform draw."""
+        return _draw_reps(self.rng, [_layout(*self.shape, pair, self.zero_tol) for pair in window], samples)
 
     def forward(self, c, points):
         return _chart_rows(c[0], c[1], points, *self.shape, self.zero_tol), len(points), None
@@ -758,13 +753,8 @@ class _ExprCharts:
         return points[keep]
 
     def overlaps(self, window, samples):
-        """Each pair's overlap draw in turn, and a rewind to after pair p's:
-        the sampler rejects points, so each pair's end state is kept."""
-        pts, states = [], []
-        for a, b in window:
-            pts.append(self.sample((a, b), min(samples, 25)))
-            states.append(self.rng.bit_generator.state)
-        return pts, lambda p: setattr(self.rng.bit_generator, "state", states[p])
+        """Each pair's overlap draw in turn."""
+        return [self.sample(pair, min(samples, 25)) for pair in window]
 
     def forward(self, c, points):
         return _eval_rows(self.atlas.charts[c].forward, points)

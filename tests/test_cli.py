@@ -632,6 +632,18 @@ def run_doc(capsys, tmp_path, name, doc):
     return run(capsys, GOLDEN_RUNS[name] + ["--input", write_json(tmp_path / "in.json", doc)])
 
 
+class TestSeed:
+    @pytest.mark.parametrize("command", ["atlas", "diffcheck", "selftest"])
+    def test_negative_seed_exits_two(self, capsys, command):
+        argv = [command, "--seed", "-1"]
+        if command != "selftest":
+            argv += ["--input", os.path.join(GOLDEN, command + ".input.json")]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --seed must be at least 0, got -1\n"
+
+
 def _nodes(node, path=()):
     """Every (path, node) under node, the root included; a path lists the
     keys and indices from the root."""

@@ -776,8 +776,13 @@ class TestReferenceLoop:
         # P(1, 1) pairs take 20 rows of 9 Jacobian entries each: windows of
         # two pairs split every template's stack, and a window smaller than
         # one pair holds that pair alone.  The conjugation atlas (pairs of 80
-        # entries) fails two pairs, and the window after each restarts
-        atlases = (ProjectiveAtlas(1, 1), ExprAtlas(reference_atlases()["conjugation"]))
+        # entries) fails two pairs on their transitions.  The partial forward
+        # failure atlas fails chart 1's image rows, so a window holding both
+        # of its pairs maps the second pair again after the first fails
+        atlases = (
+            ProjectiveAtlas(1, 1),
+            *(ExprAtlas(reference_atlases()[name]) for name in ("conjugation", "partial_forward_failure")),
+        )
         set_default_tol(zero_tol)
         try:
             for cells, atlas, seed in itertools.product((2 * 20 * 9, 100), atlases, range(3)):
@@ -1036,7 +1041,8 @@ class TestMagnitudeFloor:
 
 class TestWindowDraw:
     """(iv) draws a window's overlap points from one uniform draw; that must
-    equal random_reps pair by pair, bit for bit and in generator state."""
+    equal random_reps pair by pair, bit for bit and in generator state, and
+    no pair is drawn twice."""
 
     @pytest.mark.parametrize("n,m", [(0, 1), (1, 0), (2, 1), (3, 3)])
     @pytest.mark.parametrize("count", [0, 1, 7])
@@ -1054,18 +1060,27 @@ class TestWindowDraw:
             assert g.tobytes() == w.tobytes()
         assert one.bit_generator.state == many.bit_generator.state
 
-    @pytest.mark.parametrize("samples", [0, 5])
-    def test_rewind_lands_after_the_pair(self, samples):
-        atlas = ProjectiveAtlas(2, 1)
-        window = list(itertools.product(map(list, atlas.charts), repeat=2))[:6]
-        for p in range(len(window)):
-            ops = _StandardCharts(atlas, np.random.default_rng(13), 1e-4, DEFAULT_TOL)
-            pts, rewind = ops.overlaps(window, samples)
-            rewind(p)
-            one = np.random.default_rng(13)
-            want = [random_reps(one, 2, 1, pair, samples) for pair in window[: p + 1]]
-            assert ops.rng.bit_generator.state == one.bit_generator.state
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(pts, want))
+    @pytest.mark.parametrize("name", ["conjugation", "partial_forward_failure"])
+    def test_a_failing_pair_is_drawn_and_lowered_once(self, monkeypatch, name):
+        # a verdict never changes a later pair's draw, so nothing is drawn
+        # or lowered again after a failing pair
+        lowered, drawn = [], []
+
+        def counting_compose(*funcs):
+            lowered.append(funcs)
+            return compose_funcs(*funcs)
+
+        def counting_sample(ops, charts, count):
+            drawn.append(charts)
+            return sample(ops, charts, count)
+
+        sample = manifold._ExprCharts.sample
+        monkeypatch.setattr(manifold, "compose_funcs", counting_compose)
+        monkeypatch.setattr(manifold._ExprCharts, "sample", counting_sample)
+        report = verify_atlas(ExprAtlas(reference_atlases()[name]), samples=20)
+        assert not all(e.passed for e in report.entries if e.axiom == "iv")
+        assert len(lowered) == 4
+        assert drawn == [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_layouts_are_cached_and_read_only(self):
         layout = _layout(2, 2, ((0, 1), (2, 2)), DEFAULT_TOL)
