@@ -38,12 +38,12 @@ def default_tol() -> float:
 
 
 def set_default_tol(tol: float) -> None:
-    """Set the library-wide absolute tolerance for zero tests: at least
-    2**-537, so a re part that passes has a nonzero square to divide by."""
+    """Set the library-wide absolute tolerance for zero tests: finite and at
+    least 2**-537, so a re part that passes has a nonzero square to divide by."""
     global _default_tol
     tol = float(tol)
-    if not tol >= 2.0**-537:
-        raise ValueError("tolerance must be at least 2**-537, got %r" % tol)
+    if not 2.0**-537 <= tol < math.inf:
+        raise ValueError("tolerance must be finite and at least 2**-537, got %r" % tol)
     _default_tol = tol
 
 

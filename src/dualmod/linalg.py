@@ -24,6 +24,8 @@ import numpy as np
 from dualmod.core import (
     DualNumber,
     DualVector,
+    EPS,
+    ONE,
     ShapeMismatch,
     as_index,
     in_ker_sharp,
@@ -106,11 +108,7 @@ class ModuleMap:
 
     @classmethod
     def identity(cls, n: int, m: int) -> "ModuleMap":
-        return cls(
-            n, m, n, m,
-            np.eye(n), np.zeros((n, n)), np.zeros((n, m)),
-            np.zeros((m, n)), np.eye(m),
-        )
+        return cls.scalar(n, m, ONE)
 
     @classmethod
     def zero(cls, domain: tuple[int, int], codomain: tuple[int, int]) -> "ModuleMap":
@@ -134,11 +132,7 @@ class ModuleMap:
     @classmethod
     def sharp_map(cls, n: int, m: int) -> "ModuleMap":
         """Multiplication by eps as a map (n, m) -> (n, m)."""
-        return cls(
-            n, m, n, m,
-            np.zeros((n, n)), np.eye(n), np.zeros((n, m)),
-            np.zeros((m, n)), np.zeros((m, m)),
-        )
+        return cls.scalar(n, m, EPS)
 
     @classmethod
     def from_basis_images(

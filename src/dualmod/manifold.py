@@ -174,6 +174,7 @@ def canonical_rep(x, tol: float | None = None) -> DualVector:
 
 def in_chart(i: int, j: int, p, tol: float | None = None) -> bool:
     x = _rep_of(p)
+    _check_chart_index(i, j, x.shape[0] - 1, x.shape[1] - 1)
     tol = resolve_tol(tol)
     return abs(x.head[i].re) > tol and abs(x.tail[j]) > tol
 
@@ -182,7 +183,6 @@ def chart_map(i: int, j: int, p, tol: float | None = None) -> DualVector:
     """Divide out head slot i and tail slot j."""
     x = _rep_of(p)
     n, m = x.shape[0] - 1, x.shape[1] - 1
-    _check_chart_index(i, j, n, m)
     if not in_chart(i, j, p, tol):
         raise NotInChart("point misses chart (%d, %d)" % (i, j))
     pivot = inv(x.head[i], tol=0.0)

@@ -125,6 +125,15 @@ class TestTolerancePolicy:
         with pytest.raises(ValueError):
             core.set_default_tol(0.0)
 
+    def test_rejects_non_finite(self):
+        try:
+            for bad in (float("inf"), float("-inf"), float("nan")):
+                with pytest.raises(ValueError, match="finite"):
+                    core.set_default_tol(bad)
+                assert core.default_tol() == core.DEFAULT_TOL
+        finally:
+            core.set_default_tol(core.DEFAULT_TOL)
+
 
 class TestVectors:
     def test_shapes_and_basis(self):

@@ -28,6 +28,8 @@ CASES = {
     "diffcheck_fail": ("diffcheck", "diffcheck_fail", ["--samples", "3", "--seed", "1"], 1),
     "atlas": ("atlas", "atlas", ["--samples", "8", "--seed", "2"], 0),
     "selftest": ("selftest", None, ["--samples", "10", "--seed", "5"], 0),
+    "selftest_1": ("selftest", None, ["--samples", "1", "--seed", "0"], 0),
+    "selftest_100": ("selftest", None, ["--samples", "100", "--seed", "3"], 0),
 }
 
 

@@ -252,6 +252,9 @@ class TestCharts:
         p = rep([(1.0, 0.0)], [1.0])
         with pytest.raises(IndexError):
             chart_map(1, 0, p)
+        for i, j in ((-1, 0), (0, -1), (1, 0)):
+            with pytest.raises(IndexError, match="out of range for"):
+                in_chart(i, j, p)
 
 
 class TestTransitions:
