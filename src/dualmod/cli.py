@@ -10,14 +10,16 @@ Subcommands:
     darboux    validate a Gram form and extract a normalized pair basis
 
 diffcheck samples --samples points unless --input lists them: it screens
-random_vector's candidates --samples at a time, in one batch each, and keeps
+random_rows's candidates --samples at a time, in one batch each, and keeps
 the first --samples where the function evaluates, from 50 x --samples at
 most.  One batched block test then covers all points.  The finite-difference
 numeric_jacobian is only an oracle, for the selftest and the tests.
 
 Exit codes: 0 success, 1 a mathematical check failed or a computation could
-not complete, 2 bad usage or unreadable input.  Reports are deterministic
-for a fixed seed: keys are sorted and no timestamps are embedded.
+not complete, 2 bad usage or unreadable input.  Any other exception is a
+defect: it exits 1 with one "error: internal: <type>" line, not a
+traceback.  Reports are deterministic for a fixed seed: keys are sorted and
+no timestamps are embedded.
 
 The working tolerance is taken from --tol when given, else from the
 DUALMOD_TOL environment variable, else from a per-command default (1e-4 for
@@ -227,11 +229,9 @@ def _diffcheck_points(args, data, func):
                 raise UsageFailure("point shape %r does not match domain %r" % (x.shape, func.domain))
         return np.array([x.array for x in points]).reshape(len(points), width), True
     rng = sampling.rng_from(args.seed)
-    # random_vector draws each head's re and ze parts in turn, then the tails
-    order = np.r_[0 : 2 * n : 2, 1 : 2 * n : 2, 2 * n : width]
     kept = np.empty((0, width))
     for _ in range(50):
-        rows = rng.uniform(-1.0, 1.0, size=(args.samples, width))[:, order]
+        rows = sampling.random_rows(rng, n, m, args.samples)
         kept = np.concatenate([kept, rows[~diff._eval_batch(func, rows)[1]]])
         if len(kept) >= args.samples:
             break
@@ -423,6 +423,9 @@ def main(argv=None) -> int:
     except MathFailure as exc:
         payload = exc.payload
         code = 1
+    except Exception as exc:  # a defect: one line, not a traceback
+        sys.stderr.write("error: internal: %s\n" % type(exc).__name__)
+        return 1
     payload = dict(payload)
     payload.update(
         {

@@ -518,11 +518,11 @@ def verify_atlas(atlas, samples: int = 50, tol: float = 1e-4, seed: int = 0) -> 
     ops = kind(atlas, rng, tol, resolve_tol(None))
     entries = []
     for c in ops.charts:
-        pts = ops.sample((c,), min(samples, 25))
-        images, _, witness = _images(ops, c, pts)
+        (pts,) = ops.draw([(c,)], min(samples, 25))
+        images, witness = _images(ops, c, pts)
         probes = 0
         if witness is None and len(images):
-            witness, probes = _openness(ops, rng, c, images[:12], tol)
+            witness, probes = _openness(ops, c, images[:12], tol)
         entries.append(_entry("ii", (c,), witness, probes, "chart domain"))
         witness = _injectivity(ops, c, pts, images)
         entries.append(_entry("iii", (c,), witness, len(images), "chart domain"))
@@ -537,22 +537,22 @@ def _entry(axiom, pair, witness, checked, where) -> AtlasCheck:
 
 
 def _images(ops, c, pts):
-    """Chart c at the sample rows up to the first that fails: the images,
-    the index of that row (len(pts) when none fails) and the witness of its
-    error.  An image that is not finite fails."""
+    """Chart c at the sample rows up to the first that fails: the images
+    and the witness of that row's error (None when none fails).  An image
+    that is not finite fails."""
     images, stop, exc = ops.forward(c, pts)
     finite = np.isfinite(images).all(axis=1)
     if not finite.all():
         stop = int(np.argmin(finite))
         images, exc = images[:stop], "chart image is not finite"
-    return images, stop, None if exc is None else {"point": ops.box(pts[stop]).to_json(), "error": str(exc)}
+    return images, None if exc is None else {"point": unrealify(pts[stop], *ops.point_shape).to_json(), "error": str(exc)}
 
 
-def _openness(ops, rng, c, images, tol):
+def _openness(ops, c, images, tol):
     """(ii): six random probes at distance tol around each image go through
     the chart's inverse and back, and must return within a fraction of tol.
     The witness and the number of probes up to it."""
-    k, d = images.shape
+    (k, d), rng = images.shape, ops.rng
     state = rng.bit_generator.state
     dirs = rng.normal(size=(6 * k, d))
     probes = np.repeat(images, 6, axis=0) + tol * (dirs / np.linalg.norm(dirs, axis=1, keepdims=True))
@@ -566,7 +566,8 @@ def _openness(ops, rng, c, images, tol):
     if stop == len(probes):
         return None, stop
     # the directions were drawn image by image, up to the failing probe
-    _rewind(rng, state, lambda used: rng.normal(size=(6 * used, d)), stop // 6 + 1)
+    rng.bit_generator.state = state
+    rng.normal(size=(6 * (stop // 6 + 1), d))
     probe = unrealify(probes[stop], n, m).to_json()
     if exc is None:
         return {"point": probe, "gap": float(gap[stop])}, stop + 1
@@ -579,7 +580,7 @@ def _injectivity(ops, c, pts, images):
     a, b = _index_pairs(len(images))
     dist = row_norms(images[a] - images[b], ops.image_shape(c)[0])
     for k in np.flatnonzero(~np.isfinite(dist) | (dist <= 1e-9)):
-        first, second = ops.box(pts[a[k]]), ops.box(pts[b[k]])
+        first, second = (unrealify(pts[q[k]], *ops.point_shape) for q in (a, b))
         if not np.isfinite(dist[k]):
             return {"point": first.to_json(), "error": "distance between chart images is not finite"}
         if not ops.same(first, second):
@@ -616,7 +617,7 @@ def _smoothness(ops, samples, tol) -> list:
         cells += size
     entries = []
     for window in windows:
-        verdicts = _window_verdicts(ops, window, ops.overlaps(window, samples), tol)
+        verdicts = _window_verdicts(ops, window, ops.draw(window, samples), tol)
         entries += [_entry("iv", pair, *verdict, "transition domain") for pair, verdict in zip(window, verdicts)]
     return entries
 
@@ -627,18 +628,15 @@ def _window_verdicts(ops, window, pts, tol):
     to the first failing one."""
     images = []  # per pair: its chart images up to its first failing row, and the witness there
     for c1, group in itertools.groupby(range(len(window)), key=lambda p: window[p][0]):
-        sizes = [len(pts[p]) for p in group]  # consecutive pairs not yet mapped, from len(images) on
-        while sizes:
-            # one map for them all; the pair that holds a failing row ends
-            # there, and the pairs after it are mapped again
-            rows, stop, witness = _images(ops, c1, np.vstack(pts[len(images) : len(images) + len(sizes)]))
-            start = 0
-            while sizes and start + sizes[0] <= stop:
-                images.append((rows[start : start + sizes[0]], None))
-                start += sizes.pop(0)
-            if sizes:
-                images.append((rows[start:stop], witness))
-                sizes.pop(0)
+        group = [pts[p] for p in group]
+        # one map for the source chart's pairs; if a row fails, each pair is
+        # mapped alone, since a pair's verdict rests on its own rows
+        rows, witness = _images(ops, c1, np.vstack(group))
+        if witness is None:
+            offsets = [0, *itertools.accumulate(map(len, group))]
+            images += [(rows[a:b], None) for a, b in zip(offsets, offsets[1:])]
+        else:
+            images += [_images(ops, c1, own) for own in group]
     templates = [ops.template(*pair) for pair in window]  # per pair: key, transition, columns, pivots
     stacks, flags = {}, [None] * len(window)  # per pair: its first failing row or None, checked
     for p, (key, trans, cols, pivots) in enumerate(templates):
@@ -666,19 +664,12 @@ def _window_verdicts(ops, window, pts, tol):
                 residuals = cr_check(trans, unrealify(row[cols], *shape), tol=tol).residuals
                 witness = {"point": unrealify(row, *shape).to_json(), "residuals": residuals}
             except (NotInvertible, EvaluationFailed) as exc:
-                witness = {"point": ops.box(pts[p][stop]).to_json(), "error": str(exc)}
+                witness = {"point": unrealify(pts[p][stop], *ops.point_shape).to_json(), "error": str(exc)}
         yield witness, checked
 
 
 # Jacobian entries checked together; a batched block test peaks near 20 B each
 _WINDOW_CELLS = 3 * 2**15
-
-
-def _rewind(rng, state, draw, used):
-    """Leave rng as if a batch drawn from state by draw had stopped after
-    its first used rows: restore the state and draw those rows again."""
-    rng.bit_generator.state = state
-    draw(used)
 
 
 class _StandardCharts:
@@ -687,29 +678,22 @@ class _StandardCharts:
 
     def __init__(self, atlas, rng, tol, zero_tol):
         self.shape, self.rng, self.zero_tol = (atlas.n, atlas.m), rng, zero_tol
+        self.point_shape = (atlas.n + 1, atlas.m + 1)
         self.charts = [list(c) for c in atlas.charts]
         self.same = equivalent
 
-    def sample(self, charts, count):
-        return _draw_reps(self.rng, [_layout(*self.shape, charts, self.zero_tol)], count)[0]
-
-    def overlaps(self, window, samples):
-        """Each pair's overlap draw, from one uniform draw."""
-        return _draw_reps(self.rng, [_layout(*self.shape, pair, self.zero_tol) for pair in window], samples)
+    def draw(self, groups, count):
+        """count points active on each group of charts, from one uniform draw."""
+        return _draw_reps(self.rng, [_layout(*self.shape, g, self.zero_tol) for g in groups], count)
 
     def forward(self, c, points):
         return _chart_rows(c[0], c[1], points, *self.shape, self.zero_tol), len(points), None
 
     def round_trip(self, c, coords):
-        points = _unchart_rows(c[0], c[1], coords, *self.shape)
-        return _chart_rows(c[0], c[1], points, *self.shape, self.zero_tol), len(coords), None
+        return self.forward(c, _unchart_rows(c[0], c[1], coords, *self.shape))
 
     def image_shape(self, c):
         return self.shape
-
-    def box(self, row):
-        n, m = self.shape
-        return unrealify(row, n + 1, m + 1)
 
     def template(self, c1, c2):
         """Stack key, template, c1's image columns and the template's pivot
@@ -735,9 +719,14 @@ class _ExprCharts:
 
     def __init__(self, atlas, rng, tol, zero_tol):
         self.atlas, self.rng, self.tol, self.zero_tol = atlas, rng, tol, zero_tol
+        self.point_shape = atlas.ambient
         self.charts = range(len(atlas.charts))
 
-    def sample(self, charts, count):
+    def draw(self, groups, count):
+        """Each group's sample in turn, of at most 25 points."""
+        return [self._sample(g, min(count, 25)) for g in groups]
+
+    def _sample(self, charts, count):
         """The first count of count * 40 uniform draws inside every chart
         domain, leaving the generator after the last draw used."""
         d = 2 * self.atlas.ambient[0] + self.atlas.ambient[1]
@@ -749,12 +738,9 @@ class _ExprCharts:
             inside &= _re_invertible(self.atlas.charts[c]._predicate, points, self.tol)
         keep = np.flatnonzero(inside)[:count]
         if count and len(keep) == count:
-            _rewind(self.rng, state, lambda used: self.rng.uniform(-1.5, 1.5, size=(used, d)), keep[-1] + 1)
+            self.rng.bit_generator.state = state
+            self.rng.uniform(-1.5, 1.5, size=(keep[-1] + 1, d))
         return points[keep]
-
-    def overlaps(self, window, samples):
-        """Each pair's overlap draw in turn."""
-        return [self.sample(pair, min(samples, 25)) for pair in window]
 
     def forward(self, c, points):
         return _eval_rows(self.atlas.charts[c].forward, points)
@@ -771,9 +757,6 @@ class _ExprCharts:
 
     def image_shape(self, c):
         return self.atlas.charts[c].forward.codomain
-
-    def box(self, row):
-        return unrealify(row, *self.atlas.ambient)
 
     def same(self, x, y):
         return vector_norm(x - y) <= 1e-6

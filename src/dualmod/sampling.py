@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dualmod.core import DualNumber, DualVector, NotInvertible, vector
+from dualmod.core import DualNumber, DualVector, NotInvertible
 from dualmod.diff import (
     DualFunc,
     EvaluationFailed,
@@ -41,11 +41,16 @@ def random_invertible_dual(rng, re_lo=0.5, re_hi=1.5) -> DualNumber:
     return DualNumber(sign * rng.uniform(re_lo, re_hi), rng.uniform(-1.0, 1.0))
 
 
+def random_rows(rng, n, m, count, lo=-1.0, hi=1.0) -> np.ndarray:
+    """count random (n, m) vectors as realified rows (head re parts, head ze
+    parts, tails), from one uniform draw taken in random_dual's order: each
+    head's re and ze parts in turn, then the tails."""
+    order = np.r_[0 : 2 * n : 2, 1 : 2 * n : 2, 2 * n : 2 * n + m]
+    return rng.uniform(lo, hi, size=(count, 2 * n + m))[:, order]
+
+
 def random_vector(rng, n, m, lo=-1.0, hi=1.0) -> DualVector:
-    return vector(
-        [random_dual(rng, lo, hi) for _ in range(n)],
-        [rng.uniform(lo, hi) for _ in range(m)],
-    )
+    return DualVector._wrap(random_rows(rng, n, m, 1, lo, hi)[0], n)
 
 
 def random_module_map(rng, domain, codomain, scale=1.0) -> ModuleMap:

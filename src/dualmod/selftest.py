@@ -8,10 +8,11 @@ functions the installed package exposes, and any exception inside a check
 is recorded as a failure instead of aborting the report.
 
 Every check goes through one runner, ``run(name, bound, count, one)``, which
-records ``max(0.0, one(0), ..., one(count - 1))`` against ``bound`` (a NaN is
-skipped).  ``one(i)`` makes the i-th draw and returns its gap; ``count`` is
-``samples`` for scalar and vector identities, ``few`` (or half of it, at least
-2, for pair bases) for the costlier checks and 1 for a fixed example.
+records the largest of 0.0 and the gaps that ``one(0), ..., one(count - 1)``
+return (a gap or a tuple of them) against ``bound``; a NaN gap fails the
+check.  ``count`` is ``samples`` for scalar and vector identities, ``few`` (or
+half of it, at least 2, for pair bases) for the costlier checks and 1 for a
+fixed example.
 """
 
 from __future__ import annotations
@@ -89,7 +90,10 @@ def run_selftest(samples: int = 100, seed: int = 0, tol: float | None = None) ->
         worst = 0.0
         try:
             for i in range(count):
-                worst = max(worst, one(i))
+                gaps = np.atleast_1d(one(i))
+                if np.isnan(gaps).any():  # max would skip it
+                    raise ValueError("draw %d gave a NaN gap" % i)
+                worst = max(worst, gaps.max())
             checks.append(CheckResult(name, float(worst) <= bound, float(worst)))
         except Exception as exc:  # a selftest must report, never crash
             checks.append(CheckResult(name, False, None, "%s: %s" % (type(exc).__name__, exc)))
@@ -98,7 +102,7 @@ def run_selftest(samples: int = 100, seed: int = 0, tol: float | None = None) ->
     def ring_laws(_):
         a, b, c = (sampling.random_dual(rng, -2, 2) for _ in range(3))
         assoc = _dist(core.mul(core.mul(a, b), c), core.mul(a, core.mul(b, c)))
-        return max(0.0, assoc, _dist(core.mul(a, b), core.mul(b, a)))
+        return assoc, _dist(core.mul(a, b), core.mul(b, a))
 
     run("core.ring_laws", 8e-12, samples, ring_laws)
 
@@ -111,7 +115,7 @@ def run_selftest(samples: int = 100, seed: int = 0, tol: float | None = None) ->
     def zero_divisors(_):
         z = core.DualNumber(0.0, rng.uniform(-2, 2))
         gap = _dist(core.mul(z, z), core.ZERO)
-        return max(0.0 if core.is_zero_divisor(z + core.DualNumber(0.0, 1e-3)) else 1.0, gap)
+        return 0.0 if core.is_zero_divisor(z + core.DualNumber(0.0, 1e-3)) else 1.0, gap
 
     run("core.zero_divisors_square_to_zero", 0.0, samples, zero_divisors)
 
@@ -126,7 +130,7 @@ def run_selftest(samples: int = 100, seed: int = 0, tol: float | None = None) ->
         v = sampling.random_vector(rng, 3, 2)
         s = core.sharp_action(v)
         flag = 0.0 if core.in_ker_sharp(s, tol=0.0) else 1.0
-        return max(flag, core.vector_norm(core.sharp_action(s)))
+        return flag, core.vector_norm(core.sharp_action(s))
 
     run("core.sharp_squares_to_zero", 0.0, samples, sharp_structure)
 
@@ -169,7 +173,7 @@ def run_selftest(samples: int = 100, seed: int = 0, tol: float | None = None) ->
         sol = linalg.solve(lam, b)
         residual = core.vector_norm(linalg.apply(lam, sol) - b)
         back = linalg.apply(linalg.inverse_map(lam), b)
-        return max(0.0, residual, core.vector_norm(back - v))
+        return residual, core.vector_norm(back - v)
 
     run("linalg.solve_and_invert", 1e-8, few, solve_invert)
 
@@ -185,7 +189,7 @@ def run_selftest(samples: int = 100, seed: int = 0, tol: float | None = None) ->
     def smooth_pass(_):
         f, a = sampling.tame_case(rng, (2, 1), (2, 1), depth=2)
         report = diff.cr_check(f, a)
-        return 0.0 if report.passed else max(report.residuals.values())
+        return 0.0 if report.passed else tuple(report.residuals.values())
 
     run("diff.smooth_expressions_pass", 0.0, few, smooth_pass)
 
@@ -209,7 +213,7 @@ def run_selftest(samples: int = 100, seed: int = 0, tol: float | None = None) ->
             tuple(t * r for r in p.rep.tail),
         )
         gap = core.vector_norm(manifold.canonical_rep(p) - manifold.canonical_rep(scaled))
-        return max(flag, gap)
+        return flag, gap
 
     run("manifold.chart_round_trip", 1e-9, few, chart_round_trip)
 

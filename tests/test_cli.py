@@ -587,6 +587,13 @@ class TestOutputHandling:
             main(["frobnicate"])
         assert info.value.code == 2
 
+    def test_unexpected_exception_is_one_internal_error_line(self, capsys, monkeypatch):
+        def broken(args, tol):
+            raise RuntimeError("not for the user")
+
+        monkeypatch.setitem(cli.RUNNERS, "basis", broken)
+        assert run(capsys, ["basis"]) == (1, "", "error: internal: RuntimeError\n")
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--version"])
@@ -728,8 +735,9 @@ def mutations(doc, rng, count):
 
 class TestMutationFuzz:
     """Golden inputs with one node replaced or one field deleted: whatever
-    the mutation, main returns 0, 1 or 2 without raising, a report is
-    strict JSON, and bad input gets one error line."""
+    the mutation, main returns 0, 1 or 2 without raising or reaching its
+    last-resort handler, a report is strict JSON, and bad input gets one
+    error line."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
     def test_mutated_golden_input(self, tmp_path, capsys, name):
@@ -739,6 +747,7 @@ class TestMutationFuzz:
             try:
                 code, out, err = run_doc(capsys, tmp_path, name, doc)
                 assert code in (0, 1, 2), code
+                assert "error: internal:" not in err, err
                 if code == 2:
                     assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
                 else:

@@ -661,9 +661,10 @@ def reference_report(atlas, samples, tol=1e-4, seed=0) -> dict:
 
 def reference_atlases():
     """Expression atlases that reach every branch of verify_atlas: forward
-    failures, a preimage leaving the domain, a non-smooth transition, no
-    sample in the domain, a round-trip gap, a predicate with a singular
-    inverse on part of the draws, and a chart that passes."""
+    failures, a forward map that fails on one pair's overlap points but
+    not on a later pair's, a preimage leaving the domain, a non-smooth
+    transition, no sample in the domain, a round-trip gap, a predicate with
+    a singular inverse on part of the draws, and a chart that passes."""
     x = coord("head", 0)
     ident = DualFunc((1, 0), (1, 0), (x,))
     everywhere = const(ONE)
@@ -671,6 +672,8 @@ def reference_atlases():
     # 1/x, singular where |re x| <= 1
     recip = DualFunc((1, 0), (1, 0), (inv_expr(x * 1e-9) * 1e-9,))
     conj = DualFunc((1, 0), (1, 0), (re_part(x) - sharp_expr(ze_part(x)),))
+    # x, failing where |re x| <= 1, as does the last chart's domain predicate
+    gap = DualFunc((1, 0), (1, 0), (x + const(0.0) * inv_expr(x * 1e-9),))
     lam = ModuleMap(
         2, 1, 2, 1,
         c_re=np.array([[1.0, 0.5], [0.0, 2.0]]),
@@ -682,6 +685,11 @@ def reference_atlases():
     return {
         "forward_failure": (ExprChart(ident, ident, everywhere), ExprChart(broken, ident, everywhere)),
         "partial_forward_failure": (ExprChart(ident, ident, everywhere), ExprChart(recip, recip, everywhere)),
+        "forward_gap": (
+            ExprChart(ident, ident, everywhere),
+            ExprChart(gap, ident, everywhere),
+            ExprChart(ident, ident, inv_expr(x * 1e-9)),
+        ),
         "inverse_leaves": (ExprChart(ident, DualFunc((1, 0), (1, 0), (sharp_expr(x),)), x),),
         "conjugation": (ExprChart(ident, ident, everywhere), ExprChart(conj, conj, everywhere)),
         "no_sample": (ExprChart(ident, ident, const(0.0)),),
@@ -780,12 +788,11 @@ class TestReferenceLoop:
         # two pairs split every template's stack, and a window smaller than
         # one pair holds that pair alone.  The conjugation atlas (pairs of 80
         # entries) fails two pairs on their transitions.  The partial forward
-        # failure atlas fails chart 1's image rows, so a window holding both
-        # of its pairs maps the second pair again after the first fails
-        atlases = (
-            ProjectiveAtlas(1, 1),
-            *(ExprAtlas(reference_atlases()[name]) for name in ("conjugation", "partial_forward_failure")),
-        )
+        # failure and forward gap atlases fail chart 1's image rows, so a
+        # window holding several of its pairs maps each of them alone; in
+        # the forward gap atlas the last of them then passes
+        names = ("conjugation", "partial_forward_failure", "forward_gap")
+        atlases = (ProjectiveAtlas(1, 1), *(ExprAtlas(reference_atlases()[name]) for name in names))
         set_default_tol(zero_tol)
         try:
             for cells, atlas, seed in itertools.product((2 * 20 * 9, 100), atlases, range(3)):
@@ -1077,9 +1084,9 @@ class TestWindowDraw:
             drawn.append(charts)
             return sample(ops, charts, count)
 
-        sample = manifold._ExprCharts.sample
+        sample = manifold._ExprCharts._sample
         monkeypatch.setattr(manifold, "compose_funcs", counting_compose)
-        monkeypatch.setattr(manifold._ExprCharts, "sample", counting_sample)
+        monkeypatch.setattr(manifold._ExprCharts, "_sample", counting_sample)
         report = verify_atlas(ExprAtlas(reference_atlases()[name]), samples=20)
         assert not all(e.passed for e in report.entries if e.axiom == "iv")
         assert len(lowered) == 4

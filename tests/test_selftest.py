@@ -1,4 +1,8 @@
+import json
+import math
+
 import dualmod.core as core
+import dualmod.symplectic as symplectic
 from dualmod.core import DualNumber
 from dualmod.selftest import run_selftest
 
@@ -38,6 +42,28 @@ def test_broken_algebra_is_reported_not_raised(monkeypatch):
     assert "core.ring_laws" in failing
     # every check still produced a result despite downstream exceptions
     assert len(report.checks) >= 15
+
+
+def test_nan_products_fail_their_checks(monkeypatch):
+    # a NaN gap used to be skipped by the running maximum, so a check
+    # whose every draw was NaN reported worst 0.0 and passed
+    monkeypatch.setattr(core, "mul", lambda x, y: DualNumber(math.nan, math.nan))
+    report = run_selftest(samples=20, seed=0)
+    failing = {c.name: c for c in report.checks if not c.passed}
+    for name in ("core.ring_laws", "core.inverse_round_trip", "core.zero_divisors_square_to_zero",
+                 "core.norm_submultiplicative", "linalg.apply_matches_realified"):
+        assert failing[name].worst is None
+        assert failing[name].detail == "ValueError: draw 0 gave a NaN gap"
+    json.dumps(report.to_json(), allow_nan=False)
+
+
+def test_nan_pairing_residual_fails_the_pair_check(monkeypatch):
+    nan_report = symplectic.DarbouxReport(False, math.nan, True, True)
+    monkeypatch.setattr(symplectic, "verify_darboux", lambda basis, form: nan_report)
+    check = next(c for c in run_selftest(samples=20, seed=0).checks
+                 if c.name == "symplectic.pair_extraction_round_trip")
+    assert not check.passed and check.worst is None
+    assert check.detail == "ValueError: draw 0 gave a NaN gap"
 
 
 def test_report_json_shape():
