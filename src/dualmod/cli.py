@@ -24,11 +24,15 @@ no timestamps are embedded.
 The working tolerance is taken from --tol when given, else from the
 DUALMOD_TOL environment variable, else from a per-command default (1e-4 for
 the two derivative-based commands, 1e-9 otherwise).
+
+Only core and linalg are imported here; each runner imports the other
+modules it uses, so a subcommand's process loads only its own modules.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -38,12 +42,7 @@ import tempfile
 import numpy as np
 
 import dualmod.core as core
-import dualmod.diff as diff
 import dualmod.linalg as linalg
-import dualmod.manifold as manifold
-import dualmod.sampling as sampling
-import dualmod.selftest as selftest
-import dualmod.symplectic as symplectic
 from dualmod import __version__
 
 COMMAND_TOL = {
@@ -177,6 +176,8 @@ def _vectors_from(args, data, key) -> list[core.DualVector]:
 
 
 def _run_selftest(args, tol):
+    import dualmod.selftest as selftest
+
     report = selftest.run_selftest(samples=args.samples, seed=args.seed, tol=tol)
     payload = report.to_json()
     if not report.passed:
@@ -220,6 +221,9 @@ def _run_solve(args, tol):
 def _diffcheck_points(args, data, func):
     """The points to check as realified rows, and whether the input
     supplied them; see the module docstring for how points are sampled."""
+    import dualmod.diff as diff
+    import dualmod.sampling as sampling
+
     n, m = func.domain
     width = 2 * n + m
     if "points" in data:
@@ -239,6 +243,8 @@ def _diffcheck_points(args, data, func):
 
 
 def _run_diffcheck(args, tol):
+    import dualmod.diff as diff
+
     data = _load_input(args)
     (func,) = _parse(args, core.json_fields, data, "input", ("function",))
     func = _parse(args, diff.DualFunc.from_json, func)
@@ -269,6 +275,8 @@ def _run_diffcheck(args, tol):
 
 
 def _run_atlas(args, tol):
+    import dualmod.manifold as manifold
+
     data = _load_input(args)
     atlas = _parse(args, manifold.atlas_from_json, data)
     report = manifold.verify_atlas(
@@ -281,6 +289,8 @@ def _run_atlas(args, tol):
 
 
 def _run_darboux(args, tol):
+    import dualmod.symplectic as symplectic
+
     data = _load_input(args)
     form = _parse(args, symplectic.GramForm.from_json, data)
     form_report = symplectic.check_form(form, tol=tol)
@@ -391,12 +401,16 @@ def _emit(payload: dict, args) -> None:
             raise ReportNotFinite(str(exc)) from None
     if args.output:
         directory = os.path.dirname(os.path.abspath(args.output))
+        tmp = None
         try:
             fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
             os.replace(tmp, args.output)
         except OSError as exc:
+            if tmp is not None:  # no stray temporary file after a failed write
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
             raise UsageFailure(
                 "cannot write %s: %s" % (args.output, exc.strerror or exc)
             )

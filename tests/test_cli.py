@@ -616,6 +616,14 @@ class TestEmit:
         assert code == 1 and out == "" and err.startswith("error: ")
         assert not target.exists()
 
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, capsys):
+        target = tmp_path / "out"  # a directory, so the final rename fails
+        target.mkdir()
+        code, out, err = run(capsys, ["basis", "--input", os.path.join(GOLDEN, "basis.input.json"), "--output", str(target)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["out"] and os.listdir(target) == []
+
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 

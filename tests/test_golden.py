@@ -11,6 +11,7 @@ and review the diff of tests/golden/ like any other change.
 """
 
 import os
+import subprocess
 import sys
 
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from dualmod.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # name -> (subcommand, input file or None, extra arguments, exit code)
 CASES = {
@@ -53,6 +55,41 @@ def test_report_matches_golden(name, capsys):
         want = fh.read()
     assert code == CASES[name][3]
     assert out == want
+
+
+# the dualmod modules a fresh ``python -m dualmod.cli`` process imports for
+# each case, besides the package; dualmod.cli itself runs as __main__
+BASE = ["dualmod.core", "dualmod.linalg"]
+FRESH_MODULES = {
+    "basis": BASE,
+    "solve": BASE,
+    "darboux": BASE + ["dualmod.symplectic"],
+    "diffcheck": BASE + ["dualmod.diff", "dualmod.sampling"],
+    "diffcheck_fail": BASE + ["dualmod.diff", "dualmod.sampling"],
+    "atlas": BASE + ["dualmod.diff", "dualmod.manifold"],
+    "selftest_1": BASE + [
+        "dualmod.diff", "dualmod.manifold", "dualmod.sampling", "dualmod.selftest", "dualmod.symplectic",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRESH_MODULES))
+def test_fresh_process_matches_golden_and_imports_only_its_modules(name):
+    """In process every module is already loaded, so only a fresh process
+    shows that a subcommand imports what it uses, and nothing more."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "dualmod.cli"] + _argv(name),
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    with open(_report_path(name), "r", encoding="utf-8") as fh:
+        want = fh.read()
+    assert proc.returncode == CASES[name][3], proc.stderr
+    assert proc.stdout == want
+    imported = [
+        line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")
+    ]
+    assert sorted(m for m in imported if m.startswith("dualmod.")) == sorted(FRESH_MODULES[name])
 
 
 if __name__ == "__main__":
