@@ -23,7 +23,11 @@ when they hold.  forward_derivative computes the same map independently,
 carrying ring-valued tangents for every input slot in one pass, and
 numeric_jacobian is the central-difference oracle for both.  re_part/ze_part
 exist to express maps that are perfectly smooth over the reals yet fail the
-block pattern.
+block pattern.  One loop over the node list, run on first use and cached,
+gives each node a smoothness class (_classes); where a function it proves
+has a finite Jacobian, the four block residuals are exactly 0.0, so
+verify_atlas builds no Jacobian for the proved standard transitions where
+it can bound theirs as finite.
 """
 
 from __future__ import annotations
@@ -293,6 +297,91 @@ def _payload(e: Expr, n: int, m: int):
         raise ShapeMismatch("tail slot %d out of range for m=%d" % (e.slot, m))
     col = 2 * n + e.slot
     return (None, col) if e.component == "full" else (col, None)
+
+
+# Smoothness classes (see _classes), one bit per property: C, C+D, C+D+E, C+R
+_CLEAN, _DUAL, _EPS, _REAL = 1, 3, 7, 9
+
+
+def _classes(f: DualFunc) -> tuple[int, ...]:
+    """The smoothness class of each node of f's lowered list, computed on
+    first use and cached on f; lowering does not pay for it.
+
+    A class holds properties of a node's value (re, ze) and of its gradient
+    rows (dre, dze) in _jacobian's pass, whose columns are head re parts A,
+    head ze parts B and tail coefficients C.  Call a float null when it is
+    zero or not finite, and two floats matched when they are equal or one
+    is not finite.
+    - CLEAN: dre[B] is null (re depends on head re parts and tails only).
+    - DUAL: CLEAN, dre[C] is null, and dre[A] matches dze[B] entry by entry.
+    - EPS: DUAL, and re, dre and dze[B] are null.
+    - REAL: CLEAN, and ze and dze are null.
+    So EPS ⊂ DUAL ⊂ CLEAN and REAL ⊂ CLEAN.  Each property is a bit, so a
+    node can be in two classes (a real constant is DUAL and REAL), and the
+    class two operands share is the bitwise and of theirs.
+
+    Proof sketch.  Each rule below keeps its properties through the float
+    operations _jacobian does; this is the chain rule in R^(2).  In IEEE
+    arithmetic a null times any float, and a sum or difference of nulls,
+    is null.  A product or sum of matched operands is matched, since a
+    non-finite operand makes a non-finite result; where a null term is a
+    finite zero, adding it changes nothing, so mul's
+    dze[B] = ((ur dvz[B] + null) + vr duz[B]) + null matches
+    dre[A] = ur dvr[A] + vr dur[A], and inv's
+    dze[B] = w w (null - duz[B]) matches dre[A] = -w w dur[A].  sharp
+    multiplies by eps: its re row is 0.0, and its ze row is its argument's
+    re row, null in B when the argument is CLEAN.  A head coord is DUAL, a
+    full tail coord EPS, and a component coord reading a head re part or a
+    tail coefficient REAL; one reading a head ze part has no class.
+
+    f is proved (_proved) when every head output is DUAL and every tail
+    output EPS.  Then the four blocks of cr_check's residuals are null
+    (head dre[B], head dre[C], tail dze[B]) or differences of matched
+    entries (head dre[A] - dze[B]).  So wherever the Jacobian is finite,
+    all four residuals are exactly 0.0, not merely small: only an inverse
+    within tolerance of zero, a tail that is not a zero divisor or a
+    Jacobian that is not finite (0.0 times inf is NaN) can fail the block
+    test there.
+    """
+    classes = f.__dict__.get("_classes")
+    if classes is not None:
+        return classes
+    n, classes = f.domain[0], []
+    for op, args, payload, _ in f._nodes:
+        u = classes[args[0]] if args else 0
+        v = classes[args[-1]] if args else 0  # u again for one argument
+        if op == "const":
+            c = _DUAL | _EPS * (payload[0] == 0.0) | _REAL * (payload[1] == 0.0)
+        elif op == "coord":
+            r, z = payload
+            if z is not None:
+                c = _EPS if r is None else _DUAL
+            else:
+                c = 0 if n <= r < 2 * n else _REAL
+        elif op in ("add", "sub", "neg"):
+            c = u & v
+        elif op == "mul":
+            eps = (u & _EPS == _EPS and v & _CLEAN) or (v & _EPS == _EPS and u & _CLEAN)
+            c = u & v & (_DUAL | _REAL) | _EPS * bool(eps)
+        elif op == "inv":
+            c = u & (_DUAL | _REAL)
+        elif op == "sharp":
+            c = _CLEAN | _EPS * (u & _CLEAN) | _REAL * (u & _EPS == _EPS)
+        elif op == "re_part":
+            c = _REAL * (u & _CLEAN) | _EPS * (u & _EPS == _EPS)
+        else:  # ze_part
+            c = _REAL * (u & _EPS == _EPS or u & _REAL == _REAL) | _EPS * (u & _REAL == _REAL)
+        classes.append(c)
+    classes = tuple(classes)
+    object.__setattr__(f, "_classes", classes)
+    return classes
+
+
+def _proved(f: DualFunc) -> bool:
+    """Do f's classes prove the block pattern: is every head output DUAL
+    and every tail output EPS (see _classes)?"""
+    classes, (s, t) = _classes(f), f.codomain
+    return all(classes[p] & c == c for p, c in zip(f._outputs, [_DUAL] * s + [_EPS] * t))
 
 
 @dataclass(frozen=True)
@@ -614,8 +703,11 @@ def _cr_rows(f: DualFunc, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the (S, 4) array of its residuals per row (_RESIDUAL_KEYS order) and the
     mask of the rows where it would raise, a residual that is not finite
     included.  An unmarked row's residuals equal cr_check's bit for bit; a
-    caller replays a marked row through cr_check for its message."""
+    caller replays a marked row through cr_check for its message.  An empty
+    batch walks nothing."""
     bad = np.zeros(len(points), dtype=bool)
+    if not len(points):
+        return np.empty((0, len(_RESIDUAL_KEYS))), bad
     jac = _jacobian(f, list(points.T[:, :, None]), bad)
     residuals = np.empty((len(points), len(_RESIDUAL_KEYS)))
     for k, r in enumerate(_residuals(jac, f.domain[0], f.codomain[0])):

@@ -14,8 +14,11 @@ as arrays over its sample points, on realified rows.  Up to a permutation
 of slots, a standard transition (i, j) -> (k, l) has one of four shapes
 (i = k or not, j = l or not), so the transition test runs on four cached
 templates per (n, m), with the pairs of a shape stacked into shared
-batches.  A transition is defined where it evaluates: for a standard one,
-where its head and tail pivots are invertible.
+batches.  The templates are proved to have the block pattern wherever
+their Jacobian is finite (diff._classes), so a stacked row passes without
+a Jacobian where a closed-form bound shows it finite.  A transition is
+defined where it evaluates: for a standard one, where its head and tail
+pivots are invertible.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from dualmod.diff import (
     _cr_rows,
     _eval_batch,
     _eval_rows,
+    _proved,
     compose_funcs,
     const,
     coord,
@@ -603,9 +607,12 @@ def _smoothness(ops, samples, tol) -> list:
     their points together and stack chart images per source chart and the
     domain and block tests per template.  Each pair's verdict rests on its
     own rows only, and its draw takes the same uniforms whatever any
-    verdict says, so every window's verdicts are final.  A failing pair's
-    witness comes from cr_check on its template at the failing row's
-    gathered columns (the witness point is the row itself)."""
+    verdict says, so every window's verdicts are final.  A proved stack
+    (diff._classes) builds no Jacobian: its rows inside the domain pass
+    where ops.proved_rows bounds the Jacobian as finite, and only the rest
+    go through the batched block test.  A failing pair's witness comes
+    from cr_check on its template at the failing row's gathered columns
+    (the witness point is the row itself)."""
     windows, cells = [[]], 0
     for c1, c2 in itertools.product(ops.charts, repeat=2):
         (n, m), (s, t) = ops.image_shape(c1), ops.image_shape(c2)
@@ -647,9 +654,11 @@ def _window_verdicts(ops, window, pts, tol):
         rows = np.vstack(rows)
         # the template evaluates exactly where the columns it inverts are invertible
         inside = (np.abs(rows[:, pivots]) > ops.zero_tol).all(axis=1)
-        residuals, bad = _cr_rows(trans, rows[inside])
+        # a row proved_rows settles passes without the block test
+        check = inside & ~ops.proved_rows(trans, rows, pivots)
+        residuals, bad = _cr_rows(trans, rows[check])
         failed = np.zeros(len(rows), dtype=bool)
-        failed[inside] = bad | (residuals > tol).any(axis=1)
+        failed[check] = bad | (residuals > tol).any(axis=1)
         offsets = [0, *itertools.accumulate(len(images[p][0]) for p in members)]
         counts = [0, *np.cumsum(inside).tolist()]  # inside rows before each row
         fails = np.flatnonzero(failed).tolist()
@@ -668,7 +677,8 @@ def _window_verdicts(ops, window, pts, tol):
         yield witness, checked
 
 
-# Jacobian entries checked together; a batched block test peaks near 20 B each
+# Jacobian entries per window; a batched block test peaks near 20 B each, and
+# a proved stack builds no Jacobian for the rows proved_rows settles
 _WINDOW_CELLS = 3 * 2**15
 
 
@@ -711,6 +721,32 @@ class _StandardCharts:
         key = (i == k, j == l)
         pivots = [0] * (i != k) + [2 * n] * (j != l)
         return key, _template(n, m, *key), heads + [n + a for a in heads] + [2 * n + b for b in tails], pivots
+
+    @np.errstate(over="ignore")
+    def proved_rows(self, trans, rows, pivots):
+        """Per gathered row inside a template's domain: does the block test
+        pass there for certain, so it needs no Jacobian?  It does where the
+        template is proved (diff._classes) and its Jacobian is finite, and
+        the Jacobian is finite where every value and gradient entry of
+        _jacobian's pass stays below the float limit.
+
+        Take M = max(1, |largest coordinate|) and Q = max(1, 1 / |smallest
+        pivot|); each pivot's re part is a coordinate, and the pass inverts
+        nothing else but the constant 1, which the zero tolerance, below 1,
+        leaves invertible.  Inverting a head pivot r + z eps gives 1/r and
+        -z/r**2, with gradient rows -dr/r**2 and (2 z dr/r - dz)/r**2: at
+        most Q, M Q**2, Q**2 and 3 M Q**3.  A head output multiplies that by
+        a coordinate (or by 1), so its value, its gradients and the partial
+        sums of mul's four terms stay below 6 M**2 Q**3.  A tail output
+        multiplies a tail coefficient by 1/c, a value of at most M Q with
+        a gradient of at most 2 M Q**2.  So a row with M**2 Q**3 below
+        2**1020 keeps every entry below 6 * 2**1020 < 2**1023, short of
+        the largest float, and Q below 2**340 keeps r**2 a normal float,
+        so no 0/0 or 0 * inf arises.  Rows the bound rejects, and every row of a
+        template that is not proved, go through the block test."""
+        big = np.abs(rows).max(axis=1, initial=1.0)
+        inverse = 1.0 / np.abs(rows[:, pivots]).min(axis=1, initial=1.0)
+        return (big * big * inverse**3 < 2.0**1020) & _proved(trans)
 
 
 class _ExprCharts:
@@ -760,6 +796,11 @@ class _ExprCharts:
 
     def same(self, x, y):
         return vector_norm(x - y) <= 1e-6
+
+    def proved_rows(self, trans, rows, pivots):
+        """None: a user transition has no bound on its Jacobian (1/x is finite
+        at x = 1e-160, its derivative is not), so every row is checked."""
+        return np.zeros(len(rows), dtype=bool)
 
     def template(self, a, b):
         """Each pair is its own stack, read as is, with no pivots; overlap

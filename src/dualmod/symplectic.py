@@ -122,6 +122,11 @@ def _size(value, what: str) -> int:
         raise FormInvalid(str(exc)) from None
 
 
+def _largest(form: GramForm) -> float:
+    """The largest magnitude among the form's Gram entries."""
+    return float(max(np.abs(form.g_re).max(), np.abs(form.g_ze).max()))
+
+
 def _check_shape(form: GramForm, v: DualVector) -> None:
     if v.shape != form.shape:
         raise ShapeMismatch(
@@ -223,7 +228,7 @@ def check_form(form: GramForm, tol: float | None = None) -> FormReport:
     """
     tol = resolve_tol(tol)
     n, m = form.n, form.m
-    scale = 1.0 + float(max(np.abs(form.g_re).max(), np.abs(form.g_ze).max()))
+    scale = 1.0 + _largest(form)
     checks = []
 
     with np.errstate(over="ignore"):  # entries near the float limit
@@ -305,12 +310,20 @@ def darboux_basis(form: GramForm, tol: float | None = None) -> DarbouxBasis:
     their head re parts are clamped to exact zeros and stage two pairs on
     eps parts, to eps, with real coefficients.  Anything left over means
     the form was degenerate, which raises NumericalBreakdown.
+
+    The pairing runs on the form scaled by a power of two, so that its
+    largest entry lies in [0.5, 1), and each f is scaled back; both are
+    exact in floating point, so the thresholds are relative to the form's
+    own scale and a valid form scaled by 2**k gives the same e and each f
+    times 2**-k.  A member that overflows at the form's scale raises
+    NumericalBreakdown.
     """
     tol = resolve_tol(tol)
     n, m = form.n, form.m
-    thresh = tol * (1.0 + max(np.abs(form.g_re).max(), np.abs(form.g_ze).max()))
+    largest, scale = np.frexp(_largest(form))  # the scaled form's largest entry
+    thresh = tol * (1.0 + largest)
     re_cols = np.r_[0:n, 2 * n : 2 * n + m]
-    h = _pairing(form)
+    h = np.ldexp(_pairing(form), -scale)
 
     def times(c_re, c_ze, v):  # dual scalars c times the realified row v
         eps_v = np.zeros_like(v)
@@ -371,6 +384,10 @@ def darboux_basis(form: GramForm, tol: float | None = None) -> DarbouxBasis:
         )
 
     def boxed(pairs):
+        with np.errstate(over="ignore"):
+            pairs = [(e, np.ldexp(f, -scale)) for e, f in pairs]
+        if not all(np.isfinite(f).all() for _, f in pairs):
+            raise NumericalBreakdown("a pair member overflows at the form's scale 2**%d" % scale)
         return tuple((unrealify(e, n, m), unrealify(f, n, m)) for e, f in pairs)
 
     return DarbouxBasis(boxed(pairs_head), boxed(pairs_tail))
@@ -390,25 +407,29 @@ def verify_darboux(
     basis: DarbouxBasis, form: GramForm, tol: float = 1e-9
 ) -> DarbouxReport:
     """Check pairings against the reference pattern, independence, and that
-    the pairs span the whole space.  Independence and span are decided on
-    the members divided by their largest entries, so they do not depend on
-    the form's scale.  A basis with a non-finite entry fails all three."""
+    the pairs span the whole space.  The pairing of members a and b may
+    miss its reference value by tol |a| |b| |G|, each size the largest
+    entry, and independence and span are decided on the members divided
+    by their largest entries, so no verdict depends on the form's scale.
+    A basis with a non-finite entry fails all three."""
     vecs = basis.vectors()
     for v in vecs:
         _check_shape(form, v)
     n, m = form.shape
     rows = np.array([v.array for v in vecs]).reshape(len(vecs), 2 * n + m)
     finite = bool(np.isfinite(rows).all())
+    big = np.abs(rows).max(axis=1, initial=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         got = rows @ _pairing(form) @ rows.T
+        bound = np.outer(tol * _largest(form) * big, big)
     want = np.zeros_like(got)
     heads = 2 * len(basis.pairs_head)
     for a in range(0, len(vecs), 2):  # head pairs pair to 1, tail pairs to eps
         part = 0 if a < heads else 1
         want[part, a, a + 1], want[part, a + 1, a] = 1.0, -1.0
-    worst = float(np.abs(got - want).max(initial=0.0))  # NaN or inf if not finite
-    scale = 1.0 + float(max(np.abs(form.g_re).max(), np.abs(form.g_ze).max()))
-    pairing_ok = worst <= tol * scale
+    gap = np.abs(got - want)
+    worst = float(gap.max(initial=0.0))  # NaN or inf if not finite
+    pairing_ok = bool(((gap <= bound) & np.isfinite(bound)).all())
 
     independent = complete = False
     if finite:

@@ -468,10 +468,11 @@ class TestDarboux:
         ]
         assert "head_block_nondegenerate" in failed
 
-    @pytest.mark.parametrize("pairing", [[1.7e308, 0], [1.7e308, 1.7e308]], ids=["re", "dual"])
+    @pytest.mark.parametrize("pairing", [[1.7e308, 0], [1e-320, 1e-320]], ids=["re", "dual"])
     def test_gram_near_float_limit_exits_one(self, tmp_path, capsys, pairing):
         # [1.7e308, 0] twice is not antisymmetric and its check sum
-        # overflows; the antisymmetric dual pairing overflows its inverse
+        # overflows; the antisymmetric dual pairing of 1e-320 has a dual
+        # inverse, the member f, beyond the largest float
         below = [-x for x in pairing] if pairing[1] else pairing
         doc = {"N": 2, "M": 0, "G": [[[0, 0], pairing], [below, [0, 0]]]}
         path = write_json(tmp_path / "form.json", doc)
@@ -486,6 +487,18 @@ class TestDarboux:
         else:
             assert not anti["passed"] and anti["residual"] == 1.7976931348623157e308
             assert "basis" not in report
+
+    def test_dual_pairing_near_the_largest_float_passes(self, tmp_path, capsys):
+        # the pairing runs on the form scaled to unit size, so its inverse
+        # does not overflow on the way to the subnormal member f
+        pairing = [1.7e308, 1.7e308]
+        doc = {"N": 2, "M": 0, "G": [[[0, 0], pairing], [[-x for x in pairing], [0, 0]]]}
+        path = write_json(tmp_path / "form.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["darboux", "--input", path])
+        assert code == 0 and err == ""
+        assert strict_json(out)["verification"]["passed"]
 
     def test_malformed_form_exits_two(self, tmp_path, capsys):
         form = standard_form(1, 1).to_json()

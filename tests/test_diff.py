@@ -555,6 +555,121 @@ class TestBatchedBlockTest:
             core.set_default_tol(core.DEFAULT_TOL)
 
 
+_COORD = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 3e100, -1e200, 1e-200]))
+
+
+@st.composite
+def classed_programs(draw):
+    """A function (2, 1) -> (s, t), the nodes it was built from, and four
+    points.  Trees from sampling.random_expr, constants that are pure eps,
+    real or dual, and component coords are joined in a straight-line
+    program by ring ops, shifted inverses, sharp, re_part and ze_part, so
+    every rule of diff._classes is reached.  Coordinates near the float
+    limits make some Jacobians non-finite."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nodes = [coord("head", 0, "re"), coord("head", 1, "ze"), coord("tail", 0, "ze")]
+    nodes += [const(DualNumber(0.0, 0.7)), const(DualNumber(1.3, 0.0)), const(DualNumber(-0.4, 0.9))]
+    nodes += [sampling.random_expr(rng, 2, 1, 3) for _ in range(3)]
+    for _ in range(draw(st.integers(1, 8))):
+        op = draw(st.sampled_from(["add", "sub", "mul", "neg", "inv", "sharp", "re_part", "ze_part"]))
+        u = draw(st.sampled_from(nodes))
+        if op in ("add", "sub", "mul"):
+            e = Expr(op, (u, draw(st.sampled_from(nodes))))
+        elif op == "inv":
+            e = inv_expr(const(DualNumber(draw(st.sampled_from((-3.0, 3.0))), draw(_UNIT))) + u)
+        else:
+            e = Expr(op, (u,))
+        nodes.append(e)
+    heads = [draw(st.sampled_from(nodes)) for _ in range(draw(st.integers(1, 2)))]
+    tails = [draw(st.sampled_from(nodes)) for _ in range(draw(st.integers(0, 2)))]
+    tails = [sharp_expr(e) if draw(st.booleans()) else e for e in tails]
+    f = DualFunc((2, 1), (len(heads), len(tails)), tuple(heads + tails))
+    points = [vector([DualNumber(draw(_COORD), draw(_COORD)) for _ in range(2)], [draw(_COORD)]) for _ in range(4)]
+    return f, nodes + heads + tails, points
+
+
+def _finite_jacobian(f, a):
+    """realified_jacobian at a, or None where it raises (a singular
+    inverse, a tail that is not a zero divisor, or a Jacobian that is not
+    finite)."""
+    try:
+        return diff.realified_jacobian(f, a)
+    except (NotInvertible, EvaluationFailed):
+        return None
+
+
+def _null_or_not_finite(x) -> bool:
+    return not np.isfinite(x) or x == 0.0
+
+
+class TestSmoothnessClasses:
+    """diff._classes against _jacobian: where a node's Jacobian rows are
+    finite, its class's zero entries are exactly 0.0 and its matched
+    entries exactly equal, and a proved function's block residuals are
+    exactly 0.0."""
+
+    @_PROGRAM_SETTINGS
+    @given(classed_programs())
+    def test_rules_hold_on_the_jacobian(self, case):
+        f, nodes, points = case
+        a, b, c = [0, 1], [2, 3], [4]  # head re, head ze and tail columns
+        for e in nodes:
+            g = DualFunc((2, 1), (1, 0), (e,))
+            cls = diff._classes(g)[g._outputs[0]]
+            for x in points:
+                jac = _finite_jacobian(g, x)
+                if jac is None:
+                    continue
+                dre, dze = jac
+                value = diff.eval_func(g, x).head[0]
+                if cls & diff._CLEAN:
+                    assert (dre[b] == 0.0).all()
+                if cls & diff._DUAL == diff._DUAL:
+                    assert (dre[c] == 0.0).all() and (dre[a] == dze[b]).all()
+                if cls & diff._EPS == diff._EPS:
+                    assert (dre == 0.0).all() and (dze[b] == 0.0).all()
+                    assert _null_or_not_finite(value.re)
+                if cls & diff._REAL == diff._REAL:
+                    assert (dze == 0.0).all() and _null_or_not_finite(value.ze)
+        if diff._proved(f):
+            for x in points:
+                jac = _finite_jacobian(f, x)
+                if jac is not None:
+                    assert [float(r) for r in diff._residuals(jac, 2, f.codomain[0])] == [0.0] * 4
+
+    def test_random_functions_are_proved(self):
+        # random_func's heads carry no projection and its tails are sharp
+        rng = np.random.default_rng(23)
+        for domain, codomain in (((2, 1), (2, 1)), ((1, 0), (1, 0)), ((0, 2), (1, 2)), ((3, 3), (2, 2))):
+            for _ in range(10):
+                assert diff._proved(sampling.random_func(rng, domain, codomain, 4))
+
+    def test_classes_are_computed_once_and_not_when_lowering(self):
+        f = sampling.random_func(np.random.default_rng(24), (2, 1), (1, 1), 4)
+        assert "_classes" not in f.__dict__
+        assert diff._classes(f) is diff._classes(f)
+        assert len(diff._classes(f)) == len(f._nodes)
+
+    def test_projections_and_head_ze_coords_are_not_proved(self):
+        x = head_coord(0)
+        cases = {
+            # re_part of a dual node is real, not dual
+            "re_part": ((re_part(x),), (1, 0), False),
+            # sharp of a real node is eps, so the tail output passes
+            "sharp_real_tail": ((x, sharp_expr(re_part(x))), (1, 1), True),
+            # a head ze part read as real feeds re from a ze column
+            "ze_coord_tail": ((x, sharp_expr(coord("head", 0, "ze"))), (1, 1), False),
+            # ze_part of an eps node is real; of a dual node, nothing
+            "ze_part_eps": ((x * ze_part(sharp_expr(x)),), (1, 0), False),
+            "ze_part_dual": ((x, sharp_expr(ze_part(x))), (1, 1), False),
+            # a tail output that is dual but not eps
+            "dual_tail": ((x, tail_coord(0) + x), (1, 1), False),
+        }
+        for name, (comps, codomain, proved) in cases.items():
+            f = DualFunc((1, 1), codomain, comps)
+            assert diff._proved(f) == proved, name
+
+
 def _names(path):
     """Every name a module's code uses: names, attributes, imports and
     definitions (docstrings and comments do not count)."""
@@ -691,6 +806,8 @@ class TestForwardDerivative:
         g = DualFunc((0, 1), (1, 0), (coord("tail", 0, "ze"),))
         with pytest.raises(NonSmoothExpression):
             diff.forward_derivative(g, core.vector([], [1.0]))
+        # both head outputs are REAL, not DUAL
+        assert not diff._proved(f) and not diff._proved(g)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)

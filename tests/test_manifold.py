@@ -847,6 +847,78 @@ class TestTransitionTemplates:
         assert inside.tolist() == (~_eval_batch(own, images)[1]).tolist()
         assert inside.tolist() == [in_transition_domain(own, unrealify(u, n, m)) for u in images]
 
+    @pytest.mark.parametrize("n,m", list(itertools.product(range(4), repeat=2)))
+    def test_templates_are_proved(self, n, m):
+        for same_head, same_tail in itertools.product((True, False), repeat=2):
+            if (same_head or n) and (same_tail or m):
+                assert diff._proved(manifold._template(n, m, same_head, same_tail))
+
+    def test_expression_transitions_proved_or_not(self):
+        # conjugation reads ze_part of a dual node, so its mixed transitions
+        # are not proved (its self transition of chart 1 is not either, and
+        # passes); 1/x is smooth, so every transition of the partial forward
+        # failure is proved, yet iv fails at its singular inverses: a proof
+        # says nothing about where a transition evaluates
+        atlases = {name: ExprAtlas(reference_atlases()[name]) for name in ("conjugation", "partial_forward_failure")}
+        for name, proved in (("conjugation", [True, False, False, False]), ("partial_forward_failure", [True] * 4)):
+            ops = manifold._ExprCharts(atlases[name], None, 1e-4, DEFAULT_TOL)
+            pairs = list(itertools.product(ops.charts, repeat=2))
+            assert [diff._proved(ops.template(*pair)[1]) for pair in pairs] == proved, name
+        iv = [e for e in verify_atlas(atlases["partial_forward_failure"], samples=20).entries if e.axiom == "iv"]
+        assert [e.passed for e in iv] == [True, False, False, False]
+        assert "within tolerance of zero" in iv[1].witness["error"]
+
+    def test_standard_stacks_build_no_jacobian(self, monkeypatch):
+        rows = []
+
+        def counting_cr_rows(f, points):
+            rows.append(len(points))
+            return _cr_rows(f, points)
+
+        monkeypatch.setattr(manifold, "_cr_rows", counting_cr_rows)
+        for zero_tol in (DEFAULT_TOL, 0.49):
+            set_default_tol(zero_tol)
+            try:
+                assert verify_atlas(ProjectiveAtlas(3, 2), samples=30).passed
+            finally:
+                set_default_tol(DEFAULT_TOL)
+        assert rows and not any(rows)
+        verify_atlas(ExprAtlas(reference_atlases()["conjugation"]), samples=20)
+        assert any(rows)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (3, 1), (1, 3)])
+    def test_proved_rows_near_the_overflow_edge(self, n, m):
+        # the sampler keeps coordinates below about 8 and pivots above 1/3;
+        # here they reach 2**500 and 2**-340, so M**2 Q**3 falls on both
+        # sides of the bound and of the float limit
+        rng = np.random.default_rng(29 + 4 * n + m)
+        ops = _StandardCharts(ProjectiveAtlas(n, m), rng, 1e-4, 2.0**-537)
+        kinds = set()
+        set_default_tol(2.0**-537)
+        try:
+            for c2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                _, template, _, pivots = ops.template((0, 0), c2)
+                count, width = 600, 2 * n + m
+                top = rng.uniform(0.0, 500.0, size=(count, 1))
+                rows = np.exp2(top - rng.uniform(0.0, 40.0, size=(count, width)))
+                rows[np.arange(count), rng.integers(0, width, size=count)] = np.exp2(top[:, 0])
+                rows[:, pivots] = np.exp2(-rng.uniform(0.0, 340.0, size=(count, len(pivots))))
+                rows *= rng.choice((-1.0, 1.0), size=rows.shape)
+                accept = ops.proved_rows(template, rows, pivots)
+                residuals, bad = _cr_rows(template, rows)
+                failed = bad | (residuals > 0.0).any(axis=1)
+                # an accepted row has a finite Jacobian and zero residuals
+                assert not failed[accept].any(), c2
+                # a rejected row gets the block test's own verdict
+                check = ~accept
+                own, own_bad = _cr_rows(template, rows[check])
+                assert (own_bad | (own > 0.0).any(axis=1)).tolist() == failed[check].tolist()
+                kinds |= {(bool(a), bool(f)) for a, f in zip(accept, failed)}
+        finally:
+            set_default_tol(DEFAULT_TOL)
+        # accepted rows, rejected rows that pass and rejected rows that fail
+        assert kinds == {(True, False), (False, False), (False, True)}
+
     def test_four_templates_are_lowered_once(self, monkeypatch):
         lowered = []
 

@@ -240,13 +240,26 @@ class TestNearFloatLimit:
         assert anti.residual == sys.float_info.max
 
     def test_overflowing_dual_inverse_breaks_down(self):
-        big = np.array([[0.0, self.BIG], [-self.BIG, 0.0]])
-        form = GramForm(2, 0, big, big)
+        # a pairing of 1e-320: its dual inverse, the member f, overflows
+        tiny = np.array([[0.0, 1e-320], [-1e-320, 0.0]])
+        form = GramForm(2, 0, tiny, tiny)
         assert check_form(form).passed
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalBreakdown, match="overflows"):
                 darboux_basis(form)
+
+    def test_pairing_near_the_largest_float_verifies(self):
+        # the pairing runs on the form scaled to unit size, so the square of
+        # a pairing near the float limit is never formed; f is subnormal
+        big = np.array([[0.0, self.BIG], [-self.BIG, 0.0]])
+        form = GramForm(2, 0, big, big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis = darboux_basis(form)
+            assert verify_darboux(basis, form).passed
+        (_, f), = basis.pairs_head
+        assert 0.0 < abs(f.head[1].re) < sys.float_info.min
 
 
 class TestRandomForm:
@@ -368,15 +381,21 @@ class TestDarboux:
     @pytest.mark.parametrize("shape", [(1, 0), (1, 1), (2, 1), (0, 2), (3, 2)])
     def test_scaled_forms_round_trip(self, shape):
         # scaling by a power of two is exact, so the scaled form is valid
-        # and its pair basis must verify at any scale
+        # and its pair basis must verify at any scale; the pairing runs at
+        # one scale, so each e is the same and each f scales by 2**-k
         n, m = shape
         for seed in range(3):
             form = random_form(n, m, seed=seed)
-            for k in (30, 40, 330):
-                big = GramForm(form.n, form.m, form.g_re * 2.0**k, form.g_ze * 2.0**k)
-                assert check_form(big).passed
-                report = verify_darboux(darboux_basis(big), big)
+            want = darboux_basis(form)
+            for k in (-300, -100, -30, 0, 30, 40, 100, 300, 330):
+                scaled = GramForm(form.n, form.m, form.g_re * 2.0**k, form.g_ze * 2.0**k)
+                assert check_form(scaled).passed
+                basis = darboux_basis(scaled)
+                report = verify_darboux(basis, scaled)
                 assert report.passed, (seed, k, report.to_json())
+                for (e, f), (e0, f0) in zip(basis.pairs_head + basis.pairs_tail, want.pairs_head + want.pairs_tail):
+                    assert e.array.tobytes() == e0.array.tobytes(), (seed, k)
+                    assert f.array.tobytes() == (f0.array * 2.0**-k).tobytes(), (seed, k)
 
     def test_zero_member_stays_dependent(self):
         form = standard_form(1, 1)
