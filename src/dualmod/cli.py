@@ -23,10 +23,13 @@ no timestamps are embedded.
 
 The working tolerance is taken from --tol when given, else from the
 DUALMOD_TOL environment variable, else from a per-command default (1e-4 for
-the two derivative-based commands, 1e-9 otherwise).
+the two derivative-based commands, 1e-9 otherwise).  It must be finite and
+at least 2**-537, the floor core sets for a zero tolerance.
 
-Only core and linalg are imported here; each runner imports the other
-modules it uses, so a subcommand's process loads only its own modules.
+No numpy-backed module is imported here: each runner imports the modules
+it uses once its input is read, so a subcommand's process loads only its
+own modules and input that is not JSON, or holds NaN or Infinity, exits 2
+before numpy loads.
 """
 
 from __future__ import annotations
@@ -39,10 +42,6 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
-import dualmod.core as core
-import dualmod.linalg as linalg
 from dualmod import __version__
 
 COMMAND_TOL = {
@@ -123,8 +122,8 @@ def _resolve_tol(args) -> float:
             tol = float(env)
         except ValueError:
             raise UsageFailure("DUALMOD_TOL must be a number, got %r" % env)
-    if not 0.0 < tol < math.inf:
-        raise UsageFailure("tolerance must be positive and finite, got %g" % tol)
+    if not 2.0**-537 <= tol < math.inf:  # core._valid_tol's test, before numpy loads
+        raise UsageFailure("tolerance must be finite and at least 2**-537, got %g" % tol)
     return tol
 
 
@@ -166,7 +165,9 @@ def _parse(args, read, *params):
         raise UsageFailure("%s: input nests too deeply" % args.input) from None
 
 
-def _vectors_from(args, data, key) -> list[core.DualVector]:
+def _vectors_from(args, data, key) -> list:
+    import dualmod.core as core
+
     (items,) = _parse(args, core.json_fields, data, "input", (key,))
     items = _parse(args, core.json_list, items, "input field %r" % key)
     try:
@@ -187,6 +188,9 @@ def _run_selftest(args, tol):
 
 def _run_basis(args, tol):
     data = _load_input(args)
+    import dualmod.core as core
+    import dualmod.linalg as linalg
+
     gens = _vectors_from(args, data, "generators")
     try:
         basis = linalg.extract_basis(gens, tol=tol)
@@ -201,6 +205,9 @@ def _run_basis(args, tol):
 
 def _run_solve(args, tol):
     data = _load_input(args)
+    import dualmod.core as core
+    import dualmod.linalg as linalg
+
     lam, rhs = _parse(args, core.json_fields, data, "input", ("map", "rhs"))
     lam = _parse(args, linalg.ModuleMap.from_json, lam)
     rhs = _parse(args, core.DualVector.from_json, rhs)
@@ -221,6 +228,8 @@ def _run_solve(args, tol):
 def _diffcheck_points(args, data, func):
     """The points to check as realified rows, and whether the input
     supplied them; see the module docstring for how points are sampled."""
+    import numpy as np
+
     import dualmod.diff as diff
     import dualmod.sampling as sampling
 
@@ -243,9 +252,11 @@ def _diffcheck_points(args, data, func):
 
 
 def _run_diffcheck(args, tol):
-    import dualmod.diff as diff
-
     data = _load_input(args)
+    import dualmod.core as core
+    import dualmod.diff as diff
+    import dualmod.linalg as linalg
+
     (func,) = _parse(args, core.json_fields, data, "input", ("function",))
     func = _parse(args, diff.DualFunc.from_json, func)
     points, explicit = _diffcheck_points(args, data, func)
@@ -275,9 +286,9 @@ def _run_diffcheck(args, tol):
 
 
 def _run_atlas(args, tol):
+    data = _load_input(args)
     import dualmod.manifold as manifold
 
-    data = _load_input(args)
     atlas = _parse(args, manifold.atlas_from_json, data)
     report = manifold.verify_atlas(
         atlas, samples=args.samples, tol=tol, seed=args.seed
@@ -289,9 +300,9 @@ def _run_atlas(args, tol):
 
 
 def _run_darboux(args, tol):
+    data = _load_input(args)
     import dualmod.symplectic as symplectic
 
-    data = _load_input(args)
     form = _parse(args, symplectic.GramForm.from_json, data)
     form_report = symplectic.check_form(form, tol=tol)
     if not form_report.passed:

@@ -38,17 +38,25 @@ def default_tol() -> float:
 
 
 def set_default_tol(tol: float) -> None:
-    """Set the library-wide absolute tolerance for zero tests: finite and at
-    least 2**-537, so a re part that passes has a nonzero square to divide by."""
+    """Set the library-wide absolute tolerance for zero tests (see
+    _valid_tol)."""
     global _default_tol
-    tol = float(tol)
-    if not 2.0**-537 <= tol < math.inf:
-        raise ValueError("tolerance must be finite and at least 2**-537, got %r" % tol)
-    _default_tol = tol
+    _default_tol = _valid_tol(tol)
 
 
 def resolve_tol(tol: float | None) -> float:
-    return _default_tol if tol is None else float(tol)
+    """The default zero tolerance when tol is None, else tol checked as
+    set_default_tol checks it."""
+    return _default_tol if tol is None else _valid_tol(tol)
+
+
+def _valid_tol(tol) -> float:
+    """tol as a zero tolerance: finite and at least 2**-537, so a re part
+    that passes has a nonzero square to divide by; else ValueError."""
+    tol = float(tol)
+    if not 2.0**-537 <= tol < math.inf:
+        raise ValueError("tolerance must be finite and at least 2**-537, got %r" % tol)
+    return tol
 
 
 def as_index(value, what: str) -> int:

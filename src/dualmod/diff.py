@@ -19,21 +19,23 @@ replays only the first marked row.
 Smooth functions of dual arguments have realified Jacobians with the forced
 block pattern of a module map; cr_check measures the four forced identities
 on the exact Jacobian from realified_jacobian and assembles the derivative
-when they hold.  forward_derivative computes the same map independently,
-carrying ring-valued tangents for every input slot in one pass, and
-numeric_jacobian is the central-difference oracle for both.  re_part/ze_part
-exist to express maps that are perfectly smooth over the reals yet fail the
-block pattern.  One loop over the node list, run on first use and cached,
-gives each node a smoothness class (_classes); where a function it proves
-has a finite Jacobian, the four block residuals are exactly 0.0, so
-verify_atlas builds no Jacobian for the proved standard transitions where
-it can bound theirs as finite.
+when they hold.  re_part/ze_part exist to express maps that are perfectly
+smooth over the reals yet fail the block pattern.  One loop over the node
+list, run on first use and cached, gives each node a smoothness class
+(_classes); where a function it proves has a finite Jacobian, the four
+block residuals are exactly 0.0.  So verify_atlas builds no Jacobian for
+the proved standard transitions where it can bound theirs as finite, and
+cr_check builds none for a proved function of ring ops: it takes
+forward_derivative's ring pass (_ring_pass), which carries ring-valued
+tangents for every input slot, equals the Jacobian's head re and tail
+columns bit for bit, and is kept per point, so the two calls at one point
+walk once.  numeric_jacobian is the central-difference oracle for both
+derivatives.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -384,6 +386,51 @@ def _proved(f: DualFunc) -> bool:
     return all(classes[p] & c == c for p, c in zip(f._outputs, [_DUAL] * s + [_EPS] * t))
 
 
+def _ring_proved(f: DualFunc) -> bool:
+    """Is f proved (_proved) and built from ring ops and full coords only?
+    Decided on first use and cached on f beside its classes; cr_check
+    then takes the ring pass (_ring_pass) instead of _jacobian.
+
+    Proof sketch.  Every node of such an f is DUAL (_classes), and the
+    ring pass computes _jacobian's head-re (A) and tail (C) columns bit
+    for bit; where they are finite, so are the head-ze (B) columns it
+    leaves out, and then the four residuals are 0.0 (_classes).  Call a
+    gradient row poisoned when none of its A and C entries is finite.  By
+    induction over the nodes:
+    - dre[B] is null, and where it is not finite the node's dre row is
+      poisoned: it turns non-finite only through a non-finite coefficient
+      (ur in mul, -w w in inv), which multiplies the whole row;
+    - dze[B] equals dre[A] up to the sign of zero, or neither is finite,
+      or the dze row is poisoned: the exact-zero terms (uz dvr[B] and
+      vz dur[B] in mul, 2 w uz dur[B] in inv) turn non-finite only with a
+      non-finite value or coefficient, which poisons the same node's dze
+      row, and the other terms repeat dre[A]'s float operations on equal
+      magnitudes;
+    - in an EPS node, dze[B] is null, and where it is not finite dze[A]
+      is not finite in the same column: the node's re is null or its dze
+      row poisoned, and a product's other terms carry a non-finite
+      dvr[A] or a poisoned row into dze.
+    Gradients are only multiplied by values and added, so a non-finite
+    entry never becomes finite again and a poisoned row stays poisoned;
+    sharp drops a dze row whole, A, B and C alike.  So a non-finite B
+    entry of a head output shows in its dre[A] or a poisoned row, and one
+    of a tail output, which is EPS, in its dze[A].  Projections break
+    this: with e = ze_part(head_coord(0)) squared 1,100 times,
+    (head_coord(0), tail_coord(0) * sharp_expr(e)) on (1, 1) -> (1, 1) is
+    proved, yet at [1, 1, 0.5] its tail row's B entry is NaN while its A
+    and C entries are finite.
+    """
+    ring = f.__dict__.get("_ring_proved")
+    if ring is None:
+        ring = _proved(f) and all(
+            op in ("const", "add", "sub", "mul", "neg", "inv", "sharp")
+            or op == "coord" and payload[1] is not None  # a full coord
+            for op, _, payload, _ in f._nodes
+        )
+        object.__setattr__(f, "_ring_proved", ring)
+    return ring
+
+
 @dataclass(frozen=True)
 class CrReport:
     point: DualVector
@@ -660,6 +707,13 @@ def _residuals(jac: np.ndarray, n: int, s: int) -> list:
     return [np.abs(b).max(axis=0).max(axis=-1) if b.size else 0.0 for b in blocks]
 
 
+def _blocks(rows: np.ndarray, n: int, s: int, tail: int) -> tuple:
+    """The c_ze, p, d and q blocks of a derivative from Jacobian rows in
+    _jacobian's order (head dre, head dze, tail dze), whose head re
+    columns come first and tail columns start at column tail."""
+    return rows[s : 2 * s, :n], rows[s : 2 * s, tail:], rows[2 * s :, :n], rows[2 * s :, tail:]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def cr_check(f: DualFunc, a: DualVector, tol: float = CR_DEFAULT_TOL) -> CrReport:
     """Check the forced Jacobian block pattern at a point.
@@ -670,30 +724,37 @@ def cr_check(f: DualFunc, a: DualVector, tol: float = CR_DEFAULT_TOL) -> CrRepor
     driven by ze inputs.  When all four stay within tol the surviving blocks
     assemble the derivative map.  Raises EvaluationFailed when f cannot be
     evaluated at a, or its Jacobian or a residual there is not finite.
+
+    A proved function of ring ops (_ring_proved) has residuals of exactly
+    0.0 wherever its Jacobian is finite, so it takes the ring pass, which
+    it shares with forward_derivative, and builds no Jacobian.
     """
     n, m = f.domain
     s, t = f.codomain
     try:
-        jac = _jacobian(f, _point(f, a))
+        if _ring_proved(f):
+            rows, finite = _ring_pass(f, a)
+            if not finite:
+                raise EvaluationFailed("the Jacobian at the point is not finite")
+            values = [0.0] * len(_RESIDUAL_KEYS)
+            copies, blocks = (rows[:s, :n],) * 2, _blocks(rows, n, s, n)
+        else:
+            jac = _jacobian(f, _point(f, a))
+            values = [float(r) for r in _residuals(jac, n, s)]
+            copies, blocks = (jac[:s, :n], jac[s : 2 * s, n : 2 * n]), _blocks(jac, n, s, 2 * n)
     except NotInvertible as exc:
         raise EvaluationFailed("cannot differentiate at the point: %s" % exc) from exc
-    values = [float(r) for r in _residuals(jac, n, s)]
     if not all(map(math.isfinite, values)):
         raise EvaluationFailed("the block residuals at the point are not finite")
     residuals = dict(zip(_RESIDUAL_KEYS, values))
     passed = all(r <= tol for r in values)
     deriv = None
     if passed:
-        # halved before the sum, so copies near the float limit stay finite
-        c_re = 0.5 * jac[0:s, 0:n] + 0.5 * jac[s : 2 * s, n : 2 * n]
-        deriv = ModuleMap(
-            n, m, s, t,
-            c_re,
-            jac[s : 2 * s, 0:n],
-            jac[s : 2 * s, 2 * n :],
-            jac[2 * s :, 0:n],
-            jac[2 * s :, 2 * n :],
-        )
+        # halved before the sum, so copies near the float limit stay finite;
+        # on the ring pass the copies are one block, averaged the same way
+        # so that both paths give one derivative
+        c_re = 0.5 * copies[0] + 0.5 * copies[1]
+        deriv = ModuleMap(n, m, s, t, c_re, *blocks)
     return CrReport(point=a, passed=passed, residuals=residuals, derivative=deriv)
 
 
@@ -756,72 +817,97 @@ def limit_check(
     return bool(quot[-samples:].max() <= tol)
 
 
-def forward_derivative(f: DualFunc, a: DualVector) -> ModuleMap:
-    """Exact derivative by forward mode with ring-valued tangents.
+def _ring_pass(f: DualFunc, a: DualVector) -> tuple[np.ndarray, bool]:
+    """Forward mode over the n + m ring seeds of f at the point a: head
+    slot i gets tangent 1 and tail slot j tangent eps.  Returns the
+    (2s + t) x (n + m) rows of _jacobian's Jacobian (head dre, head dze,
+    tail dze) in their head re and tail columns, read-only, and whether
+    they are all finite.
 
-    One walk over f's node list carries each value's tangents for all n + m
-    seeds: head slot i is seeded with tangent 1, tail slot j with tangent
-    eps (the tail coordinate enters the algebra as r*eps).  The rules are
-    written apart from realified_jacobian's, so each checks the other.
-    Projections (re_part/ze_part, component coords) are rejected: they are
-    not differentiable in the dual sense and would give a wrong map.  As
-    realified_jacobian, raises NotInvertible at a singular inverse, and
-    EvaluationFailed where a tangent is not finite.
+    Each node carries its value and those columns of its gradient rows,
+    and does _jacobian's float operations in _jacobian's order, so every
+    entry equals _jacobian's bit for bit.  The walk raises, in node order,
+    NonSmoothExpression at a projection (re_part, ze_part or a component
+    coord) and NotInvertible at an inverse within the default tolerance of
+    zero; then EvaluationFailed where a tail output is not a zero divisor.
+    f keeps the last pass that completed, keyed by the point's exact bytes
+    and the default tolerance, so cr_check and forward_derivative at one
+    point walk once.
     """
     x = _point(f, a)
-    n, m = f.domain
-    s, t = f.codomain
     tol = resolve_tol(None)
-    zero = [(0.0, 0.0)] * (n + m)
-    seed = [list(zero) for _ in range(n + m)]  # head slot: tangent 1, tail slot: eps
-    for c, row in enumerate(seed):
-        row[c] = (1.0, 0.0) if c < n else (0.0, 1.0)
-    vals = []  # (re, ze, tangents): one (re, ze) tangent per seed
+    key = (a.array.tobytes(), tol)
+    last = f.__dict__.get("_last_pass")
+    if last is not None and last[0] == key:
+        return last[1]
+    n, m = f.domain
+    s = f.codomain[0]
+    zero = [0.0] * (n + m)
+    unit = [zero[:k] + [1.0] + zero[k + 1 :] for k in range(n + m)]
+    vals = []  # (re, ze, dre, dze), the gradients over head re and tail columns
     for op, args, payload, freed in f._nodes:
         if op == "const":
-            v = (payload[0], payload[1], zero)
+            v = (payload[0], payload[1], zero, zero)
         elif op == "coord":
             r, z = payload
             if z is None:  # a head re/ze part, or a tail slot read as real
-                kind = "re" if r < n else "ze"
-                raise NonSmoothExpression("coord component %r is a real projection" % kind)
-            v = (0.0, x[z], seed[z - n]) if r is None else (x[r], x[z], seed[r])
-        elif op in ("re_part", "ze_part"):
-            raise NonSmoothExpression("%s is not differentiable in the dual sense" % op)
+                raise NonSmoothExpression("coord component %r is a real projection" % ("re" if r < n else "ze"))
+            v = (0.0, x[z], zero, unit[z - n]) if r is None else (x[r], x[z], unit[r], zero)
         else:
-            ur, uz, du = vals[args[0]]
-            if op in ("add", "sub"):
-                vr, vz, dv = vals[args[1]]
-                o = operator.add if op == "add" else operator.sub
-                dw = [(o(p, q), o(pz, qz)) for (p, pz), (q, qz) in zip(du, dv)]
-                v = (o(ur, vr), o(uz, vz), dw)
+            ur, uz, dur, duz = vals[args[0]]
+            if op == "mul":
+                vr, vz, dvr, dvz = vals[args[1]]
+                dze = [ur * qz + uz * q + vr * pz + vz * p for p, q, pz, qz in zip(dur, dvr, duz, dvz)]
+                v = (ur * vr, ur * vz + uz * vr, [ur * q + vr * p for p, q in zip(dur, dvr)], dze)
+            elif op == "add":
+                vr, vz, dvr, dvz = vals[args[1]]
+                v = (ur + vr, uz + vz, [p + q for p, q in zip(dur, dvr)], [p + q for p, q in zip(duz, dvz)])
+            elif op == "sub":
+                vr, vz, dvr, dvz = vals[args[1]]
+                v = (ur - vr, uz - vz, [p - q for p, q in zip(dur, dvr)], [p - q for p, q in zip(duz, dvz)])
+            elif op == "inv":
+                ur = _inverse_re(ur, tol, None)
+                w = 1.0 / ur
+                c, ww, nww = 2.0 * w * uz, w * w, -w * w
+                dze = [ww * (c * p - pz) for p, pz in zip(dur, duz)]
+                v = (w, -uz / (ur * ur), [nww * p for p in dur], dze)
             elif op == "neg":
-                v = (-ur, -uz, [(-p, -pz) for p, pz in du])
-            elif op == "mul":  # mul(u, dv) + mul(du, v)
-                vr, vz, dv = vals[args[1]]
-                dw = [
-                    (ur * q + p * vr, (ur * qz + uz * q) + (p * vz + pz * vr))
-                    for (p, pz), (q, qz) in zip(du, dv)
-                ]
-                v = (ur * vr, ur * vz + uz * vr, dw)
-            elif op == "inv":  # w = inv(u) and -mul(mul(w, w), du)
-                if abs(ur) <= tol:
-                    raise NotInvertible("re part %g is within tolerance of zero" % ur)
-                wr, wz = 1.0 / ur, -uz / (ur * ur)
-                sr, sz = wr * wr, wr * wz + wz * wr
-                v = (wr, wz, [(-(sr * p), -(sr * pz + sz * p)) for p, pz in du])
-            else:  # sharp: mul(EPS, u) and mul(EPS, du)
-                dw = [(0.0 * p, 0.0 * pz + 1.0 * p) for p, pz in du]
-                v = (0.0 * ur, 0.0 * uz + 1.0 * ur, dw)
+                v = (-ur, -uz, [-p for p in dur], [-p for p in duz])
+            elif op == "sharp":
+                v = (0.0, ur, zero, dur)
+            else:  # re_part, ze_part
+                raise NonSmoothExpression("%s is not differentiable in the dual sense" % op)
         vals.append(v)
         for k in freed:
             vals[k] = None
-    d = np.array([vals[p][2] for p in f._outputs]).reshape(s + t, n + m, 2)
-    if not np.isfinite(d).all():
-        raise EvaluationFailed("the derivative at the point is not finite")
-    dre, dze = d[..., 0], d[..., 1]
-    return ModuleMap(n, m, s, t, dre[:s, :n], dze[:s, :n], dze[:s, n:], dze[s:, :n], dze[s:, n:])
+    out = [vals[p] for p in f._outputs]
+    for l, (re, *_) in enumerate(out[s:]):
+        _check_tail(re, tol, l, None)
+    rows = np.array([o[2] for o in out[:s]] + [o[3] for o in out], dtype=float)
+    rows = rows.reshape(len(out) + s, n + m)
+    rows.setflags(write=False)
+    result = (rows, bool(np.isfinite(rows).all()))
+    object.__setattr__(f, "_last_pass", (key, result))
+    return result
 
+
+def forward_derivative(f: DualFunc, a: DualVector) -> ModuleMap:
+    """Exact derivative by forward mode with ring-valued tangents: the ring
+    pass (_ring_pass), which cr_check shares on proved functions, so a
+    call after cr_check at the same point does not walk again.
+
+    Projections (re_part/ze_part, component coords) are rejected with
+    NonSmoothExpression: they are not differentiable in the dual sense and
+    would give a wrong map.  As eval_func, raises NotInvertible at a
+    singular inverse and EvaluationFailed where a tail output is not a
+    zero divisor; raises EvaluationFailed where a tangent is not finite.
+    """
+    rows, finite = _ring_pass(f, a)
+    if not finite:
+        raise EvaluationFailed("the derivative at the point is not finite")
+    n, m = f.domain
+    s, t = f.codomain
+    return ModuleMap(n, m, s, t, rows[:s, :n], *_blocks(rows, n, s, n))
 
 def compose_funcs(outer: DualFunc, inner: DualFunc) -> DualFunc:
     """Substitute inner's components into outer's coordinate leaves.

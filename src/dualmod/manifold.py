@@ -132,7 +132,7 @@ def equivalent(x, y, tol: float | None = None) -> bool:
     i0 = _argmax_head_re(x)
     if abs(y.head[i0].re) <= tol:
         return False
-    s = mul(y.head[i0], inv(x.head[i0], tol=0.0))
+    s = mul(y.head[i0], inv(x.head[i0], tol))
     for a in range(n + 1):
         d = y.head[a] - mul(s, x.head[a])
         if abs(d.re) > tol * scale or abs(d.ze) > tol * scale:
@@ -165,7 +165,7 @@ def canonical_rep(x, tol: float | None = None) -> DualVector:
     if not is_valid_rep(x, n, m, tol):
         raise InvalidRepresentative("cannot normalize an invalid representative")
     i0 = _argmax_head_re(x)
-    s = inv(x.head[i0], tol=0.0)
+    s = inv(x.head[i0], tol)
     head = tuple(mul(s, h) for h in x.head)
     j0 = _argmax_tail(x)
     t = x.tail[j0]
@@ -189,7 +189,7 @@ def chart_map(i: int, j: int, p, tol: float | None = None) -> DualVector:
     n, m = x.shape[0] - 1, x.shape[1] - 1
     if not in_chart(i, j, p, tol):
         raise NotInChart("point misses chart (%d, %d)" % (i, j))
-    pivot = inv(x.head[i], tol=0.0)
+    pivot = inv(x.head[i], tol)
     head = tuple(mul(x.head[a], pivot) for a in range(n + 1) if a != i)
     tail = x.tail
     return DualVector(head, tuple(tail[b] / tail[j] for b in range(m + 1) if b != j))

@@ -223,12 +223,14 @@ def _nondegenerate(name: str, block: np.ndarray) -> FormCheck:
 def check_form(form: GramForm, tol: float | None = None) -> FormReport:
     """Test the symplectic axioms on a Gram matrix.
 
-    Structural checks (antisymmetry, pure tail rows) use `tol`; the two
-    nondegeneracy checks use the fixed singular value ratio 1e-8.
+    Structural checks (antisymmetry, pure tail rows) use `tol` relative to
+    the largest Gram entry, so a form scaled by a power of two keeps its
+    verdicts; the two nondegeneracy checks use the fixed singular value
+    ratio 1e-8.
     """
     tol = resolve_tol(tol)
     n, m = form.n, form.m
-    scale = 1.0 + _largest(form)
+    scale = _largest(form)
     checks = []
 
     with np.errstate(over="ignore"):  # entries near the float limit

@@ -2,6 +2,8 @@ import copy
 import json
 import os
 import random
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -15,7 +17,7 @@ from dualmod.core import DualNumber, basis_vector, sharp_action, vector
 from dualmod.diff import DualFunc, const, coord, inv_expr, re_part, sharp_expr
 from dualmod.linalg import ModuleMap
 from dualmod.manifold import ProjectiveAtlas
-from dualmod.symplectic import standard_form
+from dualmod.symplectic import GramForm, standard_form
 
 
 def write_json(path, data):
@@ -111,6 +113,18 @@ class TestSelftest:
         code, _, err = run(capsys, ["selftest"])
         assert code == 2
         assert "tolerance" in err
+
+    @pytest.mark.parametrize("command", ["basis", "solve", "diffcheck", "atlas", "darboux", "selftest"])
+    def test_tolerance_below_the_zero_floor_rejected(self, tmp_path, capsys, command):
+        # below 2**-537 a zero tolerance lets a re part's square underflow;
+        # every command refuses it before reading its input
+        path = write_json(tmp_path / "input.json", {})
+        for flag in ("--tol=1e-300", "--tol=%r" % float(np.nextafter(2.0**-537, 0.0))):
+            code, out, err = run(capsys, [command, "--input", path, flag])
+            assert code == 2 and out == ""
+            assert err.startswith("error: tolerance must be finite and at least 2**-537")
+        code, _, err = run(capsys, ["basis", "--input", path, "--tol=%r" % 2.0**-537])
+        assert code == 2 and "generators" in err  # the tolerance passed; the input did not
 
 
 class TestBasis:
@@ -451,6 +465,16 @@ class TestDarboux:
         assert len(report["basis"]["pairs_head"]) == 1
         assert len(report["basis"]["pairs_tail"]) == 1
 
+    def test_small_asymmetric_form_exits_one_at_the_form_report(self, tmp_path, capsys):
+        form = GramForm(2, 0, [[0.0, 1e-20], [3e-20, 0.0]], np.zeros((2, 2)))
+        path = write_json(tmp_path / "form.json", form.to_json())
+        code, out, _ = run(capsys, ["darboux", "--input", path])
+        assert code == 1
+        report = json.loads(out)
+        assert "basis" not in report and "error" not in report
+        failed = [c["name"] for c in report["form_report"]["checks"] if not c["passed"]]
+        assert failed == ["antisymmetric"]
+
     def test_degenerate_form_exits_one(self, tmp_path, capsys):
         form = standard_form(1, 1)
         doc = form.to_json()
@@ -576,6 +600,32 @@ class TestNonFiniteInput:
         assert code == 2
         assert out == ""
         assert "is not a finite number" in err
+
+
+class TestBadInputBeforeNumpy:
+    """Input that is not JSON, or holds a non-finite number, is refused
+    before any numpy-backed module loads; only a fresh process shows it."""
+
+    @pytest.mark.parametrize("case", ["truncated", "nan_rhs"])
+    def test_exits_2_without_importing_numpy(self, tmp_path, capsys, case):
+        command, text = ("basis", '{"generators": [{"n": 1') if case == "truncated" else _nonfinite_doc(case)
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = [command, "--input", str(path)]
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "dualmod.cli"] + argv,
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == err.splitlines()
+        imported = [
+            line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")
+        ]
+        assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
 
 class TestOutputHandling:

@@ -134,6 +134,27 @@ class TestTolerancePolicy:
         finally:
             core.set_default_tol(core.DEFAULT_TOL)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), 2.0**-538])
+    def test_explicit_tolerance_is_checked_like_the_default(self, bad):
+        # a re part of 1e-170 passes a zero tolerance, then its square
+        # underflows to 0.0: an invalid tolerance is refused before that
+        x = DualNumber(1e-170, 1.0)
+        with pytest.raises(ValueError, match="at least 2\\*\\*-537"):
+            core.inv(x, tol=bad)
+        with pytest.raises(ValueError, match="at least 2\\*\\*-537"):
+            core.resolve_tol(bad)
+        for call in (core.is_invertible, core.is_zero_divisor, DualNumber.is_zero):
+            with pytest.raises(ValueError):
+                call(x, tol=bad)
+
+    def test_smallest_explicit_tolerance_divides(self):
+        assert core.resolve_tol(2.0**-537) == 2.0**-537
+        assert core.resolve_tol(None) == core.DEFAULT_TOL
+        y = core.inv(DualNumber(1e-160, 1.0), tol=2.0**-537)
+        assert y.re == 1.0 / 1e-160 and y.ze == -math.inf
+        with pytest.raises(NotInvertible):
+            core.inv(DualNumber(2.0**-537, 1.0), tol=2.0**-537)
+
 
 class TestVectors:
     def test_shapes_and_basis(self):

@@ -86,6 +86,17 @@ class TestEval:
         tail = DualFunc((1, 0), (0, 1), (x,))
         assert diff.eval_func(tail, point, tol=0.5).tail == (0.0,)
 
+    def test_explicit_tolerance_is_checked(self):
+        # re part 1e-170 passes a zero tolerance of 0.0, then its square
+        # underflows to 0.0: such a tolerance is refused
+        f = DualFunc((1, 0), (1, 0), (inv_expr(head_coord(0)),))
+        a = core.vector([DualNumber(1e-170, 1.0)], [])
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="at least 2\\*\\*-537"):
+                diff.eval_func(f, a, tol=bad)
+        with pytest.raises(NotInvertible):
+            diff.eval_func(f, a, tol=2.0**-537)
+
     def test_eval_shape_checks(self):
         f = square_func()
         with pytest.raises(ShapeMismatch):
@@ -869,6 +880,251 @@ class TestForwardDerivative:
                     check(f, a)
         finally:
             core.set_default_tol(core.DEFAULT_TOL)
+
+
+_RING_COORD = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, 1e-9, -1e-9, float(np.nextafter(1e-9, 1.0)), 1.5, 3e100, -1e200, 1e200, 1e-200]),
+)
+
+
+@st.composite
+def ring_programs(draw):
+    """A function of ring ops and full coords on a drawn domain, and four
+    points.  Straight-line programs share subtrees; repeated squaring,
+    unshifted inverses and coordinates up to 1e200, or at the default zero
+    tolerance 1e-9, make some Jacobians non-finite and some inverses
+    singular.  Tail outputs are sharp-wrapped or not, so some functions
+    are proved and some are not.  Nodes are drawn by index: hashing a
+    squaring chain, as sampled_from does, walks every path."""
+    n, m = draw(st.sampled_from([(1, 0), (1, 1), (2, 1), (0, 2), (2, 0)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nodes = [head_coord(i) for i in range(n)] + [tail_coord(j) for j in range(m)]
+    nodes += [const(DualNumber(0.0, 0.7)), const(DualNumber(1.3, 0.0)), const(DualNumber(-0.4, 1e200))]
+    nodes += [sampling.random_expr(rng, n, m, 3) for _ in range(2)]
+
+    def pick(first=0):  # mostly the last steps, for first > 0
+        return nodes[draw(st.integers(first, len(nodes) - 1))]
+
+    for _ in range(draw(st.integers(3, 10))):
+        op = draw(st.sampled_from(["add", "sub", "mul", "neg", "inv", "sharp", "square", "square"]))
+        u = pick()
+        if op in ("add", "sub", "mul"):
+            e = Expr(op, (u, pick()))
+        elif op == "square":
+            e = u
+            for _ in range(draw(st.integers(1, 12))):
+                e = e * e
+        else:
+            e = Expr(op, (u,))
+        nodes.append(e)
+    first = draw(st.integers(0, len(nodes) - 1))
+    s = draw(st.integers(0, 2))
+    heads = [pick(first) for _ in range(s)]
+    tails = [pick(first) for _ in range(draw(st.integers(1 - min(s, 1), 2)))]
+    tails = [sharp_expr(e) if draw(st.booleans()) else e for e in tails]
+    f = DualFunc((n, m), (len(heads), len(tails)), tuple(heads + tails))
+    c = _RING_COORD
+    points = [vector([DualNumber(draw(c), draw(c)) for _ in range(n)], [draw(c) for _ in range(m)]) for _ in range(4)]
+    return f, points
+
+
+def _copy(f):
+    """f built again, with no cached pass or classes."""
+    return DualFunc(f.domain, f.codomain, f.components)
+
+
+def _on_jacobian(f):
+    """A copy of f that cr_check runs through _jacobian: the reference for
+    the ring pass."""
+    g = _copy(f)
+    object.__setattr__(g, "_ring_proved", False)
+    return g
+
+
+def _outcome(call, f, a):
+    """call(f, a), or the type and message of what it raises."""
+    try:
+        return call(f, a)
+    except (NotInvertible, EvaluationFailed) as exc:
+        return type(exc), str(exc)
+
+
+def _jacobian_row(f, a):
+    """_jacobian at a as a batch of one point, which keeps the entries that
+    are not finite; equal to the point's pass where the point evaluates."""
+    bad = np.zeros(1, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return diff._jacobian(f, list(a.array[:, None, None]), bad)[:, 0, :]
+
+
+def _same_floats(x, y) -> bool:
+    """Equal entry by entry with the same sign, or both NaN."""
+    x, y = np.asarray(x), np.asarray(y)
+    nan = np.isnan(x)
+    return (
+        x.shape == y.shape
+        and (nan == np.isnan(y)).all()
+        and (x[~nan] == y[~nan]).all()
+        and (np.signbit(x[~nan]) == np.signbit(y[~nan])).all()
+    )
+
+
+def _bits(result):
+    """A CrReport or ModuleMap as bytes, so 0.0 and -0.0 differ."""
+    if isinstance(result, CrReport):
+        values = np.array(list(result.residuals.values())).tobytes()
+        return result.passed, values, _bits(result.derivative)
+    if result is None:
+        return None
+    return b"".join(np.ascontiguousarray(b).tobytes() for b in (result.c_re, result.c_ze, result.p, result.d, result.q))
+
+
+class TestRingPass:
+    """The ring pass against _jacobian, which stays the reference: on
+    functions of ring ops its entries are _jacobian's bit for bit, and on
+    proved ones cr_check gives the same reports by either path."""
+
+    @_PROGRAM_SETTINGS
+    @given(ring_programs())
+    def test_cr_check_equals_the_jacobian_path(self, case):
+        f, points = case
+        assert diff._ring_proved(f) == diff._proved(f)
+        reference = _on_jacobian(f)
+        for x in points:
+            got, want = _outcome(diff.cr_check, f, x), _outcome(diff.cr_check, reference, x)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert np.array(list(got.residuals.values())).tobytes() == np.array(list(want.residuals.values())).tobytes()
+                assert (got.passed, got.derivative) == (want.passed, want.derivative)
+        # the CLI's replay guard: _cr_rows marks exactly where cr_check raises
+        _assert_block_rows(f, np.array([x.array for x in points]))
+
+    @_PROGRAM_SETTINGS
+    @given(ring_programs())
+    def test_pass_equals_the_jacobian_columns(self, case):
+        f, points = case
+        n, m = f.domain
+        columns = np.r_[0:n, 2 * n : 2 * n + m]  # head re and tail
+        for x in points:
+            try:
+                rows, finite = diff._ring_pass(_copy(f), x)
+            except (NotInvertible, EvaluationFailed) as exc:
+                with pytest.raises(type(exc)) as caught:
+                    diff.realified_jacobian(f, x)
+                assert str(caught.value) == str(exc)
+                continue
+            jac = _jacobian_row(f, x)
+            assert _same_floats(rows, jac[:, columns])
+            assert finite == bool(np.isfinite(rows).all())
+            if diff._proved(f):  # the head ze columns add no non-finite entry
+                assert finite == bool(np.isfinite(jac).all())
+
+    def test_pass_rounds_as_the_jacobian_does(self):
+        # products whose operands both move with every input, at random
+        # points, so a sum taken in another order rounds differently
+        x, y, t = head_coord(0), head_coord(1), tail_coord(0)
+        u, v = x * y + x, inv_expr(y * y - x + 3.0)
+        f = DualFunc((2, 1), (2, 1), (u * v, v * v - u, sharp_expr(u * v) + t * u))
+        points = np.random.default_rng(37).uniform(-1.0, 1.0, size=(50, 5))
+        for a in [linalg.unrealify(p, 2, 1) for p in points]:
+            rows, finite = diff._ring_pass(f, a)
+            jac = diff.realified_jacobian(f, a)[:, [0, 1, 4]]
+            assert finite and rows.tobytes() == np.ascontiguousarray(jac).tobytes()
+
+    def test_forward_derivative_tests_the_tails(self):
+        x = head_coord(0)
+        f = DualFunc((1, 1), (1, 1), (x, x * tail_coord(0) + x))
+        a = linalg.unrealify(np.array([0.7, 0.2, 0.5]), 1, 1)
+        for call in (diff.eval_func, diff.cr_check, diff.forward_derivative):
+            with pytest.raises(EvaluationFailed) as caught:
+                call(f, a)
+            assert str(caught.value) == "tail component 0 evaluated to re part 0.7, not a zero divisor"
+
+    def test_first_failing_node_decides(self):
+        x = head_coord(0)
+        a = vector([DualNumber(0.0, 1.0)], [])
+        with pytest.raises(NotInvertible):
+            diff.forward_derivative(DualFunc((1, 0), (2, 0), (inv_expr(x), re_part(x))), a)
+        with pytest.raises(NonSmoothExpression, match="re_part"):
+            diff.forward_derivative(DualFunc((1, 0), (2, 0), (re_part(x), inv_expr(x))), a)
+        with pytest.raises(NonSmoothExpression, match="'ze' is a real projection"):
+            diff.forward_derivative(DualFunc((1, 0), (2, 0), (coord("head", 0, "ze"), inv_expr(x))), a)
+
+    def test_projection_counterexample_stays_on_the_jacobian(self):
+        # proved, yet its tail row's head ze entry is NaN while the head re
+        # and tail columns are finite, so a pass over those would miss it
+        e = ze_part(head_coord(0))
+        for _ in range(1100):
+            e = e * e
+        f = DualFunc((1, 1), (1, 1), (head_coord(0), tail_coord(0) * sharp_expr(e)))
+        assert diff._proved(f) and not diff._ring_proved(f)
+        a = linalg.unrealify(np.array([1.0, 1.0, 0.5]), 1, 1)
+        jac = _jacobian_row(f, a)
+        assert np.isnan(jac[2, 1]) and np.isfinite(jac[:, [0, 2]]).all()
+        with pytest.raises(EvaluationFailed, match="the Jacobian at the point is not finite"):
+            diff.cr_check(f, a)
+
+    def test_ring_proved_is_decided_once(self):
+        f = sampling.random_func(np.random.default_rng(29), (2, 1), (1, 1), 4)
+        assert "_ring_proved" not in f.__dict__
+        assert diff._ring_proved(f) and f.__dict__["_ring_proved"] is True
+        x = head_coord(0)
+        for comps, codomain in (
+            ((x, tail_coord(0) + x), (1, 1)),  # ring ops, but the tail is not EPS
+            ((x * re_part(x),), (1, 0)),
+            ((x, sharp_expr(coord("tail", 0, "ze"))), (1, 1)),
+        ):
+            assert not diff._ring_proved(DualFunc((1, 1), codomain, comps))
+
+    def test_cr_check_then_forward_derivative_walks_once(self):
+        rng = np.random.default_rng(31)
+        f, a = sampling.tame_case(rng, (2, 1), (2, 1), depth=3)
+        b = linalg.unrealify(linalg.realify(a) * 1.001, 2, 1)
+        assert diff._ring_proved(f)
+        walks = []
+
+        class Counting(tuple):
+            def __iter__(self):
+                walks.append(1)
+                return super().__iter__()
+
+        object.__setattr__(f, "_nodes", Counting(f._nodes))
+        report = diff.cr_check(f, a)
+        assert diff.forward_derivative(f, a) == report.derivative and len(walks) == 1
+        diff.forward_derivative(f, b)
+        diff.cr_check(f, b)
+        assert len(walks) == 2
+
+    def test_cache_follows_the_point_and_the_tolerance(self):
+        x = head_coord(0)
+        f = DualFunc((1, 1), (1, 1), (x * x + inv_expr(x + 0.3), sharp_expr(x) * tail_coord(0)))
+        p, q = vector([(0.5, 0.25)], [0.75]), vector([(-0.2, 1.0)], [-2.0])
+        for a in (p, q, p, p, q):  # x, then y, then x
+            for call in (diff.cr_check, diff.forward_derivative):
+                assert _bits(call(f, a)) == _bits(call(_copy(f), a))
+        # 0.0 and -0.0 are different points to the cache
+        square = DualFunc((1, 0), (1, 0), (x * x,))
+        plus, minus = vector([(0.0, 0.0)], []), vector([(-0.0, 0.0)], [])
+        for first, second in ((plus, minus), (minus, plus), (plus, plus)):
+            diff.cr_check(square, first)
+            deriv = diff.forward_derivative(square, second)
+            assert np.signbit(deriv.c_re[0, 0]) == np.signbit(second.array[0])
+        # a new default tolerance between the two calls
+        inverse = DualFunc((1, 0), (1, 0), (inv_expr(x),))
+        a = vector([(0.3, 0.0)], [])
+        assert diff.cr_check(inverse, a).passed
+        core.set_default_tol(0.5)
+        try:
+            with pytest.raises(NotInvertible):
+                diff.forward_derivative(inverse, a)
+            with pytest.raises(EvaluationFailed, match="cannot differentiate"):
+                diff.cr_check(inverse, a)
+        finally:
+            core.set_default_tol(core.DEFAULT_TOL)
+        w = 1.0 / 0.3
+        assert diff.forward_derivative(inverse, a).head_entry(0, 0).re == -w * w
 
 
 def _tame(f, a, margin=0.5, cap=10.0):

@@ -324,6 +324,19 @@ class TestTransitions:
         boundary = vector([DualNumber(0.0, 0.5), DualNumber(-2.0, 0.0)], [0.7])
         assert not in_transition_domain(trans, boundary)
 
+    def test_domain_predicate_checks_its_tolerance(self):
+        # a pivot re part of 1e-170 passes a zero tolerance of 0.0, then
+        # its square underflows: such a tolerance is refused
+        trans = transition(0, 0, 1, 0, 2, 1)
+        u = vector([DualNumber(1e-170, 0.5), DualNumber(-2.0, 0.0)], [0.7])
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="at least 2\\*\\*-537"):
+                in_transition_domain(trans, u, bad)
+        assert not in_transition_domain(trans, u, 2.0**-537)
+        v = vector([DualNumber(1e-160, 0.5), DualNumber(-2.0, 0.0)], [0.7])
+        assert in_transition_domain(trans, v, 2.0**-537)
+        assert not in_transition_domain(trans, v)
+
     @pytest.mark.parametrize("predicate", ["singular_on_part", "constant", "constant_singular"])
     def test_batched_domain_test_matches_the_per_point_one(self, predicate):
         x = coord("head", 0)

@@ -218,6 +218,31 @@ class TestCheckForm:
         failed = {c.name for c in report.checks if not c.passed}
         assert "kernel_pairing_nondegenerate" in failed
 
+    def test_small_asymmetric_form_rejected(self):
+        # antisymmetry is judged at the form's own scale, not against 1e-9
+        form = GramForm(2, 0, [[0.0, 1e-20], [3e-20, 0.0]], np.zeros((2, 2)))
+        report = check_form(form)
+        failed = {c.name for c in report.checks if not c.passed}
+        assert failed == {"antisymmetric"}
+        assert report.checks[0].residual == 1e-20 + 3e-20
+
+    @pytest.mark.parametrize("k", [-300, -100, -30, -1, 1, 30, 100, 300])
+    def test_scaled_forms_keep_their_verdicts(self, k):
+        forms = [random_form(2, 1, seed=3), standard_form(1, 1)]
+        for defect in (5e-10, 2e-9):  # within and beyond tol = 1e-9 of the largest entry
+            form = standard_form(1, 1)
+            g_re, g_ze = form.g_re.copy(), form.g_ze.copy()
+            g_re[1, 0] += defect  # antisymmetry
+            forms.append(GramForm(2, 2, g_re, g_ze))
+            g_re = form.g_re.copy()
+            g_re[0, 2] = defect  # tail purity
+            forms.append(GramForm(2, 2, g_re, g_ze))
+        for form in forms:
+            want = [(c.name, c.passed) for c in check_form(form).checks]
+            scaled = GramForm(form.n, form.m, form.g_re * 2.0**k, form.g_ze * 2.0**k)
+            assert [(c.name, c.passed) for c in check_form(scaled).checks] == want, k
+        assert {c.passed for f in forms[2:] for c in check_form(f).checks[:2]} == {True, False}
+
     def test_report_json(self):
         data = check_form(standard_form(1, 1)).to_json()
         assert data["passed"] is True
