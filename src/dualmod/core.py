@@ -59,6 +59,13 @@ def _valid_tol(tol) -> float:
     return tol
 
 
+def valid_bound(tol, what: str) -> None:
+    """Raise ValueError naming what unless tol, a bound that a measured
+    residual or quotient must stay within, is finite and at least 0."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("%s must be finite and at least 0, got %r" % (what, tol))
+
+
 def as_index(value, what: str) -> int:
     """An exact nonnegative integer, as every size, slot and chart index
     is: ints and numpy integers pass; negatives, bools and floats such as

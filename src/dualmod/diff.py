@@ -17,20 +17,20 @@ same float operations as its point, so a caller that needs the exception
 replays only the first marked row.
 
 Smooth functions of dual arguments have realified Jacobians with the forced
-block pattern of a module map; cr_check measures the four forced identities
-on the exact Jacobian from realified_jacobian and assembles the derivative
-when they hold.  re_part/ze_part exist to express maps that are perfectly
-smooth over the reals yet fail the block pattern.  One loop over the node
-list, run on first use and cached, gives each node a smoothness class
-(_classes); where a function it proves has a finite Jacobian, the four
-block residuals are exactly 0.0.  So verify_atlas builds no Jacobian for
-the proved standard transitions where it can bound theirs as finite, and
-cr_check builds none for a proved function of ring ops: it takes
-forward_derivative's ring pass (_ring_pass), which carries ring-valued
-tangents for every input slot, equals the Jacobian's head re and tail
-columns bit for bit, and is kept per point, so the two calls at one point
-walk once.  numeric_jacobian is the central-difference oracle for both
-derivatives.
+block pattern of a module map.  One derivative pass per point (_pass) gives
+that Jacobian: a loop over the node list that carries each node's value and
+its gradient rows over the 2n + m realified inputs, kept per point so that
+cr_check, realified_jacobian and forward_derivative at one point walk once.
+cr_check measures the four forced identities on it and assembles the
+derivative when they hold; forward_derivative reads its head re and tail
+columns.  re_part/ze_part exist to express maps that are perfectly smooth
+over the reals yet fail the block pattern.  _jacobian is the same pass over
+a batch of points, for the batched block test (_cr_rows).  One loop over
+the node list, run on first use and cached, gives each node a smoothness
+class (_classes); where a function it proves has a finite Jacobian, the
+four block residuals are exactly 0.0, so verify_atlas builds no Jacobian
+for the proved standard transitions where it can bound theirs as finite.
+numeric_jacobian is the central-difference oracle for both derivatives.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from dualmod.core import (
     json_writer,
     resolve_tol,
     row_norms,
+    valid_bound,
 )
 from dualmod.linalg import ModuleMap, realify, realify_map, unrealify
 
@@ -310,10 +311,10 @@ def _classes(f: DualFunc) -> tuple[int, ...]:
     first use and cached on f; lowering does not pay for it.
 
     A class holds properties of a node's value (re, ze) and of its gradient
-    rows (dre, dze) in _jacobian's pass, whose columns are head re parts A,
-    head ze parts B and tail coefficients C.  Call a float null when it is
-    zero or not finite, and two floats matched when they are equal or one
-    is not finite.
+    rows (dre, dze) in the derivative pass (_gradients, or _jacobian for a
+    batch), whose columns are head re parts A, head ze parts B and tail
+    coefficients C.  Call a float null when it is zero or not finite, and
+    two floats matched when they are equal or one is not finite.
     - CLEAN: dre[B] is null (re depends on head re parts and tails only).
     - DUAL: CLEAN, dre[C] is null, and dre[A] matches dze[B] entry by entry.
     - EPS: DUAL, and re, dre and dze[B] are null.
@@ -323,7 +324,7 @@ def _classes(f: DualFunc) -> tuple[int, ...]:
     class two operands share is the bitwise and of theirs.
 
     Proof sketch.  Each rule below keeps its properties through the float
-    operations _jacobian does; this is the chain rule in R^(2).  In IEEE
+    operations the pass does; this is the chain rule in R^(2).  In IEEE
     arithmetic a null times any float, and a sum or difference of nulls,
     is null.  A product or sum of matched operands is matched, since a
     non-finite operand makes a non-finite result; where a null term is a
@@ -384,51 +385,6 @@ def _proved(f: DualFunc) -> bool:
     and every tail output EPS (see _classes)?"""
     classes, (s, t) = _classes(f), f.codomain
     return all(classes[p] & c == c for p, c in zip(f._outputs, [_DUAL] * s + [_EPS] * t))
-
-
-def _ring_proved(f: DualFunc) -> bool:
-    """Is f proved (_proved) and built from ring ops and full coords only?
-    Decided on first use and cached on f beside its classes; cr_check
-    then takes the ring pass (_ring_pass) instead of _jacobian.
-
-    Proof sketch.  Every node of such an f is DUAL (_classes), and the
-    ring pass computes _jacobian's head-re (A) and tail (C) columns bit
-    for bit; where they are finite, so are the head-ze (B) columns it
-    leaves out, and then the four residuals are 0.0 (_classes).  Call a
-    gradient row poisoned when none of its A and C entries is finite.  By
-    induction over the nodes:
-    - dre[B] is null, and where it is not finite the node's dre row is
-      poisoned: it turns non-finite only through a non-finite coefficient
-      (ur in mul, -w w in inv), which multiplies the whole row;
-    - dze[B] equals dre[A] up to the sign of zero, or neither is finite,
-      or the dze row is poisoned: the exact-zero terms (uz dvr[B] and
-      vz dur[B] in mul, 2 w uz dur[B] in inv) turn non-finite only with a
-      non-finite value or coefficient, which poisons the same node's dze
-      row, and the other terms repeat dre[A]'s float operations on equal
-      magnitudes;
-    - in an EPS node, dze[B] is null, and where it is not finite dze[A]
-      is not finite in the same column: the node's re is null or its dze
-      row poisoned, and a product's other terms carry a non-finite
-      dvr[A] or a poisoned row into dze.
-    Gradients are only multiplied by values and added, so a non-finite
-    entry never becomes finite again and a poisoned row stays poisoned;
-    sharp drops a dze row whole, A, B and C alike.  So a non-finite B
-    entry of a head output shows in its dre[A] or a poisoned row, and one
-    of a tail output, which is EPS, in its dze[A].  Projections break
-    this: with e = ze_part(head_coord(0)) squared 1,100 times,
-    (head_coord(0), tail_coord(0) * sharp_expr(e)) on (1, 1) -> (1, 1) is
-    proved, yet at [1, 1, 0.5] its tail row's B entry is NaN while its A
-    and C entries are finite.
-    """
-    ring = f.__dict__.get("_ring_proved")
-    if ring is None:
-        ring = _proved(f) and all(
-            op in ("const", "add", "sub", "mul", "neg", "inv", "sharp")
-            or op == "coord" and payload[1] is not None  # a full coord
-            for op, _, payload, _ in f._nodes
-        )
-        object.__setattr__(f, "_ring_proved", ring)
-    return ring
 
 
 @dataclass(frozen=True)
@@ -608,31 +564,107 @@ def _eval_rows(f: DualFunc, points: np.ndarray) -> tuple[np.ndarray, int, Except
     raise AssertionError("row %d evaluates alone but not in its batch" % k)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def realified_jacobian(f: DualFunc, a: DualVector) -> np.ndarray:
-    """Exact (2s + t) x (2n + m) Jacobian on realified coordinates.
-
-    One vector forward pass over f's node list: each node carries its value
-    (re, ze) and the gradients of re and ze over the 2n + m realified inputs
-    (the float 0.0 while a gradient is zero).  re_part, ze_part and component
-    coords are real-linear, so they are differentiated too, and the block
-    test sees their asymmetry.  As eval_func, raises NotInvertible where an
-    inverse meets a re part within tolerance of zero, and EvaluationFailed
-    where a tail output is not a zero divisor.  Overflow in the pass is
-    silent; a Jacobian that is not finite raises EvaluationFailed.
+    """Exact (2s + t) x (2n + m) Jacobian on realified coordinates: the
+    derivative pass (_pass) at a, as a new array.  re_part, ze_part and
+    component coords are real-linear, so they are differentiated too, and
+    the block test sees their asymmetry.  As eval_func, raises
+    NotInvertible where an inverse meets a re part within tolerance of
+    zero, and EvaluationFailed where a tail output is not a zero divisor;
+    a Jacobian that is not finite raises EvaluationFailed.
     """
-    return _jacobian(f, _point(f, a))
+    jac = _pass(f, a)
+    if not np.isfinite(jac).all():
+        raise EvaluationFailed("the Jacobian at the point is not finite")
+    return jac.copy()
 
 
-def _jacobian(f: DualFunc, x: list, bad: np.ndarray | None = None) -> np.ndarray:
-    """realified_jacobian's pass at the realified point x, given as floats,
-    or at a batch of S points, given as (S, 1) columns with bad an (S,)
-    mask.  In a batch, values are columns, gradients are (S, 2n + m) rows
-    and the Jacobian has shape (2s + t, S, 2n + m); a point with a singular
-    inverse, a tail output that is not a zero divisor or a Jacobian that is
-    not finite is marked in bad instead of raising.  The operations are the
-    same for both, so a batch row equals its point.  Callers silence
-    numpy's overflow warnings."""
+def _pass(f: DualFunc, a: DualVector) -> np.ndarray:
+    """f's realified Jacobian at the point a, read-only, in _jacobian's row
+    order (head dre, head dze, tail dze): _gradients over the node list,
+    then eval_func's tail test.  Raises NotInvertible at an inverse within
+    the default tolerance of zero and then EvaluationFailed where a tail
+    output is not a zero divisor; entries that are not finite are left to
+    the caller.  f keeps the last pass that completed, keyed by the point's
+    exact bytes and the default tolerance, so cr_check, realified_jacobian
+    and forward_derivative at one point walk once.
+    """
+    x = _point(f, a)
+    tol = resolve_tol(None)
+    key = (a.array.tobytes(), tol)
+    last = f.__dict__.get("_last_pass")
+    if last is not None and last[0] == key:
+        return last[1]
+    s = f.codomain[0]
+    vals = _gradients(f._nodes, x, tol)
+    out = [vals[p] for p in f._outputs]
+    for l, (re, *_) in enumerate(out[s:]):
+        _check_tail(re, tol, l, None)
+    rows = np.array([o[2] for o in out[:s]] + [o[3] for o in out], dtype=float).reshape(len(out) + s, len(x))
+    rows.setflags(write=False)
+    object.__setattr__(f, "_last_pass", (key, rows))
+    return rows
+
+
+def _gradients(nodes, x: list, tol: float) -> list:
+    """(re, ze, dre, dze) of the nodes of a lowered list at the realified
+    point x, given as floats, with the gradients of re and ze as lists over
+    the len(x) realified inputs.  This is _jacobian's loop for one point,
+    with its float operations in its order, so every entry equals
+    _jacobian's bit for bit.  An inverse within tol of zero raises
+    NotInvertible."""
+    zero = [0.0] * len(x)
+    unit = [zero[:k] + [1.0] + zero[k + 1 :] for k in range(len(x))]
+    vals = []
+    for op, args, payload, freed in nodes:
+        if op == "const":
+            v = (payload[0], payload[1], zero, zero)
+        elif op == "coord":
+            r, z = payload
+            re, dre = (0.0, zero) if r is None else (x[r], unit[r])
+            ze, dze = (0.0, zero) if z is None else (x[z], unit[z])
+            v = (re, ze, dre, dze)
+        else:
+            ur, uz, dur, duz = vals[args[0]]
+            if op == "mul":
+                vr, vz, dvr, dvz = vals[args[1]]
+                dze = [ur * qz + uz * q + vr * pz + vz * p for p, q, pz, qz in zip(dur, dvr, duz, dvz)]
+                v = (ur * vr, ur * vz + uz * vr, [ur * q + vr * p for p, q in zip(dur, dvr)], dze)
+            elif op == "add":
+                vr, vz, dvr, dvz = vals[args[1]]
+                v = (ur + vr, uz + vz, [p + q for p, q in zip(dur, dvr)], [p + q for p, q in zip(duz, dvz)])
+            elif op == "sub":
+                vr, vz, dvr, dvz = vals[args[1]]
+                v = (ur - vr, uz - vz, [p - q for p, q in zip(dur, dvr)], [p - q for p, q in zip(duz, dvz)])
+            elif op == "inv":
+                ur = _inverse_re(ur, tol, None)
+                w = 1.0 / ur
+                c, ww, nww = 2.0 * w * uz, w * w, -w * w
+                dze = [ww * (c * p - pz) for p, pz in zip(dur, duz)]
+                v = (w, -uz / (ur * ur), [nww * p for p in dur], dze)
+            elif op == "neg":
+                v = (-ur, -uz, [-p for p in dur], [-p for p in duz])
+            elif op == "sharp":
+                v = (0.0, ur, zero, dur)
+            elif op == "re_part":
+                v = (ur, 0.0, dur, zero)
+            else:  # ze_part
+                v = (uz, 0.0, duz, zero)
+        vals.append(v)
+        for k in freed:
+            vals[k] = None
+    return vals
+
+
+def _jacobian(f: DualFunc, x: list, bad: np.ndarray) -> np.ndarray:
+    """The realified Jacobian at a batch of S points, given as (S, 1)
+    columns of realified coordinates, with bad an (S,) mask: values are
+    columns, gradients are (S, 2n + m) rows (the float 0.0 while a gradient
+    is zero), and the Jacobian has shape (2s + t, S, 2n + m).  A point with
+    a singular inverse, a tail output that is not a zero divisor or a
+    Jacobian that is not finite is marked in bad.  The single-point pass
+    (_gradients) does the same float operations, so a batch row equals its
+    point's pass.  Callers silence numpy's overflow warnings."""
     n, m = f.domain
     s, t = f.codomain
     tol = resolve_tol(None)
@@ -674,7 +706,7 @@ def _jacobian(f: DualFunc, x: list, bad: np.ndarray | None = None) -> np.ndarray
         vals.append(v)
         for k in freed:
             vals[k] = None
-    jac = np.empty((2 * s + t,) + (() if bad is None else bad.shape) + (2 * n + m,))
+    jac = np.empty((2 * s + t,) + bad.shape + (2 * n + m,))
     for k, p in enumerate(f._outputs):
         re, _, dre, dze = vals[p]
         if k < s:
@@ -682,10 +714,7 @@ def _jacobian(f: DualFunc, x: list, bad: np.ndarray | None = None) -> np.ndarray
         else:
             _check_tail(re, tol, k - s, bad)
         jac[s + k] = dze
-    if bad is not None:
-        bad |= ~np.isfinite(jac).all(axis=0).all(axis=-1)  # output axis first: contiguous
-    elif not np.isfinite(jac).all():
-        raise EvaluationFailed("the Jacobian at the point is not finite")
+    bad |= ~np.isfinite(jac).all(axis=0).all(axis=-1)  # output axis first: contiguous
     return jac
 
 
@@ -707,54 +736,43 @@ def _residuals(jac: np.ndarray, n: int, s: int) -> list:
     return [np.abs(b).max(axis=0).max(axis=-1) if b.size else 0.0 for b in blocks]
 
 
-def _blocks(rows: np.ndarray, n: int, s: int, tail: int) -> tuple:
-    """The c_ze, p, d and q blocks of a derivative from Jacobian rows in
-    _jacobian's order (head dre, head dze, tail dze), whose head re
-    columns come first and tail columns start at column tail."""
-    return rows[s : 2 * s, :n], rows[s : 2 * s, tail:], rows[2 * s :, :n], rows[2 * s :, tail:]
+def _blocks(rows: np.ndarray, n: int, s: int) -> tuple:
+    """The c_ze, p, d and q blocks of a derivative from realified Jacobian
+    rows in _jacobian's order (head dre, head dze, tail dze)."""
+    return rows[s : 2 * s, :n], rows[s : 2 * s, 2 * n :], rows[2 * s :, :n], rows[2 * s :, 2 * n :]
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def cr_check(f: DualFunc, a: DualVector, tol: float = CR_DEFAULT_TOL) -> CrReport:
     """Check the forced Jacobian block pattern at a point.
 
-    The four residuals measure, on the exact realified Jacobian: head re
-    parts driven by ze inputs, mismatch between the two copies of the
-    re-to-re block, head re parts driven by tail inputs, and tail outputs
-    driven by ze inputs.  When all four stay within tol the surviving blocks
-    assemble the derivative map.  Raises EvaluationFailed when f cannot be
-    evaluated at a, or its Jacobian or a residual there is not finite.
-
-    A proved function of ring ops (_ring_proved) has residuals of exactly
-    0.0 wherever its Jacobian is finite, so it takes the ring pass, which
-    it shares with forward_derivative, and builds no Jacobian.
+    The four residuals measure, on the exact realified Jacobian from
+    realified_jacobian: head re parts driven by ze inputs, mismatch between
+    the two copies of the re-to-re block, head re parts driven by tail
+    inputs, and tail outputs driven by ze inputs.  When all four stay
+    within tol the surviving blocks assemble the derivative map.  Raises
+    EvaluationFailed when f cannot be evaluated at a, or its Jacobian or a
+    residual there is not finite, and ValueError when tol is not finite or
+    below 0.  The derivative pass is kept per point, so forward_derivative
+    or realified_jacobian at a afterwards does not walk again.
     """
+    valid_bound(tol, "block tolerance")
     n, m = f.domain
     s, t = f.codomain
     try:
-        if _ring_proved(f):
-            rows, finite = _ring_pass(f, a)
-            if not finite:
-                raise EvaluationFailed("the Jacobian at the point is not finite")
-            values = [0.0] * len(_RESIDUAL_KEYS)
-            copies, blocks = (rows[:s, :n],) * 2, _blocks(rows, n, s, n)
-        else:
-            jac = _jacobian(f, _point(f, a))
-            values = [float(r) for r in _residuals(jac, n, s)]
-            copies, blocks = (jac[:s, :n], jac[s : 2 * s, n : 2 * n]), _blocks(jac, n, s, 2 * n)
+        jac = realified_jacobian(f, a)
     except NotInvertible as exc:
         raise EvaluationFailed("cannot differentiate at the point: %s" % exc) from exc
+    values = [float(r) for r in _residuals(jac, n, s)]
     if not all(map(math.isfinite, values)):
         raise EvaluationFailed("the block residuals at the point are not finite")
     residuals = dict(zip(_RESIDUAL_KEYS, values))
     passed = all(r <= tol for r in values)
     deriv = None
     if passed:
-        # halved before the sum, so copies near the float limit stay finite;
-        # on the ring pass the copies are one block, averaged the same way
-        # so that both paths give one derivative
-        c_re = 0.5 * copies[0] + 0.5 * copies[1]
-        deriv = ModuleMap(n, m, s, t, c_re, *blocks)
+        # halved before the sum, so copies near the float limit stay finite
+        c_re = 0.5 * jac[:s, :n] + 0.5 * jac[s : 2 * s, n : 2 * n]
+        deriv = ModuleMap(n, m, s, t, c_re, *_blocks(jac, n, s))
     return CrReport(point=a, passed=passed, residuals=residuals, derivative=deriv)
 
 
@@ -795,8 +813,10 @@ def limit_check(
     probes go through one batched walk of f's node list, and the quotients
     are taken on realified coordinates.  A base point or probe that cannot
     be evaluated raises EvaluationFailed, naming the first failure in
-    (base, level, direction) order.
+    (base, level, direction) order.  A tol that is not finite or below 0
+    raises ValueError.
     """
+    valid_bound(tol, "limit tolerance")
     if samples < 1 or levels < 1:
         raise ValueError("limit_check needs at least one sample and one level")
     n, m = f.domain
@@ -817,97 +837,31 @@ def limit_check(
     return bool(quot[-samples:].max() <= tol)
 
 
-def _ring_pass(f: DualFunc, a: DualVector) -> tuple[np.ndarray, bool]:
-    """Forward mode over the n + m ring seeds of f at the point a: head
-    slot i gets tangent 1 and tail slot j tangent eps.  Returns the
-    (2s + t) x (n + m) rows of _jacobian's Jacobian (head dre, head dze,
-    tail dze) in their head re and tail columns, read-only, and whether
-    they are all finite.
-
-    Each node carries its value and those columns of its gradient rows,
-    and does _jacobian's float operations in _jacobian's order, so every
-    entry equals _jacobian's bit for bit.  The walk raises, in node order,
-    NonSmoothExpression at a projection (re_part, ze_part or a component
-    coord) and NotInvertible at an inverse within the default tolerance of
-    zero; then EvaluationFailed where a tail output is not a zero divisor.
-    f keeps the last pass that completed, keyed by the point's exact bytes
-    and the default tolerance, so cr_check and forward_derivative at one
-    point walk once.
-    """
-    x = _point(f, a)
-    tol = resolve_tol(None)
-    key = (a.array.tobytes(), tol)
-    last = f.__dict__.get("_last_pass")
-    if last is not None and last[0] == key:
-        return last[1]
-    n, m = f.domain
-    s = f.codomain[0]
-    zero = [0.0] * (n + m)
-    unit = [zero[:k] + [1.0] + zero[k + 1 :] for k in range(n + m)]
-    vals = []  # (re, ze, dre, dze), the gradients over head re and tail columns
-    for op, args, payload, freed in f._nodes:
-        if op == "const":
-            v = (payload[0], payload[1], zero, zero)
-        elif op == "coord":
-            r, z = payload
-            if z is None:  # a head re/ze part, or a tail slot read as real
-                raise NonSmoothExpression("coord component %r is a real projection" % ("re" if r < n else "ze"))
-            v = (0.0, x[z], zero, unit[z - n]) if r is None else (x[r], x[z], unit[r], zero)
-        else:
-            ur, uz, dur, duz = vals[args[0]]
-            if op == "mul":
-                vr, vz, dvr, dvz = vals[args[1]]
-                dze = [ur * qz + uz * q + vr * pz + vz * p for p, q, pz, qz in zip(dur, dvr, duz, dvz)]
-                v = (ur * vr, ur * vz + uz * vr, [ur * q + vr * p for p, q in zip(dur, dvr)], dze)
-            elif op == "add":
-                vr, vz, dvr, dvz = vals[args[1]]
-                v = (ur + vr, uz + vz, [p + q for p, q in zip(dur, dvr)], [p + q for p, q in zip(duz, dvz)])
-            elif op == "sub":
-                vr, vz, dvr, dvz = vals[args[1]]
-                v = (ur - vr, uz - vz, [p - q for p, q in zip(dur, dvr)], [p - q for p, q in zip(duz, dvz)])
-            elif op == "inv":
-                ur = _inverse_re(ur, tol, None)
-                w = 1.0 / ur
-                c, ww, nww = 2.0 * w * uz, w * w, -w * w
-                dze = [ww * (c * p - pz) for p, pz in zip(dur, duz)]
-                v = (w, -uz / (ur * ur), [nww * p for p in dur], dze)
-            elif op == "neg":
-                v = (-ur, -uz, [-p for p in dur], [-p for p in duz])
-            elif op == "sharp":
-                v = (0.0, ur, zero, dur)
-            else:  # re_part, ze_part
-                raise NonSmoothExpression("%s is not differentiable in the dual sense" % op)
-        vals.append(v)
-        for k in freed:
-            vals[k] = None
-    out = [vals[p] for p in f._outputs]
-    for l, (re, *_) in enumerate(out[s:]):
-        _check_tail(re, tol, l, None)
-    rows = np.array([o[2] for o in out[:s]] + [o[3] for o in out], dtype=float)
-    rows = rows.reshape(len(out) + s, n + m)
-    rows.setflags(write=False)
-    result = (rows, bool(np.isfinite(rows).all()))
-    object.__setattr__(f, "_last_pass", (key, result))
-    return result
-
-
 def forward_derivative(f: DualFunc, a: DualVector) -> ModuleMap:
-    """Exact derivative by forward mode with ring-valued tangents: the ring
-    pass (_ring_pass), which cr_check shares on proved functions, so a
-    call after cr_check at the same point does not walk again.
+    """Exact derivative from the head re and tail columns of the derivative
+    pass (_pass), which cr_check shares, so a call after cr_check at the
+    same point does not walk again.
 
     Projections (re_part/ze_part, component coords) are rejected with
     NonSmoothExpression: they are not differentiable in the dual sense and
     would give a wrong map.  As eval_func, raises NotInvertible at a
-    singular inverse and EvaluationFailed where a tail output is not a
-    zero divisor; raises EvaluationFailed where a tangent is not finite.
+    singular inverse, and EvaluationFailed where a tail output is not a
+    zero divisor; the first projection or singular inverse in node order
+    decides.  Raises EvaluationFailed where those columns are not finite.
     """
-    rows, finite = _ring_pass(f, a)
-    if not finite:
-        raise EvaluationFailed("the derivative at the point is not finite")
     n, m = f.domain
     s, t = f.codomain
-    return ModuleMap(n, m, s, t, rows[:s, :n], *_blocks(rows, n, s, n))
+    for k, (op, _, payload, _) in enumerate(f._nodes):
+        if op in ("re_part", "ze_part") or op == "coord" and payload[1] is None:
+            _gradients(f._nodes[:k], _point(f, a), resolve_tol(None))  # raises at an inverse before it
+            if op == "coord":
+                raise NonSmoothExpression("coord component %r is a real projection" % ("re" if payload[0] < n else "ze"))
+            raise NonSmoothExpression("%s is not differentiable in the dual sense" % op)
+    rows = _pass(f, a)
+    if not (np.isfinite(rows[:, :n]).all() and np.isfinite(rows[:, 2 * n :]).all()):
+        raise EvaluationFailed("the derivative at the point is not finite")
+    return ModuleMap(n, m, s, t, rows[:s, :n], *_blocks(rows, n, s))
+
 
 def compose_funcs(outer: DualFunc, inner: DualFunc) -> DualFunc:
     """Substitute inner's components into outer's coordinate leaves.

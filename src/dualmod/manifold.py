@@ -42,6 +42,7 @@ from dualmod.core import (
     mul,
     resolve_tol,
     row_norms,
+    valid_bound,
     vector_norm,
     with_head_entry,
     with_tail_entry,
@@ -515,8 +516,7 @@ def verify_atlas(atlas, samples: int = 50, tol: float = 1e-4, seed: int = 0) -> 
     """
     if not isinstance(atlas, (ProjectiveAtlas, ExprAtlas)):
         raise TypeError("not an atlas: %r" % (atlas,))
-    if not 0.0 <= tol < np.inf:
-        raise ValueError("atlas tolerance must be finite and at least 0, got %r" % (tol,))
+    valid_bound(tol, "atlas tolerance")
     rng = np.random.default_rng(seed)
     kind = _StandardCharts if isinstance(atlas, ProjectiveAtlas) else _ExprCharts
     ops = kind(atlas, rng, tol, resolve_tol(None))

@@ -699,6 +699,20 @@ def test_finite_differences_stay_out_of_production_paths():
     assert "diff" in users and users <= {"__init__", "diff", "selftest"}
 
 
+def test_one_single_point_derivative_pass():
+    """_cr_rows is the one production caller of the batched _jacobian, and
+    no second single-point walker (the ring pass, or its proof) is back."""
+    root = pathlib.Path(diff.__file__).parent
+    callers = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                assert node.name not in ("_ring_pass", "_ring_proved"), path
+                if "_jacobian" in {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}:
+                    callers.add((path.stem, node.name))
+    assert callers == {("diff", "_cr_rows")}
+
+
 class TestConstruction:
     def test_coord_slots_checked_against_domain(self):
         for e in (coord("head", 3), tail_coord(0), sharp_expr(coord("head", 1, "ze"))):
@@ -782,6 +796,15 @@ class TestCrCheck:
                 linalg.realify_map(lam),
                 atol=1e-6,
             )
+
+    def test_tolerance_must_be_finite_and_at_least_zero(self):
+        f = DualFunc((1, 0), (1, 0), (re_part(head_coord(0)),))
+        a = core.vector([DualNumber(0.3, -0.7)], [])
+        for tol in (np.inf, np.nan, -1e-12):
+            with pytest.raises(ValueError, match="block tolerance must be finite and at least 0"):
+                diff.cr_check(f, a, tol=tol)
+        assert not diff.cr_check(f, a, tol=0.0).passed
+        assert diff.cr_check(square_func(), a, tol=0.0).passed
 
 
 class TestForwardDerivative:
@@ -934,14 +957,6 @@ def _copy(f):
     return DualFunc(f.domain, f.codomain, f.components)
 
 
-def _on_jacobian(f):
-    """A copy of f that cr_check runs through _jacobian: the reference for
-    the ring pass."""
-    g = _copy(f)
-    object.__setattr__(g, "_ring_proved", False)
-    return g
-
-
 def _outcome(call, f, a):
     """call(f, a), or the type and message of what it raises."""
     try:
@@ -980,46 +995,84 @@ def _bits(result):
     return b"".join(np.ascontiguousarray(b).tobytes() for b in (result.c_re, result.c_ze, result.p, result.d, result.q))
 
 
+def _reference_report(f, a):
+    """cr_check's outcome at a point where the pass completes, rebuilt
+    from the batched _jacobian (_jacobian_row) with _residuals: residuals,
+    verdict and derivative, or the message of the EvaluationFailed."""
+    (n, m), (s, t) = f.domain, f.codomain
+    jac = _jacobian_row(f, a)
+    if not np.isfinite(jac).all():
+        return "the Jacobian at the point is not finite"
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = [float(r) for r in diff._residuals(jac, n, s)]
+        if not np.isfinite(values).all():
+            return "the block residuals at the point are not finite"
+        passed = max(values) <= diff.CR_DEFAULT_TOL
+        c_re = 0.5 * jac[:s, :n] + 0.5 * jac[s : 2 * s, n : 2 * n]
+        blocks = (jac[s : 2 * s, :n], jac[s : 2 * s, 2 * n :], jac[2 * s :, :n], jac[2 * s :, 2 * n :])
+    return values, passed, linalg.ModuleMap(n, m, s, t, c_re, *blocks) if passed else None
+
+
+def _assert_pass_is_the_reference(f, points):
+    """At each point, the pass equals the batched _jacobian bit for bit,
+    realified_jacobian raises where the pass does, and cr_check reports
+    what _reference_report rebuilds; _cr_rows marks exactly the points
+    where cr_check raises (the CLI's replay guard)."""
+    for x in points:
+        try:
+            rows = diff._pass(_copy(f), x)
+        except (NotInvertible, EvaluationFailed) as exc:
+            with pytest.raises(type(exc)) as caught:
+                diff.realified_jacobian(f, x)
+            assert str(caught.value) == str(exc)
+            why = "cannot differentiate at the point: %s" % exc if type(exc) is NotInvertible else str(exc)
+            assert _outcome(diff.cr_check, f, x) == (EvaluationFailed, why)
+            continue
+        assert _same_floats(rows, _jacobian_row(f, x))
+        got, want = _outcome(diff.cr_check, f, x), _reference_report(f, x)
+        if isinstance(want, str):
+            assert got == (EvaluationFailed, want)
+        else:
+            values, passed, deriv = want
+            assert np.array(list(got.residuals.values())).tobytes() == np.array(values).tobytes()
+            assert got.passed == passed and _bits(got.derivative) == _bits(deriv)
+    _assert_block_rows(f, np.array([x.array for x in points]))
+
+
 class TestRingPass:
-    """The ring pass against _jacobian, which stays the reference: on
-    functions of ring ops its entries are _jacobian's bit for bit, and on
-    proved ones cr_check gives the same reports by either path."""
+    """The single-point derivative pass (_pass) against the batched
+    _jacobian, which stays the reference: its entries are _jacobian's bit
+    for bit, with projections, component coords and non-finite entries,
+    and cr_check's reports are those rebuilt from _jacobian."""
 
     @_PROGRAM_SETTINGS
     @given(ring_programs())
     def test_cr_check_equals_the_jacobian_path(self, case):
-        f, points = case
-        assert diff._ring_proved(f) == diff._proved(f)
-        reference = _on_jacobian(f)
-        for x in points:
-            got, want = _outcome(diff.cr_check, f, x), _outcome(diff.cr_check, reference, x)
-            if isinstance(want, tuple):
-                assert got == want
-            else:
-                assert np.array(list(got.residuals.values())).tobytes() == np.array(list(want.residuals.values())).tobytes()
-                assert (got.passed, got.derivative) == (want.passed, want.derivative)
-        # the CLI's replay guard: _cr_rows marks exactly where cr_check raises
-        _assert_block_rows(f, np.array([x.array for x in points]))
+        _assert_pass_is_the_reference(*case)
+
+    @_PROGRAM_SETTINGS
+    @given(classed_programs())
+    def test_cr_check_equals_the_jacobian_path_with_projections(self, case):
+        f, _, points = case
+        _assert_pass_is_the_reference(f, points)
 
     @_PROGRAM_SETTINGS
     @given(ring_programs())
     def test_pass_equals_the_jacobian_columns(self, case):
         f, points = case
         n, m = f.domain
-        columns = np.r_[0:n, 2 * n : 2 * n + m]  # head re and tail
         for x in points:
             try:
-                rows, finite = diff._ring_pass(_copy(f), x)
+                rows = diff._pass(_copy(f), x)
             except (NotInvertible, EvaluationFailed) as exc:
                 with pytest.raises(type(exc)) as caught:
                     diff.realified_jacobian(f, x)
                 assert str(caught.value) == str(exc)
                 continue
             jac = _jacobian_row(f, x)
-            assert _same_floats(rows, jac[:, columns])
-            assert finite == bool(np.isfinite(rows).all())
-            if diff._proved(f):  # the head ze columns add no non-finite entry
-                assert finite == bool(np.isfinite(jac).all())
+            assert rows.shape == jac.shape
+            for j in range(2 * n + m):  # head re, head ze, then tail columns
+                assert _same_floats(rows[:, j], jac[:, j])
 
     def test_pass_rounds_as_the_jacobian_does(self):
         # products whose operands both move with every input, at random
@@ -1029,9 +1082,8 @@ class TestRingPass:
         f = DualFunc((2, 1), (2, 1), (u * v, v * v - u, sharp_expr(u * v) + t * u))
         points = np.random.default_rng(37).uniform(-1.0, 1.0, size=(50, 5))
         for a in [linalg.unrealify(p, 2, 1) for p in points]:
-            rows, finite = diff._ring_pass(f, a)
-            jac = diff.realified_jacobian(f, a)[:, [0, 1, 4]]
-            assert finite and rows.tobytes() == np.ascontiguousarray(jac).tobytes()
+            jac = np.ascontiguousarray(_jacobian_row(f, a))
+            assert diff._pass(f, a).tobytes() == jac.tobytes()
 
     def test_forward_derivative_tests_the_tails(self):
         x = head_coord(0)
@@ -1059,43 +1111,45 @@ class TestRingPass:
         for _ in range(1100):
             e = e * e
         f = DualFunc((1, 1), (1, 1), (head_coord(0), tail_coord(0) * sharp_expr(e)))
-        assert diff._proved(f) and not diff._ring_proved(f)
+        assert diff._proved(f)
         a = linalg.unrealify(np.array([1.0, 1.0, 0.5]), 1, 1)
         jac = _jacobian_row(f, a)
         assert np.isnan(jac[2, 1]) and np.isfinite(jac[:, [0, 2]]).all()
         with pytest.raises(EvaluationFailed, match="the Jacobian at the point is not finite"):
             diff.cr_check(f, a)
 
-    def test_ring_proved_is_decided_once(self):
-        f = sampling.random_func(np.random.default_rng(29), (2, 1), (1, 1), 4)
-        assert "_ring_proved" not in f.__dict__
-        assert diff._ring_proved(f) and f.__dict__["_ring_proved"] is True
-        x = head_coord(0)
-        for comps, codomain in (
-            ((x, tail_coord(0) + x), (1, 1)),  # ring ops, but the tail is not EPS
-            ((x * re_part(x),), (1, 0)),
-            ((x, sharp_expr(coord("tail", 0, "ze"))), (1, 1)),
-        ):
-            assert not diff._ring_proved(DualFunc((1, 1), codomain, comps))
-
-    def test_cr_check_then_forward_derivative_walks_once(self):
+    def test_cr_check_then_forward_derivative_walks_once(self, monkeypatch):
+        walks = []
+        gradients = diff._gradients
+        monkeypatch.setattr(diff, "_gradients", lambda *args: walks.append(1) or gradients(*args))
         rng = np.random.default_rng(31)
         f, a = sampling.tame_case(rng, (2, 1), (2, 1), depth=3)
         b = linalg.unrealify(linalg.realify(a) * 1.001, 2, 1)
-        assert diff._ring_proved(f)
-        walks = []
-
-        class Counting(tuple):
-            def __iter__(self):
-                walks.append(1)
-                return super().__iter__()
-
-        object.__setattr__(f, "_nodes", Counting(f._nodes))
         report = diff.cr_check(f, a)
-        assert diff.forward_derivative(f, a) == report.derivative and len(walks) == 1
+        assert diff.forward_derivative(f, a) == report.derivative
+        diff.realified_jacobian(f, a)
+        assert len(walks) == 1
         diff.forward_derivative(f, b)
         diff.cr_check(f, b)
         assert len(walks) == 2
+        x = head_coord(0)
+        control = DualFunc((2, 1), (1, 1), (x * x + 0.7 * re_part(head_coord(1)), sharp_expr(x)))
+        assert not diff.cr_check(control, a).passed
+        diff.realified_jacobian(control, a)
+        diff.cr_check(control, a)
+        assert len(walks) == 3
+
+    def test_realified_jacobian_is_a_copy(self):
+        x = head_coord(0)
+        f = DualFunc((1, 1), (1, 1), (x * x + inv_expr(x + 0.3), sharp_expr(x) * tail_coord(0)))
+        a = vector([(0.5, 0.25)], [0.75])
+        report, deriv = diff.cr_check(f, a), diff.forward_derivative(f, a)
+        jac = diff.realified_jacobian(f, a)
+        want = jac.copy()
+        jac[:] = 7.0
+        assert diff.realified_jacobian(f, a).tobytes() == want.tobytes()
+        assert _bits(diff.cr_check(f, a)) == _bits(report)
+        assert _bits(diff.forward_derivative(f, a)) == _bits(deriv)
 
     def test_cache_follows_the_point_and_the_tolerance(self):
         x = head_coord(0)
@@ -1183,6 +1237,16 @@ class TestLimitCheck:
             with pytest.raises(EvaluationFailed) as caught:
                 diff.limit_check(f, a, deriv)
             assert str(caught.value) == "cannot evaluate at the base point: " + why
+
+    def test_tolerance_must_be_finite_and_at_least_zero(self):
+        f = DualFunc((1, 0), (1, 0), (re_part(head_coord(0)),))
+        a = core.vector([DualNumber(1.0, 0.5)], [])
+        cand = linalg.ModuleMap.scalar(1, 0, DualNumber(0.5, 0.0))
+        for tol in (np.inf, np.nan, -1e-12):
+            with pytest.raises(ValueError, match="limit tolerance must be finite and at least 0"):
+                diff.limit_check(f, a, cand, tol=tol)
+        square = square_func()
+        assert diff.limit_check(square, a, diff.forward_derivative(square, a), tol=0.5)
 
 
 class TestComposeAndJson:
