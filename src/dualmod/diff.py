@@ -22,12 +22,12 @@ that Jacobian: a loop over the node list that carries each node's value and
 its gradient rows over the 2n + m realified inputs, kept per point so that
 cr_check, realified_jacobian and forward_derivative at one point walk once.
 cr_check measures the four forced identities on it and assembles the
-derivative when they hold; forward_derivative reads its head re and tail
-columns.  re_part/ze_part exist to express maps that are perfectly smooth
-over the reals yet fail the block pattern.  _jacobian is the same pass over
-a batch of points, for the batched block test (_cr_rows).  One loop over
-the node list, run on first use and cached, gives each node a smoothness
-class (_classes); where a function it proves has a finite Jacobian, the
+derivative when they hold; forward_derivative returns it where all four
+hold exactly.  re_part/ze_part express maps that are smooth over the reals
+yet fail the block pattern.  _jacobian is the same pass over a batch of
+points, for the batched block test (_cr_rows).  One loop over the node
+list, run on first use and cached, gives each node a smoothness class
+(_classes); where a function it proves has a finite Jacobian, the
 four block residuals are exactly 0.0, so verify_atlas builds no Jacobian
 for the proved standard transitions where it can bound theirs as finite.
 numeric_jacobian is the central-difference oracle for both derivatives.
@@ -78,7 +78,7 @@ class EvaluationFailed(Exception):
 
 
 class NonSmoothExpression(ValueError):
-    """Forward differentiation refuses real-part projections."""
+    """The realified Jacobian at a point is not that of a module map."""
 
 
 @dataclass(frozen=True)
@@ -573,28 +573,34 @@ def realified_jacobian(f: DualFunc, a: DualVector) -> np.ndarray:
     zero, and EvaluationFailed where a tail output is not a zero divisor;
     a Jacobian that is not finite raises EvaluationFailed.
     """
-    jac = _pass(f, a)
+    return _finite_pass(f, a)[0].copy()
+
+
+def _finite_pass(f: DualFunc, a: DualVector) -> tuple:
+    """_pass at a; EvaluationFailed where the Jacobian is not finite."""
+    jac, values = _pass(f, a)
     if not np.isfinite(jac).all():
         raise EvaluationFailed("the Jacobian at the point is not finite")
-    return jac.copy()
+    return jac, values
 
 
-def _pass(f: DualFunc, a: DualVector) -> np.ndarray:
+@np.errstate(over="ignore", invalid="ignore")
+def _pass(f: DualFunc, a: DualVector) -> tuple:
     """f's realified Jacobian at the point a, read-only, in _jacobian's row
-    order (head dre, head dze, tail dze): _gradients over the node list,
-    then eval_func's tail test.  Raises NotInvertible at an inverse within
-    the default tolerance of zero and then EvaluationFailed where a tail
-    output is not a zero divisor; entries that are not finite are left to
-    the caller.  f keeps the last pass that completed, keyed by the point's
-    exact bytes and the default tolerance, so cr_check, realified_jacobian
-    and forward_derivative at one point walk once.
+    order (head dre, head dze, tail dze), and its four block residuals:
+    _gradients over the node list, then eval_func's tail test.  Raises
+    NotInvertible at an inverse within the default tolerance of zero and
+    then EvaluationFailed where a tail output is not a zero divisor; entries
+    that are not finite are left to _finite_pass.  f keeps the last pass,
+    keyed by the point's exact bytes and the default tolerance, so cr_check,
+    realified_jacobian and forward_derivative at one point walk once.
     """
     x = _point(f, a)
     tol = resolve_tol(None)
     key = (a.array.tobytes(), tol)
     last = f.__dict__.get("_last_pass")
     if last is not None and last[0] == key:
-        return last[1]
+        return last[1:]
     s = f.codomain[0]
     vals = _gradients(f._nodes, x, tol)
     out = [vals[p] for p in f._outputs]
@@ -602,8 +608,9 @@ def _pass(f: DualFunc, a: DualVector) -> np.ndarray:
         _check_tail(re, tol, l, None)
     rows = np.array([o[2] for o in out[:s]] + [o[3] for o in out], dtype=float).reshape(len(out) + s, len(x))
     rows.setflags(write=False)
-    object.__setattr__(f, "_last_pass", (key, rows))
-    return rows
+    values = tuple(float(r) for r in _residuals(rows, f.domain[0], s))
+    object.__setattr__(f, "_last_pass", (key, rows, values))
+    return rows, values
 
 
 def _gradients(nodes, x: list, tol: float) -> list:
@@ -760,10 +767,9 @@ def cr_check(f: DualFunc, a: DualVector, tol: float = CR_DEFAULT_TOL) -> CrRepor
     n, m = f.domain
     s, t = f.codomain
     try:
-        jac = realified_jacobian(f, a)
+        jac, values = _finite_pass(f, a)
     except NotInvertible as exc:
         raise EvaluationFailed("cannot differentiate at the point: %s" % exc) from exc
-    values = [float(r) for r in _residuals(jac, n, s)]
     if not all(map(math.isfinite, values)):
         raise EvaluationFailed("the block residuals at the point are not finite")
     residuals = dict(zip(_RESIDUAL_KEYS, values))
@@ -838,28 +844,17 @@ def limit_check(
 
 
 def forward_derivative(f: DualFunc, a: DualVector) -> ModuleMap:
-    """Exact derivative from the head re and tail columns of the derivative
-    pass (_pass), which cr_check shares, so a call after cr_check at the
-    same point does not walk again.
-
-    Projections (re_part/ze_part, component coords) are rejected with
-    NonSmoothExpression: they are not differentiable in the dual sense and
-    would give a wrong map.  As eval_func, raises NotInvertible at a
-    singular inverse, and EvaluationFailed where a tail output is not a
-    zero divisor; the first projection or singular inverse in node order
-    decides.  Raises EvaluationFailed where those columns are not finite.
-    """
-    n, m = f.domain
-    s, t = f.codomain
-    for k, (op, _, payload, _) in enumerate(f._nodes):
-        if op in ("re_part", "ze_part") or op == "coord" and payload[1] is None:
-            _gradients(f._nodes[:k], _point(f, a), resolve_tol(None))  # raises at an inverse before it
-            if op == "coord":
-                raise NonSmoothExpression("coord component %r is a real projection" % ("re" if payload[0] < n else "ze"))
-            raise NonSmoothExpression("%s is not differentiable in the dual sense" % op)
-    rows = _pass(f, a)
-    if not (np.isfinite(rows[:, :n]).all() and np.isfinite(rows[:, 2 * n :]).all()):
-        raise EvaluationFailed("the derivative at the point is not finite")
+    """The derivative of f at a as a module map: the head re and tail
+    columns of the derivative pass (_pass), shared with cr_check, so a call
+    after it at a walks and measures nothing.  Raises what
+    realified_jacobian raises at a (NotInvertible, then EvaluationFailed),
+    then NonSmoothExpression unless all four block residuals are exactly
+    0.0, that is unless the Jacobian has a module map's block pattern."""
+    (n, m), (s, t) = f.domain, f.codomain
+    rows, values = _finite_pass(f, a)
+    for key, r in zip(_RESIDUAL_KEYS, values):
+        if r:
+            raise NonSmoothExpression("not differentiable in the dual sense at the point: %s residual %g" % (key, r))
     return ModuleMap(n, m, s, t, rows[:s, :n], *_blocks(rows, n, s))
 
 

@@ -579,11 +579,14 @@ def _openness(ops, c, images, tol):
 
 
 def _injectivity(ops, c, pts, images):
-    """(iii): images may coincide only for the same point.  Pairs go in
-    itertools.combinations order; a distance that is not finite fails."""
+    """(iii): images may coincide, within 1e-9 of their spread (the largest
+    finite distance from the first image, its pairs' first), only for the
+    same point.  Pairs go in combinations order; a non-finite distance fails."""
     a, b = _index_pairs(len(images))
     dist = row_norms(images[a] - images[b], ops.image_shape(c)[0])
-    for k in np.flatnonzero(~np.isfinite(dist) | (dist <= 1e-9)):
+    spread = dist[: len(images) - 1]
+    close = 1e-9 * spread[np.isfinite(spread)].max(initial=0.0)
+    for k in np.flatnonzero(~np.isfinite(dist) | (dist <= close)):
         first, second = (unrealify(pts[q[k]], *ops.point_shape) for q in (a, b))
         if not np.isfinite(dist[k]):
             return {"point": first.to_json(), "error": "distance between chart images is not finite"}
@@ -795,6 +798,7 @@ class _ExprCharts:
         return self.atlas.charts[c].forward.codomain
 
     def same(self, x, y):
+        """Within 1e-6: every sample point lies in [-1.5, 1.5]^d."""
         return vector_norm(x - y) <= 1e-6
 
     def proved_rows(self, trans, rows, pivots):

@@ -700,17 +700,28 @@ def test_finite_differences_stay_out_of_production_paths():
 
 
 def test_one_single_point_derivative_pass():
-    """_cr_rows is the one production caller of the batched _jacobian, and
-    no second single-point walker (the ring pass, or its proof) is back."""
+    """_cr_rows is the one production caller of the batched _jacobian and
+    _pass the one caller of the single-point _gradients; the block
+    residuals are measured only there, once per pass or batch; no second
+    single-point walker (the ring pass, or its proof) is back, and
+    forward_derivative reads no node list of its own."""
     root = pathlib.Path(diff.__file__).parent
-    callers = set()
+    callers = {"_jacobian": set(), "_gradients": set(), "_residuals": set()}
     for path in root.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef):
                 assert node.name not in ("_ring_pass", "_ring_proved"), path
-                if "_jacobian" in {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}:
-                    callers.add((path.stem, node.name))
-    assert callers == {("diff", "_cr_rows")}
+                names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+                for callee in callers:
+                    if callee in names and node.name != callee:
+                        callers[callee].add((path.stem, node.name))
+                if node.name == "forward_derivative":
+                    assert "_nodes" not in names
+    assert callers == {
+        "_jacobian": {("diff", "_cr_rows")},
+        "_gradients": {("diff", "_pass")},
+        "_residuals": {("diff", "_cr_rows"), ("diff", "_pass")},
+    }
 
 
 class TestConstruction:
@@ -889,6 +900,30 @@ class TestForwardDerivative:
                 linalg.realify_map(lhs) - linalg.realify_map(rhs)
             ).max() <= 1e-9
 
+    def test_tail_reading_a_head_ze_part_is_refused(self):
+        # the tail evaluates (its re part is the head re part, 0.0) but
+        # moves with the head ze part, so the head re and tail columns
+        # alone would give the zero map
+        f = DualFunc((1, 0), (0, 1), (head_coord(0),))
+        a = vector([(0.0, 0.5)], [])
+        assert diff.eval_func(f, a).tail[0] == 0.5
+        assert diff.realified_jacobian(f, a).tolist() == [[0.0, 1.0]]
+        assert diff.cr_check(f, a).residuals["tail_dze"] == 1.0
+        with pytest.raises(NonSmoothExpression, match="tail_dze residual 1$"):
+            diff.forward_derivative(f, a)
+
+    def test_tail_within_the_zero_tolerance_is_refused(self):
+        # the tail's re part, 5e-21, is a zero divisor within the default
+        # tolerance and cr_check passes at its default tol, yet the tail
+        # moves with the head ze part: not exactly a module map's Jacobian
+        f = DualFunc((1, 0), (0, 1), (const(1e-20) * head_coord(0),))
+        a = vector([(0.5, 0.25)], [])
+        assert diff.eval_func(f, a).tail[0] == 2.5e-21
+        report = diff.cr_check(f, a)
+        assert report.passed and report.residuals["tail_dze"] == 1e-20
+        with pytest.raises(NonSmoothExpression, match="tail_dze residual 1e-20$"):
+            diff.forward_derivative(f, a)
+
     def test_overflowing_tangent_fails_like_the_jacobian(self):
         # with the smallest zero tolerance, 1/re at re = 1e-150 is finite but
         # its tangent -1/re**2 is not
@@ -896,9 +931,7 @@ class TestForwardDerivative:
         a = core.vector([DualNumber(1e-150, 1.0)], [])
         core.set_default_tol(2.0**-537)
         try:
-            with pytest.raises(EvaluationFailed, match="derivative at the point is not finite"):
-                diff.forward_derivative(f, a)
-            for check in (diff.realified_jacobian, diff.cr_check):
+            for check in (diff.realified_jacobian, diff.cr_check, diff.forward_derivative):
                 with pytest.raises(EvaluationFailed, match="Jacobian at the point is not finite"):
                     check(f, a)
         finally:
@@ -1013,6 +1046,30 @@ def _reference_report(f, a):
     return values, passed, linalg.ModuleMap(n, m, s, t, c_re, *blocks) if passed else None
 
 
+def _assert_exact_block_test(f, points):
+    """At each point, forward_derivative raises what realified_jacobian
+    raises, same type and message; otherwise it returns exactly where the
+    four block residuals of the pass are 0.0, and then equals cr_check's
+    derivative at tolerance 0.0."""
+    n, s = f.domain[0], f.codomain[0]
+    for x in points:
+        try:
+            jac = diff.realified_jacobian(f, x)
+        except (NotInvertible, EvaluationFailed) as exc:
+            with pytest.raises(type(exc)) as caught:
+                diff.forward_derivative(_copy(f), x)
+            assert type(caught.value) is type(exc) and str(caught.value) == str(exc)
+            continue
+        with np.errstate(over="ignore"):
+            exact = all(r == 0.0 for r in diff._residuals(jac, n, s))
+        try:
+            deriv = diff.forward_derivative(_copy(f), x)
+        except NonSmoothExpression:
+            assert not exact
+            continue
+        assert exact and deriv == diff.cr_check(f, x, tol=0.0).derivative
+
+
 def _assert_pass_is_the_reference(f, points):
     """At each point, the pass equals the batched _jacobian bit for bit,
     realified_jacobian raises where the pass does, and cr_check reports
@@ -1020,7 +1077,7 @@ def _assert_pass_is_the_reference(f, points):
     where cr_check raises (the CLI's replay guard)."""
     for x in points:
         try:
-            rows = diff._pass(_copy(f), x)
+            rows = diff._pass(_copy(f), x)[0]
         except (NotInvertible, EvaluationFailed) as exc:
             with pytest.raises(type(exc)) as caught:
                 diff.realified_jacobian(f, x)
@@ -1063,7 +1120,7 @@ class TestRingPass:
         n, m = f.domain
         for x in points:
             try:
-                rows = diff._pass(_copy(f), x)
+                rows = diff._pass(_copy(f), x)[0]
             except (NotInvertible, EvaluationFailed) as exc:
                 with pytest.raises(type(exc)) as caught:
                     diff.realified_jacobian(f, x)
@@ -1083,7 +1140,7 @@ class TestRingPass:
         points = np.random.default_rng(37).uniform(-1.0, 1.0, size=(50, 5))
         for a in [linalg.unrealify(p, 2, 1) for p in points]:
             jac = np.ascontiguousarray(_jacobian_row(f, a))
-            assert diff._pass(f, a).tobytes() == jac.tobytes()
+            assert diff._pass(f, a)[0].tobytes() == jac.tobytes()
 
     def test_forward_derivative_tests_the_tails(self):
         x = head_coord(0)
@@ -1094,15 +1151,42 @@ class TestRingPass:
                 call(f, a)
             assert str(caught.value) == "tail component 0 evaluated to re part 0.7, not a zero divisor"
 
-    def test_first_failing_node_decides(self):
+    def test_evaluation_errors_come_before_the_block_verdict(self):
+        # where a projection sits in the node list does not matter: a
+        # singular inverse, a tail that is not a zero divisor or a Jacobian
+        # that is not finite raises first, then the block test decides
         x = head_coord(0)
-        a = vector([DualNumber(0.0, 1.0)], [])
-        with pytest.raises(NotInvertible):
-            diff.forward_derivative(DualFunc((1, 0), (2, 0), (inv_expr(x), re_part(x))), a)
-        with pytest.raises(NonSmoothExpression, match="re_part"):
-            diff.forward_derivative(DualFunc((1, 0), (2, 0), (re_part(x), inv_expr(x))), a)
-        with pytest.raises(NonSmoothExpression, match="'ze' is a real projection"):
-            diff.forward_derivative(DualFunc((1, 0), (2, 0), (coord("head", 0, "ze"), inv_expr(x))), a)
+        ze = coord("head", 0, "ze")
+        singular = vector([DualNumber(0.0, 1.0)], [])
+        for comps in ((inv_expr(x), re_part(x)), (re_part(x), inv_expr(x)), (ze, inv_expr(x))):
+            with pytest.raises(NotInvertible):
+                diff.forward_derivative(DualFunc((1, 0), (2, 0), comps), singular)
+        f = DualFunc((1, 0), (1, 1), (re_part(x), x))
+        with pytest.raises(EvaluationFailed, match="not a zero divisor"):
+            diff.forward_derivative(f, vector([DualNumber(0.7, 1.0)], []))
+        f = DualFunc((1, 0), (2, 0), (re_part(x), inv_expr(x)))
+        core.set_default_tol(2.0**-537)
+        try:
+            with pytest.raises(EvaluationFailed, match="the Jacobian at the point is not finite"):
+                diff.forward_derivative(f, vector([DualNumber(1e-150, 1.0)], []))
+        finally:
+            core.set_default_tol(core.DEFAULT_TOL)
+        a = vector([DualNumber(2.0, 1.0)], [])
+        with pytest.raises(NonSmoothExpression, match="ze_match residual 1$"):
+            diff.forward_derivative(f, a)
+        with pytest.raises(NonSmoothExpression, match="head_re_dze residual 1$"):
+            diff.forward_derivative(DualFunc((1, 0), (2, 0), (ze, inv_expr(x))), a)
+
+    @_PROGRAM_SETTINGS
+    @given(ring_programs())
+    def test_forward_derivative_is_the_exact_block_test(self, case):
+        _assert_exact_block_test(*case)
+
+    @_PROGRAM_SETTINGS
+    @given(classed_programs())
+    def test_forward_derivative_is_the_exact_block_test_with_projections(self, case):
+        f, _, points = case
+        _assert_exact_block_test(f, points)
 
     def test_projection_counterexample_stays_on_the_jacobian(self):
         # proved, yet its tail row's head ze entry is NaN while the head re
@@ -1137,6 +1221,8 @@ class TestRingPass:
         assert not diff.cr_check(control, a).passed
         diff.realified_jacobian(control, a)
         diff.cr_check(control, a)
+        with pytest.raises(NonSmoothExpression):
+            diff.forward_derivative(control, a)
         assert len(walks) == 3
 
     def test_realified_jacobian_is_a_copy(self):

@@ -23,6 +23,7 @@ from dualmod.core import (
 )
 from dualmod.diff import (
     DualFunc,
+    NonSmoothExpression,
     _cr_rows,
     _eval_batch,
     EvaluationFailed,
@@ -32,6 +33,7 @@ from dualmod.diff import (
     cr_check,
     eval_expr,
     eval_func,
+    forward_derivative,
     func_from_module_map,
     identity_func,
     inv_expr,
@@ -356,6 +358,21 @@ class TestTransitions:
         if predicate == "singular_on_part":
             assert 0 < got.sum() < len(points)
 
+    @pytest.mark.parametrize("n,m", list(itertools.product(range(4), repeat=2)))
+    def test_forward_derivative_wherever_cr_check_passes(self, n, m):
+        # the standard transitions read tail coefficients as reals, yet are
+        # proved, so their block residuals are exactly 0.0
+        rng = np.random.default_rng(10 * n + m)
+        for (i, j), (k, l) in itertools.product(ProjectiveAtlas(n, m).charts, repeat=2):
+            trans, checked = transition(i, j, k, l, n, m), 0
+            for row in random_reps(rng, n, m, active=((i, j), (k, l)), count=4):
+                u = chart_map(i, j, unrealify(row, n + 1, m + 1))
+                report = cr_check(trans, u)
+                if report.passed:
+                    assert forward_derivative(trans, u) == report.derivative
+                    checked += 1
+            assert checked, (i, j, k, l)
+
     def test_tail_only_space(self):
         # one head direction, two tail directions: transitions are real ratios
         trans = transition(0, 0, 0, 1, 0, 1)
@@ -647,8 +664,10 @@ def reference_report(atlas, samples, tol=1e-4, seed=0) -> dict:
                 break
         entry("ii", (c,), witness, probes, "chart domain")
         witness = None
+        spread = [vector_norm(images[0] - u) for u in images[1:]]
+        close = 1e-9 * max([d for d in spread if np.isfinite(d)], default=0.0)
         for a, b in itertools.combinations(range(len(images)), 2):
-            if vector_norm(images[a] - images[b]) <= 1e-9 and not same(pts[a], pts[b]):
+            if vector_norm(images[a] - images[b]) <= close and not same(pts[a], pts[b]):
                 witness = {"first": point(pts[a]), "second": point(pts[b])}
                 break
         entry("iii", (c,), witness, len(images), "chart domain")
@@ -762,6 +781,58 @@ class TestReferenceLoop:
             want = reference_report(atlas, samples, tol=tol, seed=seed)
             got = verify_atlas(atlas, samples=samples, tol=tol, seed=seed).to_json()
             assert json.dumps(got) == json.dumps(want)
+
+    def test_transition_derivative_outcomes(self):
+        # o: a derivative, N: NotInvertible, S: NonSmoothExpression, at
+        # re parts -1.4, -0.5, 0.0, 0.7, 1.3, 3.0, each with two ze parts.
+        # The conjugation composed with itself is the identity, so its
+        # Jacobian has the block pattern and its derivative is returned
+        points = [vector([(re, ze)], []) for re in (-1.4, -0.5, 0.0, 0.7, 1.3, 3.0) for ze in (-0.3, 0.6)]
+        want = {
+            "conjugation": {(0, 0): "o" * 12, (0, 1): "S" * 12, (1, 0): "S" * 12, (1, 1): "o" * 12},
+            "partial_forward_failure": {
+                (0, 0): "o" * 12, (0, 1): "ooNNNNNNoooo", (1, 0): "ooNNNNNNoooo", (1, 1): "N" * 12
+            },
+        }
+        for name, pairs in want.items():
+            charts = reference_atlases()[name]
+            for (a, b), outcomes in pairs.items():
+                trans = compose_funcs(charts[b].forward, charts[a].inverse)
+                got = ""
+                for p in points:
+                    try:
+                        deriv = forward_derivative(trans, p)
+                    except NotInvertible:
+                        got += "N"
+                    except NonSmoothExpression:
+                        got += "S"
+                    else:
+                        got += "o"
+                        if name == "conjugation":
+                            assert deriv == ModuleMap.identity(1, 0)
+                assert got == outcomes, (name, a, b)
+
+    def test_chart_is_injective_at_every_scale_and_offset(self):
+        # images closer than an absolute 1e-9 (x -> 2^k x, k <= -30 failed
+        # iii), or far from the origin (x -> x + 2^30 failed iii under a
+        # threshold relative to the images' norms), must not count as
+        # coinciding
+        zero = np.zeros((1, 1))
+
+        def scaled(k):
+            return func_from_module_map(ModuleMap(1, 1, 1, 1, np.array([[2.0**k]]), zero, zero, zero, np.array([[2.0**k]])))
+
+        def shifted(c):
+            return DualFunc((1, 0), (1, 0), (coord("head", 0) + const(c),))
+
+        cases = [(k, scaled(k), scaled(-k), k % 100 == 0 or k in (-40, -35, -30)) for k in range(-300, 301, 5)]
+        cases += [(c, shifted(c), shifted(-c), k in (0, 30)) for k in range(0, 31, 5) for c in (2.0**k, -(2.0**k))]
+        for case, forward, inverse, against_reference in cases:
+            atlas = ExprAtlas((ExprChart(forward, inverse, const(1.0)),))
+            got = verify_atlas(atlas, samples=20).to_json()
+            assert got["passed"], case
+            if against_reference:
+                assert json.dumps(got) == json.dumps(reference_report(atlas, 20))
 
     def test_cases_reach_every_witness(self):
         # the reference cases above fail in each way verify_atlas reports
