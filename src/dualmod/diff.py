@@ -21,15 +21,17 @@ block pattern of a module map.  One derivative pass per point (_pass) gives
 that Jacobian: a loop over the node list that carries each node's value and
 its gradient rows over the 2n + m realified inputs, kept per point so that
 cr_check, realified_jacobian and forward_derivative at one point walk once.
-cr_check measures the four forced identities on it and assembles the
-derivative when they hold; forward_derivative returns it where all four
-hold exactly.  re_part/ze_part express maps that are smooth over the reals
-yet fail the block pattern.  _jacobian is the same pass over a batch of
-points, for the batched block test (_cr_rows).  One loop over the node
-list, run on first use and cached, gives each node a smoothness class
-(_classes); where a function it proves has a finite Jacobian, the
-four block residuals are exactly 0.0, so verify_atlas builds no Jacobian
-for the proved standard transitions where it can bound theirs as finite.
+cr_check measures the four forced identities on it and reads the derivative
+off its head re and tail columns when they hold; forward_derivative returns
+that derivative where all four hold exactly.  re_part and ze_part are the
+one form of a real projection (coord's "re" and "ze" components build them
+on the full coord): maps that are smooth over the reals yet fail the block
+pattern.  _jacobian is the same pass over a batch of points, for the
+batched block test (_cr_rows).  One loop over the node list, run on first
+use and cached, gives each node a smoothness class (_classes); where a
+function it proves has a finite Jacobian, the four block residuals are
+exactly 0.0, so verify_atlas builds no Jacobian for the proved standard
+transitions where it can bound theirs as finite.
 numeric_jacobian is the central-difference oracle for both derivatives.
 """
 
@@ -88,7 +90,6 @@ class Expr:
     value: DualNumber | None = None
     part: str | None = None
     slot: int | None = None
-    component: str = "full"
 
     def __post_init__(self):
         if self.op not in _OPS:
@@ -129,7 +130,7 @@ class Expr:
                 "op": "coord",
                 "part": self.part,
                 "slot": self.slot,
-                "component": self.component,
+                "component": "full",  # kept, so existing JSON stays unchanged
             }
         return {"op": self.op, "args": [a.to_json() for a in self.args]}
 
@@ -148,29 +149,30 @@ class Expr:
 
 
 def _as_expr(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, DualNumber):
-        return const(x)
-    if isinstance(x, (int, float)):
-        return const(DualNumber(float(x), 0.0))
-    raise TypeError("cannot treat %r as an expression" % (x,))
+    return x if isinstance(x, Expr) else const(x)
 
 
 def const(x) -> Expr:
+    """A constant from a DualNumber, or from a real number as its re part."""
     if isinstance(x, (int, float)):
         x = DualNumber(float(x), 0.0)
+    elif not isinstance(x, DualNumber):
+        raise TypeError("cannot treat %r as an expression" % (x,))
     return Expr("const", value=x)
 
 
 def coord(part: str, slot: int, component: str = "full") -> Expr:
+    """Input slot `slot` of the head or tail part, or one real part of it:
+    "re" and "ze" give re_part and ze_part of the full coord (a tail's ze
+    part is its coefficient)."""
     if part not in ("head", "tail"):
         raise ValueError("coord part must be 'head' or 'tail', got %r" % (part,))
     if part == "head" and component not in ("full", "re", "ze"):
         raise ValueError("head coord component must be full/re/ze")
     if part == "tail" and component not in ("full", "ze"):
         raise ValueError("tail coord component must be full or ze")
-    return Expr("coord", part=part, slot=as_index(slot, "coord slot"), component=component)
+    e = Expr("coord", part=part, slot=as_index(slot, "coord slot"))
+    return e if component == "full" else (re_part if component == "re" else ze_part)(e)
 
 
 def head_coord(i: int) -> Expr:
@@ -241,9 +243,9 @@ def lower(exprs, domain: tuple[int, int]) -> tuple[tuple, tuple[int, ...]]:
     positions among them.
 
     Each node is (op, argument positions, payload, freed): a const carries
-    (re, ze), a coord the realified input columns feeding its re and ze
-    parts (None where a part is zero), and freed lists the arguments no
-    later node reads, so a walk can drop their values.  Raises
+    (re, ze), a coord the realified input columns of its re and ze parts
+    (None for a tail's re part, which is zero), and freed lists the
+    arguments no later node reads, so a walk can drop their values.  Raises
     ShapeMismatch for a coord slot outside domain.
     """
     n, m = domain
@@ -293,13 +295,10 @@ def _payload(e: Expr, n: int, m: int):
     if e.part == "head":
         if e.slot >= n:
             raise ShapeMismatch("head slot %d out of range for n=%d" % (e.slot, n))
-        return {"full": (e.slot, n + e.slot), "re": (e.slot, None), "ze": (n + e.slot, None)}[
-            e.component
-        ]
+        return (e.slot, n + e.slot)
     if e.slot >= m:
         raise ShapeMismatch("tail slot %d out of range for m=%d" % (e.slot, m))
-    col = 2 * n + e.slot
-    return (None, col) if e.component == "full" else (col, None)
+    return (None, 2 * n + e.slot)
 
 
 # Smoothness classes (see _classes), one bit per property: C, C+D, C+D+E, C+R
@@ -333,9 +332,8 @@ def _classes(f: DualFunc) -> tuple[int, ...]:
     dre[A] = ur dvr[A] + vr dur[A], and inv's
     dze[B] = w w (null - duz[B]) matches dre[A] = -w w dur[A].  sharp
     multiplies by eps: its re row is 0.0, and its ze row is its argument's
-    re row, null in B when the argument is CLEAN.  A head coord is DUAL, a
-    full tail coord EPS, and a component coord reading a head re part or a
-    tail coefficient REAL; one reading a head ze part has no class.
+    re row, null in B when the argument is CLEAN.  A head coord is DUAL and
+    a tail coord EPS.
 
     f is proved (_proved) when every head output is DUAL and every tail
     output EPS.  Then the four blocks of cr_check's residuals are null
@@ -349,18 +347,14 @@ def _classes(f: DualFunc) -> tuple[int, ...]:
     classes = f.__dict__.get("_classes")
     if classes is not None:
         return classes
-    n, classes = f.domain[0], []
+    classes = []
     for op, args, payload, _ in f._nodes:
         u = classes[args[0]] if args else 0
         v = classes[args[-1]] if args else 0  # u again for one argument
         if op == "const":
             c = _DUAL | _EPS * (payload[0] == 0.0) | _REAL * (payload[1] == 0.0)
         elif op == "coord":
-            r, z = payload
-            if z is not None:
-                c = _EPS if r is None else _DUAL
-            else:
-                c = 0 if n <= r < 2 * n else _REAL
+            c = _EPS if payload[0] is None else _DUAL
         elif op in ("add", "sub", "neg"):
             c = u & v
         elif op == "mul":
@@ -403,10 +397,10 @@ def _walk(nodes, x, tol: float, bad: np.ndarray | None = None, stats: dict | Non
     with bad an (S,) mask.
 
     The arithmetic is core.mul's, core.inv's and DualNumber addition's, op
-    for op, so the floats equal those of DualNumber evaluation.  An inverse
-    within tol of zero raises NotInvertible for one point and marks the
-    point in bad for a batch (see _inverse_re).  stats (one point only)
-    takes the hooks described in eval_expr.
+    for op; sharp gives (0.0, re), as core.sharp_action and both derivative
+    passes do.  An inverse within tol of zero raises NotInvertible for one
+    point and marks the point in bad for a batch (see _inverse_re).  stats
+    (one point only) takes the hooks described in eval_expr.
     """
     vals = []
     for op, args, payload, freed in nodes:
@@ -414,7 +408,7 @@ def _walk(nodes, x, tol: float, bad: np.ndarray | None = None, stats: dict | Non
             v = payload
         elif op == "coord":
             r, z = payload
-            v = (0.0 if r is None else x[r], 0.0 if z is None else x[z])
+            v = (0.0 if r is None else x[r], x[z])
         else:
             ur, uz = vals[args[0]]
             if op == "add":
@@ -433,8 +427,8 @@ def _walk(nodes, x, tol: float, bad: np.ndarray | None = None, stats: dict | Non
                     stats["min_inv_re"] = min(stats.get("min_inv_re", np.inf), abs(ur))
                 ur = _inverse_re(ur, tol, bad)
                 v = (1.0 / ur, -uz / (ur * ur))
-            elif op == "sharp":  # mul(EPS, u)
-                v = (0.0 * ur, 0.0 * uz + 1.0 * ur)
+            elif op == "sharp":
+                v = (0.0, ur)
             elif op == "re_part":
                 v = (ur, 0.0)
             else:  # ze_part
@@ -566,12 +560,12 @@ def _eval_rows(f: DualFunc, points: np.ndarray) -> tuple[np.ndarray, int, Except
 
 def realified_jacobian(f: DualFunc, a: DualVector) -> np.ndarray:
     """Exact (2s + t) x (2n + m) Jacobian on realified coordinates: the
-    derivative pass (_pass) at a, as a new array.  re_part, ze_part and
-    component coords are real-linear, so they are differentiated too, and
-    the block test sees their asymmetry.  As eval_func, raises
-    NotInvertible where an inverse meets a re part within tolerance of
-    zero, and EvaluationFailed where a tail output is not a zero divisor;
-    a Jacobian that is not finite raises EvaluationFailed.
+    derivative pass (_pass) at a, as a new array.  re_part and ze_part are
+    real-linear, so they are differentiated too, and the block test sees
+    their asymmetry.  As eval_func, raises NotInvertible where an inverse
+    meets a re part within tolerance of zero, and EvaluationFailed where a
+    tail output is not a zero divisor; a Jacobian that is not finite raises
+    EvaluationFailed.
     """
     return _finite_pass(f, a)[0].copy()
 
@@ -629,8 +623,7 @@ def _gradients(nodes, x: list, tol: float) -> list:
         elif op == "coord":
             r, z = payload
             re, dre = (0.0, zero) if r is None else (x[r], unit[r])
-            ze, dze = (0.0, zero) if z is None else (x[z], unit[z])
-            v = (re, ze, dre, dze)
+            v = (re, x[z], dre, unit[z])
         else:
             ur, uz, dur, duz = vals[args[0]]
             if op == "mul":
@@ -684,8 +677,7 @@ def _jacobian(f: DualFunc, x: list, bad: np.ndarray) -> np.ndarray:
         if op == "coord":
             r, z = payload
             re, dre = (0.0, 0.0) if r is None else (x[r], unit[r])
-            ze, dze = (0.0, 0.0) if z is None else (x[z], unit[z])
-            vals.append((re, ze, dre, dze))
+            vals.append((re, x[z], dre, unit[z]))
             continue
         ur, uz, dur, duz = vals[args[0]]
         if op == "add":
@@ -743,10 +735,13 @@ def _residuals(jac: np.ndarray, n: int, s: int) -> list:
     return [np.abs(b).max(axis=0).max(axis=-1) if b.size else 0.0 for b in blocks]
 
 
-def _blocks(rows: np.ndarray, n: int, s: int) -> tuple:
-    """The c_ze, p, d and q blocks of a derivative from realified Jacobian
-    rows in _jacobian's order (head dre, head dze, tail dze)."""
-    return rows[s : 2 * s, :n], rows[s : 2 * s, 2 * n :], rows[2 * s :, :n], rows[2 * s :, 2 * n :]
+def _derivative(rows: np.ndarray, f: DualFunc) -> ModuleMap:
+    """f's derivative read off realified Jacobian rows in _jacobian's order
+    (head dre, head dze, tail dze): the head re and tail columns, with
+    c_re from the head dre rows."""
+    (n, m), (s, t) = f.domain, f.codomain
+    head, tail = rows[s : 2 * s], rows[2 * s :]
+    return ModuleMap(n, m, s, t, rows[:s, :n], head[:, :n], head[:, 2 * n :], tail[:, :n], tail[:, 2 * n :])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -757,15 +752,14 @@ def cr_check(f: DualFunc, a: DualVector, tol: float = CR_DEFAULT_TOL) -> CrRepor
     realified_jacobian: head re parts driven by ze inputs, mismatch between
     the two copies of the re-to-re block, head re parts driven by tail
     inputs, and tail outputs driven by ze inputs.  When all four stay
-    within tol the surviving blocks assemble the derivative map.  Raises
-    EvaluationFailed when f cannot be evaluated at a, or its Jacobian or a
-    residual there is not finite, and ValueError when tol is not finite or
-    below 0.  The derivative pass is kept per point, so forward_derivative
-    or realified_jacobian at a afterwards does not walk again.
+    within tol, the derivative is read off the head re and tail columns as
+    forward_derivative reads it.  Raises EvaluationFailed when f cannot be
+    evaluated at a, or its Jacobian or a residual there is not finite, and
+    ValueError when tol is not finite or below 0.  The derivative pass is
+    kept per point, so forward_derivative or realified_jacobian at a
+    afterwards does not walk again.
     """
     valid_bound(tol, "block tolerance")
-    n, m = f.domain
-    s, t = f.codomain
     try:
         jac, values = _finite_pass(f, a)
     except NotInvertible as exc:
@@ -774,11 +768,7 @@ def cr_check(f: DualFunc, a: DualVector, tol: float = CR_DEFAULT_TOL) -> CrRepor
         raise EvaluationFailed("the block residuals at the point are not finite")
     residuals = dict(zip(_RESIDUAL_KEYS, values))
     passed = all(r <= tol for r in values)
-    deriv = None
-    if passed:
-        # halved before the sum, so copies near the float limit stay finite
-        c_re = 0.5 * jac[:s, :n] + 0.5 * jac[s : 2 * s, n : 2 * n]
-        deriv = ModuleMap(n, m, s, t, c_re, *_blocks(jac, n, s))
+    deriv = _derivative(jac, f) if passed else None
     return CrReport(point=a, passed=passed, residuals=residuals, derivative=deriv)
 
 
@@ -850,12 +840,11 @@ def forward_derivative(f: DualFunc, a: DualVector) -> ModuleMap:
     realified_jacobian raises at a (NotInvertible, then EvaluationFailed),
     then NonSmoothExpression unless all four block residuals are exactly
     0.0, that is unless the Jacobian has a module map's block pattern."""
-    (n, m), (s, t) = f.domain, f.codomain
     rows, values = _finite_pass(f, a)
     for key, r in zip(_RESIDUAL_KEYS, values):
         if r:
             raise NonSmoothExpression("not differentiable in the dual sense at the point: %s residual %g" % (key, r))
-    return ModuleMap(n, m, s, t, rows[:s, :n], *_blocks(rows, n, s))
+    return _derivative(rows, f)
 
 
 def compose_funcs(outer: DualFunc, inner: DualFunc) -> DualFunc:
@@ -875,10 +864,6 @@ def compose_funcs(outer: DualFunc, inner: DualFunc) -> DualFunc:
             repl = e
         elif e.op == "coord":
             repl = inner.components[e.slot if e.part == "head" else s_in + e.slot]
-            if e.component == "re":
-                repl = re_part(repl)
-            elif e.component == "ze":
-                repl = ze_part(repl)
         else:
             repl = Expr(e.op, tuple(new[id(a)] for a in e.args))
         new[id(e)] = repl

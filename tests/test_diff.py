@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import pathlib
 import time
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from dualmod import core, diff, linalg, sampling
+from dualmod import core, diff, linalg, manifold, sampling
 from dualmod.core import EPS, ONE, ZERO, DualNumber, NotInvertible, ShapeMismatch, vector
 from dualmod.diff import (
     CrReport,
@@ -64,6 +65,14 @@ class TestEval:
     def test_tail_ze_coord_reads_real(self):
         e = coord("tail", 0, "ze")
         assert diff.eval_expr(e, core.vector([], [3.0])) == DualNumber(3.0, 0.0)
+
+    def test_sharp_of_a_large_ze_part_is_finite(self):
+        # sharp is (0.0, re), with no 0.0 * ze term, which is NaN where
+        # the argument's ze part overflows to inf
+        f = DualFunc((1, 0), (0, 1), (sharp_expr(inv_expr(head_coord(0))),))
+        a = vector([(1e-5, 1e300)], [])
+        assert diff.eval_func(f, a).tail == (99999.99999999999,)
+        assert np.isfinite(diff.realified_jacobian(f, a)).all()
 
     def test_tail_component_must_be_zero_divisor(self):
         f = DualFunc((1, 0), (0, 1), (head_coord(0),))
@@ -258,8 +267,16 @@ class TestRealifiedJacobian:
         with pytest.raises(EvaluationFailed, match="residuals at the point are not finite"):
             diff.cr_check(f, a)
 
+    def test_subnormal_derivative_entry_is_kept(self):
+        # c_re is the head dre block itself, so an odd subnormal entry
+        # is not halved away
+        f = DualFunc((1, 0), (1, 0), (const(5e-324) * head_coord(0),))
+        a = vector([(0.5, 0.25)], [])
+        assert diff.cr_check(f, a, tol=0.0).derivative.c_re[0, 0] == 5e-324
+        assert diff.forward_derivative(f, a).c_re[0, 0] == 5e-324
+
     def test_derivative_near_float_limit_is_finite(self):
-        # averaging the two re-to-re copies must not overflow to inf
+        # c_re near the float limit stays finite
         f = DualFunc((1, 0), (1, 0), (const(1.7e308) * head_coord(0),))
         report = diff.cr_check(f, vector([DualNumber(0.5, 0.1)], []))
         assert report.passed
@@ -724,11 +741,65 @@ def test_one_single_point_derivative_pass():
     }
 
 
+def _mentions(path, name):
+    """The functions (as Class.function, or the class or None outside any
+    function) whose code uses the identifier name."""
+    found = set()
+
+    def visit(node, owner, cls):
+        if isinstance(node, ast.ClassDef):
+            owner = cls = node.name
+        elif isinstance(node, ast.FunctionDef):
+            owner = "%s.%s" % (cls, node.name) if cls else node.name
+        if name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "arg", None)):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, cls)
+
+    visit(ast.parse(path.read_text()), None, None)
+    return found
+
+
+def test_one_projection_form():
+    """A coord is always a full coord: only coord and Expr.from_json deal
+    with a component, Expr has no such field, and every lowered coord reads
+    the realified columns of both parts (a tail's re part is zero)."""
+    root = pathlib.Path(diff.__file__).parent
+    users = {(p.stem, owner) for p in root.rglob("*.py") for owner in _mentions(p, "component")}
+    assert ("diff", "coord") in users and users <= {("diff", "coord"), ("diff", "Expr.from_json")}
+    assert "component" not in {f.name for f in dataclasses.fields(Expr)}
+    comps = (coord("head", 1, "re"), coord("head", 0, "ze"), coord("tail", 1, "ze"), head_coord(1) * tail_coord(0))
+    funcs = [DualFunc((2, 2), (4, 0), comps), manifold._template(2, 3, False, False), manifold.transition(0, 1, 2, 0, 2, 2)]
+    for f in funcs:
+        n, m = f.domain
+        full = {(i, n + i) for i in range(n)} | {(None, 2 * n + j) for j in range(m)}
+        assert {payload for op, _, payload, _ in f._nodes if op == "coord"} <= full
+
+
+def test_one_derivative_reading():
+    """cr_check and forward_derivative read a derivative off the pass's
+    rows through one _derivative; the block splitter and the averaged
+    re-to-re copies are gone."""
+    root = pathlib.Path(diff.__file__).parent
+    defined = {n.name for p in root.rglob("*.py") for n in ast.walk(ast.parse(p.read_text())) if isinstance(n, ast.FunctionDef)}
+    assert "_blocks" not in defined
+    users = {(p.stem, owner) for p in root.rglob("*.py") for owner in _mentions(p, "_derivative")}
+    assert users == {("diff", "cr_check"), ("diff", "forward_derivative")}
+
+
 class TestConstruction:
     def test_coord_slots_checked_against_domain(self):
         for e in (coord("head", 3), tail_coord(0), sharp_expr(coord("head", 1, "ze"))):
             with pytest.raises(ShapeMismatch):
                 DualFunc((1, 0), (1, 0), (e,))
+
+    def test_const_refuses_non_numbers(self):
+        for bad in (None, "a", (1.0, 2.0), [1.0], np.zeros(2)):
+            with pytest.raises(TypeError, match="cannot treat"):
+                const(bad)
+            with pytest.raises(TypeError, match="cannot treat"):
+                head_coord(0) + bad
+        assert const(2) == const(2.0) == const(DualNumber(2.0, 0.0))
 
     def test_shapes_must_be_integers(self):
         for domain in ((1.7, 0), (1.0, 0), (True, 0), (1,), (-1, 0)):
@@ -1031,7 +1102,8 @@ def _bits(result):
 def _reference_report(f, a):
     """cr_check's outcome at a point where the pass completes, rebuilt
     from the batched _jacobian (_jacobian_row) with _residuals: residuals,
-    verdict and derivative, or the message of the EvaluationFailed."""
+    verdict and derivative (c_re from the head dre rows), or the message of
+    the EvaluationFailed."""
     (n, m), (s, t) = f.domain, f.codomain
     jac = _jacobian_row(f, a)
     if not np.isfinite(jac).all():
@@ -1041,9 +1113,8 @@ def _reference_report(f, a):
         if not np.isfinite(values).all():
             return "the block residuals at the point are not finite"
         passed = max(values) <= diff.CR_DEFAULT_TOL
-        c_re = 0.5 * jac[:s, :n] + 0.5 * jac[s : 2 * s, n : 2 * n]
-        blocks = (jac[s : 2 * s, :n], jac[s : 2 * s, 2 * n :], jac[2 * s :, :n], jac[2 * s :, 2 * n :])
-    return values, passed, linalg.ModuleMap(n, m, s, t, c_re, *blocks) if passed else None
+        blocks = (jac[:s, :n], jac[s : 2 * s, :n], jac[s : 2 * s, 2 * n :], jac[2 * s :, :n], jac[2 * s :, 2 * n :])
+    return values, passed, linalg.ModuleMap(n, m, s, t, *blocks) if passed else None
 
 
 def _assert_exact_block_test(f, points):
@@ -1361,6 +1432,23 @@ class TestComposeAndJson:
             (1, 1), (1, 1), (head_coord(0), sharp_expr(tail_coord(0)))
         )
         assert DualFunc.from_json(f.to_json()) == f
+
+    def test_component_coords_read_as_projections(self):
+        # a component coord is re_part or ze_part of the full coord, and
+        # JSON with a component reads back as that form
+        forms = {
+            ("head", "re"): re_part(head_coord(0)),
+            ("head", "ze"): ze_part(head_coord(0)),
+            ("tail", "ze"): ze_part(tail_coord(0)),
+        }
+        for (part, component), want in forms.items():
+            doc = {"op": "coord", "part": part, "slot": 0, "component": component}
+            assert coord(part, 0, component) == Expr.from_json(doc) == want
+            assert Expr.from_json(want.to_json()) == want
+        assert coord("head", 0, "full") == Expr.from_json({"op": "coord", "part": "head", "slot": 0}) == head_coord(0)
+        for part, component in (("head", "dual"), ("tail", "re"), ("tail", None)):
+            with pytest.raises(ValueError, match="component must be"):
+                coord(part, 0, component)
 
     def test_bad_json(self):
         with pytest.raises(ValueError):

@@ -931,6 +931,23 @@ class TestTransitionTemplates:
         assert inside.tolist() == (~_eval_batch(own, images)[1]).tolist()
         assert inside.tolist() == [in_transition_domain(own, unrealify(u, n, m)) for u in images]
 
+    def test_transition_jacobian_is_pinned(self):
+        # the tail coefficients enter as ze_part of full tail coords; the
+        # values and the Jacobian must keep these floats bit for bit
+        f = transition(0, 0, 1, 1, 2, 2)
+        a = vector([(0.75, -0.5), (1.25, 0.375)], [0.625, -1.5])
+        jac = [
+            [-1.7777777777777777, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [-2.2222222222222223, 1.3333333333333333, 0.0, 0.0, 0.0, 0.0],
+            [-2.3703703703703702, 0.0, -1.7777777777777777, 0.0, 0.0, 0.0],
+            [-3.6296296296296293, 0.8888888888888888, -2.2222222222222223, 1.3333333333333333, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, -2.5600000000000005, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 3.8400000000000007, 1.6],
+        ]
+        values = [1.3333333333333333, 1.6666666666666665, 0.8888888888888888, 1.6111111111111112, 1.6, -2.4000000000000004]
+        assert diff.realified_jacobian(f, a).tobytes() == np.array(jac).tobytes()
+        assert eval_func(f, a).array.tobytes() == np.array(values).tobytes()
+
     @pytest.mark.parametrize("n,m", list(itertools.product(range(4), repeat=2)))
     def test_templates_are_proved(self, n, m):
         for same_head, same_tail in itertools.product((True, False), repeat=2):
