@@ -5,11 +5,12 @@ the first s give the head values, the rest give the tail entries and must
 evaluate to zero divisors (their ze part is the stored tail coefficient).
 
 Every DualFunc lowers its components once, when it is built, to a list of
-unique nodes (a subtree shared between components or paths appears once),
-and every evaluation is a loop over that list, never a recursion; the node
-list is private to this module.  One value loop serves floats for one point
-and arrays for a batch of points; limit_check and numeric_jacobian evaluate
-all their probes in one batch.  Both batch loops, values and Jacobian, share
+unique nodes (a subtree shared between components or paths appears once,
+and so does each input slot), and every evaluation is a loop over that
+list, never a recursion; the node list is private to this module.
+compose_funcs splices its parts' lists instead of lowering again.  One
+value loop serves floats for one point and arrays for a batch of points;
+limit_check and numeric_jacobian evaluate all their probes in one batch.  Both batch loops, values and Jacobian, share
 one failure contract: one point raises where an inverse meets a re part
 within tolerance of zero or a tail output is not a zero divisor, while a
 batch marks such points in a mask and carries on.  A batch row does the
@@ -38,6 +39,7 @@ numeric_jacobian is the central-difference oracle for both derivatives.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +85,7 @@ class NonSmoothExpression(ValueError):
     """The realified Jacobian at a point is not that of a module map."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Expr:
     op: str
     args: tuple["Expr", ...] = ()
@@ -122,6 +124,42 @@ class Expr:
     def __neg__(self):
         return Expr("neg", (self,))
 
+    def __eq__(self, other):
+        """The dataclass equality, field by field down the tree, as a loop
+        over the pairs of nodes: a pair met before, or of one node twice,
+        is not compared again, so shared subtrees cost one visit and depth
+        is not limited by recursion."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        seen = set()
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x is y or (id(x), id(y)) in seen:
+                continue
+            seen.add((id(x), id(y)))
+            if y.__class__ is not x.__class__ or (x.op, x.part, x.slot, len(x.args)) != (y.op, y.part, y.slot, len(y.args)):
+                return False
+            if not (x.value is y.value or x.value == y.value):
+                return False
+            stack.extend(zip(x.args, y.args))
+        return True
+
+    def __hash__(self):
+        """A hash of the fields with each argument's hash in its place,
+        computed once per node in a loop, so equal expressions hash equal."""
+        memo = {}
+        stack = [self]
+        while stack:
+            e = stack[-1]
+            todo = [a for a in e.args if id(a) not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            memo[id(e)] = hash((e.op, tuple([memo[id(a)] for a in e.args]), e.value, e.part, e.slot))
+        return memo[id(self)]
+
     def to_json(self) -> dict:
         if self.op == "const":
             return {"op": "const", "value": self.value.to_json()}
@@ -153,8 +191,9 @@ def _as_expr(x) -> Expr:
 
 
 def const(x) -> Expr:
-    """A constant from a DualNumber, or from a real number as its re part."""
-    if isinstance(x, (int, float)):
+    """A constant from a DualNumber, or from a real number (numpy's
+    included) as its re part."""
+    if isinstance(x, numbers.Real):
         x = DualNumber(float(x), 0.0)
     elif not isinstance(x, DualNumber):
         raise TypeError("cannot treat %r as an expression" % (x,))
@@ -218,9 +257,8 @@ class DualFunc:
                 % (self.codomain, s + t, len(self.components))
             )
         # not dataclass fields, so eq, hash, repr and JSON ignore them
-        nodes, outputs = lower(self.components, self.domain)
-        object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_outputs", outputs)
+        nodes, outputs, exprs = lower(self.components, self.domain)
+        vars(self).update(_nodes=nodes, _outputs=outputs, _exprs=exprs)
 
     to_json = json_writer("domain", "codomain", "components")
 
@@ -238,59 +276,76 @@ def _shape(value, what: str) -> tuple[int, int]:
     return shape
 
 
-def lower(exprs, domain: tuple[int, int]) -> tuple[tuple, tuple[int, ...]]:
-    """The unique nodes under exprs in topological order, and the roots'
-    positions among them.
+def lower(exprs, domain: tuple[int, int]) -> tuple[tuple, tuple[int, ...], tuple[Expr, ...]]:
+    """The unique nodes under exprs in topological order, the roots'
+    positions among them, and each node's expression.
 
     Each node is (op, argument positions, payload, freed): a const carries
     (re, ze), a coord the realified input columns of its re and ze parts
     (None for a tail's re part, which is zero), and freed lists the
-    arguments no later node reads, so a walk can drop their values.  Raises
-    ShapeMismatch for a coord slot outside domain.
+    arguments no later node reads, so a walk can drop their values.  Nodes
+    are told apart by identity, so a subtree that transition reuses is one
+    node, except that all coords of one input slot are one node.  An
+    explicit stack replaces recursion.  Raises ShapeMismatch for a coord
+    slot outside domain.
     """
     n, m = domain
-    pos = {}
-    nodes = []
-    for e in _postorder(exprs):
-        pos[id(e)] = len(nodes)
-        nodes.append((e.op, tuple([pos[id(a)] for a in e.args]), _payload(e, n, m)))
-    roots = tuple([pos[id(e)] for e in exprs])
-    alive = set(roots)  # read by a later node, or an output
-    for k in range(len(nodes) - 1, -1, -1):
-        freed = []
-        for a in nodes[k][1]:
-            if a not in alive:
-                alive.add(a)
-                freed.append(a)
-        nodes[k] += (tuple(freed),)
-    return tuple(nodes), roots
-
-
-def _postorder(exprs) -> list[Expr]:
-    """Every node under exprs once, arguments before their users: nodes are
-    told apart by identity, so a subtree that compose_funcs or transition
-    reuses is visited once, and an explicit stack replaces recursion."""
-    seen = set()
-    order = []
+    pos, slots = {}, {}  # expression id, or a coord's (part, slot), -> node
+    nodes, order = [], []
     stack = [(e, False) for e in reversed(exprs)]
     while stack:
         e, ready = stack.pop()
-        if id(e) in seen:
+        if ready:  # its arguments are nodes by now
+            pos[id(e)] = len(nodes)
+            nodes.append((e.op, tuple([pos[id(a)] for a in e.args]), None))
+            order.append(e)
+        elif id(e) in pos:
             continue
-        if not ready:
+        elif e.args:
             stack.append((e, True))
-            stack.extend((a, False) for a in reversed(e.args))
-            continue
-        seen.add(id(e))
-        order.append(e)
-    return order
+            stack.extend([(a, False) for a in reversed(e.args)])
+        elif e.op == "coord" and (e.part, e.slot) in slots:
+            pos[id(e)] = slots[e.part, e.slot]
+        else:
+            if e.op == "coord":
+                slots[e.part, e.slot] = len(nodes)
+            pos[id(e)] = len(nodes)
+            nodes.append((e.op, (), _payload(e, n, m)))
+            order.append(e)
+    return _link(nodes, order, [pos[id(e)] for e in exprs])
+
+
+def _link(nodes, order, roots) -> tuple[tuple, tuple[int, ...], tuple[Expr, ...]]:
+    """A lowered list from nodes (op, argument positions, payload) in
+    topological order, their expressions and the roots' positions: one
+    backward pass gives each node the arguments no later node reads
+    (freed) and drops the nodes no root reads, and the kept nodes are
+    renumbered in order when some were dropped."""
+    alive = set(roots)  # read by a later node, or an output
+    linked = [None] * len(nodes)
+    for k in range(len(nodes) - 1, -1, -1):
+        if k in alive:
+            op, args, payload = nodes[k]
+            freed = []
+            for a in args:
+                if a not in alive:
+                    alive.add(a)
+                    freed.append(a)
+            linked[k] = (op, args, payload, tuple(freed))
+    if len(alive) == len(nodes):
+        return tuple(linked), tuple(roots), tuple(order)
+    new = {}
+    for k, node in enumerate(linked):
+        if node is not None:
+            new[k] = len(new)
+    kept = [(op, tuple([new[a] for a in args]), payload, tuple([new[a] for a in freed])) for op, args, payload, freed in filter(None, linked)]
+    return tuple(kept), tuple([new[r] for r in roots]), tuple([order[k] for k in new])
 
 
 def _payload(e: Expr, n: int, m: int):
+    """A leaf's payload (see lower)."""
     if e.op == "const":
         return (e.value.re, e.value.ze)
-    if e.op != "coord":
-        return None
     # realified input: head re parts, head ze parts, tail coefficients
     if e.part == "head":
         if e.slot >= n:
@@ -850,24 +905,44 @@ def forward_derivative(f: DualFunc, a: DualVector) -> ModuleMap:
 def compose_funcs(outer: DualFunc, inner: DualFunc) -> DualFunc:
     """Substitute inner's components into outer's coordinate leaves.
 
-    Each node of outer gets one replacement, built once, so nodes that
-    outer shares stay shared and repeated composition grows linearly."""
+    The composite's node list is spliced, not lowered again: inner's nodes
+    as they are, then outer's, renumbered, with each coord read as inner's
+    output for its slot and a const that is already one of inner's nodes
+    read as that node; inner nodes that nothing reads are dropped, since
+    they could fail.  Every node keeps its float operations.  Each node of
+    outer gets one replacement expression, built once, so nodes that outer
+    shares stay shared and repeated composition grows linearly."""
     if inner.codomain != outer.domain:
         raise ShapeMismatch(
             "cannot compose: inner codomain %r != outer domain %r"
             % (inner.codomain, outer.domain)
         )
     s_in = inner.codomain[0]
-    new: dict[int, Expr] = {}
-    for e in _postorder(outer.components):
-        if e.op == "const":
-            repl = e
-        elif e.op == "coord":
-            repl = inner.components[e.slot if e.part == "head" else s_in + e.slot]
+    nodes = [node[:3] for node in inner._nodes]
+    order = list(inner._exprs)
+    shared = {id(e): k for k, e in enumerate(order) if e.op == "const"}
+    pos, repl = [], []  # per outer node: its composite node and expression
+    for (op, args, payload, _), e in zip(outer._nodes, outer._exprs):
+        if op == "coord":
+            slot = e.slot if e.part == "head" else s_in + e.slot
+            k, e = inner._outputs[slot], inner.components[slot]
+        elif op == "const" and id(e) in shared:
+            k = shared[id(e)]
         else:
-            repl = Expr(e.op, tuple(new[id(a)] for a in e.args))
-        new[id(e)] = repl
-    return DualFunc(inner.domain, outer.codomain, tuple(new[id(c)] for c in outer.components))
+            k = len(nodes)
+            if op != "const":
+                e = Expr(op, tuple([repl[a] for a in args]))
+                args = tuple([pos[a] for a in args])
+            nodes.append((op, args, payload))
+            order.append(e)
+        pos.append(k)
+        repl.append(e)
+    nodes, outputs, order = _link(nodes, order, [pos[p] for p in outer._outputs])
+    f = object.__new__(DualFunc)  # already lowered: no __post_init__
+    components = tuple([repl[p] for p in outer._outputs])
+    vars(f).update(domain=inner.domain, codomain=outer.codomain, components=components)
+    vars(f).update(_nodes=nodes, _outputs=outputs, _exprs=order)
+    return f
 
 
 def func_from_module_map(lam: ModuleMap) -> DualFunc:

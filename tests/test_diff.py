@@ -465,8 +465,8 @@ class TestNodeListEvaluation:
     def test_lowering_marks_dead_values(self):
         x = head_coord(0)
         y = x * x
-        nodes, roots = diff.lower((y + y, y), (1, 0))
-        assert roots == (2, 1)
+        nodes, roots, exprs = diff.lower((y + y, y), (1, 0))
+        assert roots == (2, 1) and exprs[1:] == (y, y + y) and exprs[2].args[0] is y
         # y stays alive as a root; x dies at y
         assert [freed for *_, freed in nodes] == [(), (0,), ()]
 
@@ -787,6 +787,57 @@ def test_one_derivative_reading():
     assert users == {("diff", "cr_check"), ("diff", "forward_derivative")}
 
 
+def test_compose_splices_and_lower_is_the_one_walk(monkeypatch):
+    """compose_funcs builds its node list from its parts' lists: it reads
+    no lower and no tree walk, _postorder is gone, and only DualFunc's
+    constructor lowers."""
+    path = pathlib.Path(diff.__file__)
+    defined = {n.name for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.FunctionDef)}
+    assert "_postorder" not in defined and "compose_funcs" in defined
+    assert _mentions(path, "lower") == {"DualFunc.__post_init__"}
+    f = sampling.random_func(np.random.default_rng(6), (2, 1), (2, 1), 4)
+    monkeypatch.setattr(diff, "lower", None)  # any lowering would fail
+    assert diff.compose_funcs(f, f).components[0] is not None
+
+
+class TestExprEquality:
+    """Expr's == and hash are the dataclass's, field by field down the
+    tree, but loops over the DAG: depth is not limited by recursion, and
+    shared subtrees cost one visit."""
+
+    @staticmethod
+    def _sum(depth, last=1.0):
+        e = head_coord(0)
+        for k in range(depth):
+            e = e + (last if k == 0 else 1.0)
+        return e
+
+    @pytest.mark.parametrize("depth", [3000, 20000])
+    def test_deep_sums_compare_and_hash(self, depth):
+        a, b = self._sum(depth), self._sum(depth)
+        assert a == b and hash(a) == hash(b)
+        assert a != self._sum(depth - 1) and a != self._sum(depth, last=2.0)
+        assert DualFunc((1, 0), (1, 0), (a,)) == DualFunc((1, 0), (1, 0), (b,))
+
+    def test_shared_chains_compare_in_linear_time(self):
+        a, b = _doubling_chain(18).components[0], _doubling_chain(18).components[0]
+        start = time.perf_counter()
+        assert a == b
+        assert time.perf_counter() - start < 0.01
+        assert hash(a) == hash(b)
+
+    def test_dataclass_semantics(self):
+        x = head_coord(0)
+        assert x.__eq__(1.0) is NotImplemented and x != 1.0 and x != "x"
+        assert x == coord("head", 0) and x != head_coord(1) and x != tail_coord(0)
+        nan = const(float("nan"))
+        assert nan == nan and nan * x == nan * x  # the identity shortcut
+        # DualNumber's ==: 0.0 == -0.0, and the hashes agree
+        pos, neg = const(DualNumber(0.0, 1.0)) * x, const(DualNumber(-0.0, 1.0)) * x
+        assert pos == neg and hash(pos) == hash(neg)
+        assert inv_expr(x) != sharp_expr(x) and {inv_expr(x), inv_expr(head_coord(0))} == {inv_expr(x)}
+
+
 class TestConstruction:
     def test_coord_slots_checked_against_domain(self):
         for e in (coord("head", 3), tail_coord(0), sharp_expr(coord("head", 1, "ze"))):
@@ -794,12 +845,16 @@ class TestConstruction:
                 DualFunc((1, 0), (1, 0), (e,))
 
     def test_const_refuses_non_numbers(self):
-        for bad in (None, "a", (1.0, 2.0), [1.0], np.zeros(2)):
+        for bad in (None, "a", (1.0, 2.0), [1.0], np.zeros(2), 1j, np.complex128(1.0), np.bool_(True)):
             with pytest.raises(TypeError, match="cannot treat"):
                 const(bad)
             with pytest.raises(TypeError, match="cannot treat"):
                 head_coord(0) + bad
         assert const(2) == const(2.0) == const(DualNumber(2.0, 0.0))
+        # any real number, numpy's scalars included
+        for x in (np.int64(2), np.float32(0.5), np.float64(0.25), True):
+            assert const(x) == const(DualNumber(float(x), 0.0))
+            assert head_coord(0) * x == head_coord(0) * const(float(x))
 
     def test_shapes_must_be_integers(self):
         for domain in ((1.7, 0), (1.0, 0), (True, 0), (1,), (-1, 0)):
@@ -1016,18 +1071,19 @@ _RING_COORD = st.one_of(
 
 
 @st.composite
-def ring_programs(draw):
-    """A function of ring ops and full coords on a drawn domain, and four
-    points.  Straight-line programs share subtrees; repeated squaring,
-    unshifted inverses and coordinates up to 1e200, or at the default zero
-    tolerance 1e-9, make some Jacobians non-finite and some inverses
-    singular.  Tail outputs are sharp-wrapped or not, so some functions
-    are proved and some are not.  Nodes are drawn by index: hashing a
-    squaring chain, as sampled_from does, walks every path."""
-    n, m = draw(st.sampled_from([(1, 0), (1, 1), (2, 1), (0, 2), (2, 0)]))
+def ring_programs(draw, domain=None, shared=()):
+    """A function of ring ops and full coords on a drawn domain (or on
+    domain), and four points.  Straight-line programs share subtrees;
+    repeated squaring, unshifted inverses and coordinates up to 1e200, or
+    at the default zero tolerance 1e-9, make some Jacobians non-finite and
+    some inverses singular.  Tail outputs are sharp-wrapped or not, so some
+    functions are proved and some are not.  Nodes are drawn by index, and
+    the shared nodes (another function's constants) are among them."""
+    n, m = domain or draw(st.sampled_from([(1, 0), (1, 1), (2, 1), (0, 2), (2, 0)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     nodes = [head_coord(i) for i in range(n)] + [tail_coord(j) for j in range(m)]
     nodes += [const(DualNumber(0.0, 0.7)), const(DualNumber(1.3, 0.0)), const(DualNumber(-0.4, 1e200))]
+    nodes += shared
     nodes += [sampling.random_expr(rng, n, m, 3) for _ in range(2)]
 
     def pick(first=0):  # mostly the last steps, for first > 0
@@ -1336,6 +1392,80 @@ class TestRingPass:
             core.set_default_tol(core.DEFAULT_TOL)
         w = 1.0 / 0.3
         assert diff.forward_derivative(inverse, a).head_entry(0, 0).re == -w * w
+
+
+@st.composite
+def spliced_pairs(draw):
+    """An outer and an inner function that compose, and four points of
+    inner's domain: inner from ring_programs or classed_programs, outer a
+    ring program on inner's codomain that may read inner's constants."""
+    if draw(st.booleans()):
+        inner, points = draw(ring_programs())
+    else:
+        inner, _, points = draw(classed_programs())
+    shared = [e for e in inner._exprs if e.op == "const"]
+    outer, _ = draw(ring_programs(inner.codomain, shared))
+    return outer, inner, points
+
+
+def _result_bits(call, f, a):
+    """call(f, a) as bytes (a CrReport as _bits), or the type and message
+    of what it raises."""
+    got = _outcome(call, f, a)
+    if isinstance(got, CrReport):
+        return _bits(got)
+    if isinstance(got, core.DualVector):
+        return got.array.tobytes()
+    return got if isinstance(got, tuple) else got.tobytes()
+
+
+class TestSplice:
+    """compose_funcs splices its parts' node lists; the composite computes
+    what a fresh lowering of its components computes, bit for bit."""
+
+    @_PROGRAM_SETTINGS
+    @given(spliced_pairs())
+    def test_splice_equals_a_fresh_lowering(self, case):
+        outer, inner, points = case
+        comp = diff.compose_funcs(outer, inner)
+        fresh = DualFunc(inner.domain, outer.codomain, comp.components)
+        assert len(comp._nodes) == len(fresh._nodes)
+        rows = np.array([x.array for x in points])
+        for batch in (diff._eval_batch, diff._cr_rows):
+            for got, want in zip(batch(comp, rows), batch(fresh, rows)):
+                assert got.tobytes() == want.tobytes()
+        for x in points:
+            for call in (diff.eval_func, diff.realified_jacobian, diff.cr_check):
+                assert _result_bits(call, comp, x) == _result_bits(call, _copy(fresh), x)
+
+    def test_dead_inner_nodes_are_dropped(self):
+        # outer never reads inner's second output, which cannot be evaluated
+        x = head_coord(0)
+        inner = DualFunc((1, 0), (2, 0), (x, inv_expr(const(0.0) * x)))
+        outer = DualFunc((2, 0), (1, 0), (head_coord(0),))
+        comp = diff.compose_funcs(outer, inner)
+        a = vector([DualNumber(0.5, 0.25)], [])
+        assert diff.eval_func(comp, a) == a and len(comp._nodes) == 1
+
+    def test_a_const_shared_with_inner_outlives_inner_reads(self):
+        # outer reads c after inner's last read of it: c is freed only there
+        c, x = const(DualNumber(2.0, 0.5)), head_coord(0)
+        inner = DualFunc((1, 0), (1, 0), (c * x,))
+        outer = DualFunc((1, 0), (1, 0), (x * c + x,))
+        comp = diff.compose_funcs(outer, inner)
+        assert len(comp._nodes) == 5  # x, c, c * x, then outer's mul and add
+        a = vector([DualNumber(0.5, 0.25)], [])
+        assert diff.eval_func(comp, a) == diff.eval_func(outer, diff.eval_func(inner, a))
+        assert comp.components == (inner.components[0] * c + inner.components[0],)
+
+    def test_one_node_per_input_slot(self):
+        # coords built apart are one node per (part, slot), also in composites
+        f = DualFunc((2, 1), (2, 1), (head_coord(0) * head_coord(0), head_coord(1) + head_coord(0), sharp_expr(tail_coord(0)) + tail_coord(0)))
+        funcs = [f, diff.compose_funcs(f, f), manifold.transition(0, 1, 2, 0, 2, 2), sampling.random_func(np.random.default_rng(5), (2, 2), (1, 1), 6)]
+        for g in funcs:
+            columns = [payload for op, _, payload, _ in g._nodes if op == "coord"]
+            assert len(columns) == len(set(columns))
+        assert len(f._nodes) == 3 + 4
 
 
 def _tame(f, a, margin=0.5, cap=10.0):
