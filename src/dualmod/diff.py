@@ -6,16 +6,18 @@ evaluate to zero divisors (their ze part is the stored tail coefficient).
 
 Every DualFunc lowers its components once, when it is built, to a list of
 unique nodes (a subtree shared between components or paths appears once,
-and so does each input slot), and every evaluation is a loop over that
-list, never a recursion; the node list is private to this module.
-compose_funcs splices its parts' lists instead of lowering again.  One
-value loop serves floats for one point and arrays for a batch of points;
-limit_check and numeric_jacobian evaluate all their probes in one batch.  Both batch loops, values and Jacobian, share
-one failure contract: one point raises where an inverse meets a re part
-within tolerance of zero or a tail output is not a zero divisor, while a
-batch marks such points in a mask and carries on.  A batch row does the
-same float operations as its point, so a caller that needs the exception
-replays only the first marked row.
+and so does each input slot).  The node list is the function: it is all a
+DualFunc keeps, components is read back from it on first use, and every
+evaluation is a loop over it, never a recursion; it is private to this
+module.  compose_funcs splices its parts' lists instead of lowering again
+and builds no expression.  One value loop serves floats for one point and
+arrays for a batch of points; limit_check and numeric_jacobian evaluate
+all their probes in one batch.  Both batch loops, values and Jacobian,
+share one failure contract: one point raises where an inverse meets a re
+part within tolerance of zero or a tail output is not a zero divisor,
+while a batch marks such points in a mask and carries on.  A batch row
+does the same float operations as its point, so a caller that needs the
+exception replays only the first marked row.
 
 Smooth functions of dual arguments have realified Jacobians with the forced
 block pattern of a module map.  One derivative pass per point (_pass) gives
@@ -240,7 +242,9 @@ def ze_part(a) -> Expr:
 
 @dataclass(frozen=True)
 class DualFunc:
-    """s + t component expressions between split shapes."""
+    """s + t component expressions between split shapes, kept only as
+    their node list (see lower); components is read back from it on first
+    use, equal to the expressions given but not them."""
 
     domain: tuple[int, int]
     codomain: tuple[int, int]
@@ -249,16 +253,36 @@ class DualFunc:
     def __post_init__(self):
         object.__setattr__(self, "domain", _shape(self.domain, "domain"))
         object.__setattr__(self, "codomain", _shape(self.codomain, "codomain"))
-        object.__setattr__(self, "components", tuple(self.components))
+        components = tuple(vars(self).pop("components"))
         s, t = self.codomain
-        if len(self.components) != s + t:
+        if len(components) != s + t:
             raise ShapeMismatch(
                 "codomain %r needs %d components, got %d"
-                % (self.codomain, s + t, len(self.components))
+                % (self.codomain, s + t, len(components))
             )
         # not dataclass fields, so eq, hash, repr and JSON ignore them
-        nodes, outputs, exprs = lower(self.components, self.domain)
-        vars(self).update(_nodes=nodes, _outputs=outputs, _exprs=exprs)
+        nodes, outputs = lower(components, self.domain)
+        vars(self).update(_nodes=nodes, _outputs=outputs)
+
+    def __getattr__(self, name):
+        """components, rebuilt from the node list and cached: a const from
+        its payload, a coord from its columns, any other op from its
+        arguments' expressions.  No other name is looked up here."""
+        if name != "components":
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        n, exprs = self.domain[0], []
+        for op, args, payload, _ in self._nodes:
+            if op == "const":
+                e = Expr(op, value=DualNumber(*payload))
+            elif op == "coord":
+                r, z = payload
+                e = Expr(op, part="head", slot=r) if r is not None else Expr(op, part="tail", slot=z - 2 * n)
+            else:
+                e = Expr(op, tuple([exprs[a] for a in args]))
+            exprs.append(e)
+        components = tuple([exprs[p] for p in self._outputs])
+        object.__setattr__(self, "components", components)
+        return components
 
     to_json = json_writer("domain", "codomain", "components")
 
@@ -276,9 +300,10 @@ def _shape(value, what: str) -> tuple[int, int]:
     return shape
 
 
-def lower(exprs, domain: tuple[int, int]) -> tuple[tuple, tuple[int, ...], tuple[Expr, ...]]:
-    """The unique nodes under exprs in topological order, the roots'
-    positions among them, and each node's expression.
+def lower(exprs, domain: tuple[int, int]) -> tuple[tuple, tuple[int, ...]]:
+    """The unique nodes under exprs in topological order, and the roots'
+    positions among them: the function itself, from which DualFunc reads
+    its components back.
 
     Each node is (op, argument positions, payload, freed): a const carries
     (re, ze), a coord the realified input columns of its re and ze parts
@@ -291,14 +316,13 @@ def lower(exprs, domain: tuple[int, int]) -> tuple[tuple, tuple[int, ...], tuple
     """
     n, m = domain
     pos, slots = {}, {}  # expression id, or a coord's (part, slot), -> node
-    nodes, order = [], []
+    nodes = []
     stack = [(e, False) for e in reversed(exprs)]
     while stack:
         e, ready = stack.pop()
         if ready:  # its arguments are nodes by now
             pos[id(e)] = len(nodes)
             nodes.append((e.op, tuple([pos[id(a)] for a in e.args]), None))
-            order.append(e)
         elif id(e) in pos:
             continue
         elif e.args:
@@ -311,16 +335,15 @@ def lower(exprs, domain: tuple[int, int]) -> tuple[tuple, tuple[int, ...], tuple
                 slots[e.part, e.slot] = len(nodes)
             pos[id(e)] = len(nodes)
             nodes.append((e.op, (), _payload(e, n, m)))
-            order.append(e)
-    return _link(nodes, order, [pos[id(e)] for e in exprs])
+    return _link(nodes, [pos[id(e)] for e in exprs])
 
 
-def _link(nodes, order, roots) -> tuple[tuple, tuple[int, ...], tuple[Expr, ...]]:
+def _link(nodes, roots) -> tuple[tuple, tuple[int, ...]]:
     """A lowered list from nodes (op, argument positions, payload) in
-    topological order, their expressions and the roots' positions: one
-    backward pass gives each node the arguments no later node reads
-    (freed) and drops the nodes no root reads, and the kept nodes are
-    renumbered in order when some were dropped."""
+    topological order and the roots' positions: one backward pass gives
+    each node the arguments no later node reads (freed) and drops the
+    nodes no root reads, and the kept nodes are renumbered in order when
+    some were dropped."""
     alive = set(roots)  # read by a later node, or an output
     linked = [None] * len(nodes)
     for k in range(len(nodes) - 1, -1, -1):
@@ -333,13 +356,13 @@ def _link(nodes, order, roots) -> tuple[tuple, tuple[int, ...], tuple[Expr, ...]
                     freed.append(a)
             linked[k] = (op, args, payload, tuple(freed))
     if len(alive) == len(nodes):
-        return tuple(linked), tuple(roots), tuple(order)
+        return tuple(linked), tuple(roots)
     new = {}
     for k, node in enumerate(linked):
         if node is not None:
             new[k] = len(new)
     kept = [(op, tuple([new[a] for a in args]), payload, tuple([new[a] for a in freed])) for op, args, payload, freed in filter(None, linked)]
-    return tuple(kept), tuple([new[r] for r in roots]), tuple([order[k] for k in new])
+    return tuple(kept), tuple([new[r] for r in roots])
 
 
 def _payload(e: Expr, n: int, m: int):
@@ -565,13 +588,17 @@ def eval_func(
     return unrealify(out, *f.codomain)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def numeric_jacobian(f: DualFunc, a: DualVector, h: float = FD_DEFAULT_STEP) -> np.ndarray:
     """Central-difference Jacobian on realified coordinates: the oracle for
     realified_jacobian and forward_derivative.
 
     Step per coordinate is h * (1 + |coordinate|); error is O(h**2).  The
     2(2n + m) probes, up then down for each coordinate, run as one batch.
+    Raises ValueError unless h is finite and above 0, and EvaluationFailed
+    where a probe cannot be evaluated or a quotient is not finite.
     """
+    _positive(h, "difference step")
     base = realify(a)
     steps = h * (1.0 + np.abs(base))
     cols = np.arange(base.size)
@@ -581,7 +608,16 @@ def numeric_jacobian(f: DualFunc, a: DualVector, h: float = FD_DEFAULT_STEP) -> 
     fx, _, exc = _eval_rows(f, probes)
     if exc is not None:
         raise EvaluationFailed("jacobian probe failed: %s" % exc)
-    return ((fx[0::2] - fx[1::2]) / (2.0 * steps[:, None])).T
+    jac = ((fx[0::2] - fx[1::2]) / (2.0 * steps[:, None])).T
+    if not np.isfinite(jac).all():
+        raise EvaluationFailed("the difference quotients at the point are not finite")
+    return jac
+
+
+def _positive(x, what: str) -> None:
+    """Raise ValueError naming what unless x is finite and above 0."""
+    if not 0.0 < x < math.inf:
+        raise ValueError("%s must be finite and above 0, got %r" % (what, x))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -865,11 +901,14 @@ def limit_check(
     are taken on realified coordinates.  A base point or probe that cannot
     be evaluated raises EvaluationFailed, naming the first failure in
     (base, level, direction) order.  A tol that is not finite or below 0
-    raises ValueError.
+    raises ValueError, and so does a radius, or a smallest radius
+    radius / 2**(levels - 1), that is not finite and above 0.
     """
     valid_bound(tol, "limit tolerance")
     if samples < 1 or levels < 1:
         raise ValueError("limit_check needs at least one sample and one level")
+    _positive(radius, "limit radius")
+    _positive(math.ldexp(radius, 1 - levels), "smallest limit radius")
     n, m = f.domain
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(samples, 2 * n + m))
@@ -905,13 +944,14 @@ def forward_derivative(f: DualFunc, a: DualVector) -> ModuleMap:
 def compose_funcs(outer: DualFunc, inner: DualFunc) -> DualFunc:
     """Substitute inner's components into outer's coordinate leaves.
 
-    The composite's node list is spliced, not lowered again: inner's nodes
-    as they are, then outer's, renumbered, with each coord read as inner's
-    output for its slot and a const that is already one of inner's nodes
-    read as that node; inner nodes that nothing reads are dropped, since
-    they could fail.  Every node keeps its float operations.  Each node of
-    outer gets one replacement expression, built once, so nodes that outer
-    shares stay shared and repeated composition grows linearly."""
+    The composite's node list is spliced from its parts' lists; no Expr is
+    built.  It holds inner's nodes as they are, then outer's, renumbered,
+    with each coord read as inner's output for its slot and a const whose
+    payload is the very tuple of one of inner's consts read as that node
+    (as when a composite is composed again with one of its parts); inner
+    nodes that nothing reads are dropped, since they could fail.  Every
+    node keeps its float operations, so nodes that outer shares stay shared
+    and repeated composition grows linearly."""
     if inner.codomain != outer.domain:
         raise ShapeMismatch(
             "cannot compose: inner codomain %r != outer domain %r"
@@ -919,29 +959,21 @@ def compose_funcs(outer: DualFunc, inner: DualFunc) -> DualFunc:
         )
     s_in = inner.codomain[0]
     nodes = [node[:3] for node in inner._nodes]
-    order = list(inner._exprs)
-    shared = {id(e): k for k, e in enumerate(order) if e.op == "const"}
-    pos, repl = [], []  # per outer node: its composite node and expression
-    for (op, args, payload, _), e in zip(outer._nodes, outer._exprs):
+    shared = {id(payload): k for k, (op, _, payload) in enumerate(nodes) if op == "const"}
+    pos = []  # per outer node: its composite node
+    for op, args, payload, _ in outer._nodes:
         if op == "coord":
-            slot = e.slot if e.part == "head" else s_in + e.slot
-            k, e = inner._outputs[slot], inner.components[slot]
-        elif op == "const" and id(e) in shared:
-            k = shared[id(e)]
+            # a coord's ze column less s_in is its output index in inner
+            k = inner._outputs[payload[1] - s_in]
+        elif op == "const" and id(payload) in shared:
+            k = shared[id(payload)]
         else:
             k = len(nodes)
-            if op != "const":
-                e = Expr(op, tuple([repl[a] for a in args]))
-                args = tuple([pos[a] for a in args])
-            nodes.append((op, args, payload))
-            order.append(e)
+            nodes.append((op, tuple([pos[a] for a in args]), payload))
         pos.append(k)
-        repl.append(e)
-    nodes, outputs, order = _link(nodes, order, [pos[p] for p in outer._outputs])
+    nodes, outputs = _link(nodes, [pos[p] for p in outer._outputs])
     f = object.__new__(DualFunc)  # already lowered: no __post_init__
-    components = tuple([repl[p] for p in outer._outputs])
-    vars(f).update(domain=inner.domain, codomain=outer.codomain, components=components)
-    vars(f).update(_nodes=nodes, _outputs=outputs, _exprs=order)
+    vars(f).update(domain=inner.domain, codomain=outer.codomain, _nodes=nodes, _outputs=outputs)
     return f
 
 

@@ -438,7 +438,6 @@ def verify_darboux(
         # each member over its largest entry: a nonzero real rescaling
         # changes neither independence nor span, and the rank tests then
         # see the directions at unit scale; a zero member stays zero
-        big = np.abs(rows).max(axis=1, initial=0.0)
         unit = [unrealify(r, n, m) for r in rows / np.where(big > 0.0, big, 1.0)[:, None]]
         try:
             independent = bool(is_independent(unit[:heads], unit[heads:], tol=tol))

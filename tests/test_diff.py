@@ -1,6 +1,10 @@
 import ast
+import copy
 import dataclasses
+import hashlib
+import json
 import pathlib
+import pickle
 import time
 
 import numpy as np
@@ -131,6 +135,16 @@ class TestJacobian:
         f = DualFunc((1, 0), (1, 0), (inv_expr(head_coord(0)),))
         with pytest.raises(EvaluationFailed):
             diff.numeric_jacobian(f, core.vector([DualNumber(0.0, 1.0)], []))
+
+    @pytest.mark.parametrize("h", [np.nan, 0.0, np.inf, -1e-5])
+    def test_step_must_be_finite_and_above_zero(self, h):
+        with pytest.raises(ValueError, match="difference step must be finite and above 0"):
+            diff.numeric_jacobian(square_func(), core.vector([DualNumber(0.5, 0.25)], []), h=h)
+
+    def test_quotients_that_are_not_finite_fail(self):
+        # the probes square past the float limit: inf - inf is NaN
+        with pytest.raises(EvaluationFailed, match="difference quotients at the point are not finite"):
+            diff.numeric_jacobian(square_func(), core.vector([DualNumber(0.5, 0.25)], []), h=1e300)
 
 
 _UNIT = st.floats(-1.0, 1.0)
@@ -465,8 +479,8 @@ class TestNodeListEvaluation:
     def test_lowering_marks_dead_values(self):
         x = head_coord(0)
         y = x * x
-        nodes, roots, exprs = diff.lower((y + y, y), (1, 0))
-        assert roots == (2, 1) and exprs[1:] == (y, y + y) and exprs[2].args[0] is y
+        nodes, roots = diff.lower((y + y, y), (1, 0))
+        assert roots == (2, 1) and [node[:2] for node in nodes] == [("coord", ()), ("mul", (0, 0)), ("add", (1, 1))]
         # y stays alive as a root; x dies at y
         assert [freed for *_, freed in nodes] == [(), (0,), ()]
 
@@ -800,6 +814,27 @@ def test_compose_splices_and_lower_is_the_one_walk(monkeypatch):
     assert diff.compose_funcs(f, f).components[0] is not None
 
 
+def test_a_function_is_its_node_list(monkeypatch):
+    """A DualFunc keeps its node list and outputs, not expressions: the
+    given components are dropped, compose_funcs builds no Expr, and
+    components is read back from the nodes on first use and kept."""
+    assert "_exprs" not in pathlib.Path(diff.__file__).read_text()
+    x = head_coord(0)
+    given = (x * x + const(DualNumber(2.0, 0.5)), sharp_expr(x) + tail_coord(0))
+    f = DualFunc((1, 1), (1, 1), given)
+    monkeypatch.setattr(diff, "Expr", None)  # any Expr built would fail
+    comp = diff.compose_funcs(f, f)
+    monkeypatch.undo()
+    for g in (f, comp):
+        assert set(vars(g)) == {"domain", "codomain", "_nodes", "_outputs"}
+        components = g.components
+        assert vars(g)["components"] is components and g.components is components
+        with pytest.raises(AttributeError):
+            g.missing
+        assert copy.copy(g) == g and pickle.loads(pickle.dumps(g)) == g
+    assert f.components == given and f.components[0] is not given[0]
+
+
 class TestExprEquality:
     """Expr's == and hash are the dataclass's, field by field down the
     tree, but loops over the DAG: depth is not limited by recursion, and
@@ -1071,19 +1106,18 @@ _RING_COORD = st.one_of(
 
 
 @st.composite
-def ring_programs(draw, domain=None, shared=()):
-    """A function of ring ops and full coords on a drawn domain (or on
-    domain), and four points.  Straight-line programs share subtrees;
-    repeated squaring, unshifted inverses and coordinates up to 1e200, or
-    at the default zero tolerance 1e-9, make some Jacobians non-finite and
-    some inverses singular.  Tail outputs are sharp-wrapped or not, so some
-    functions are proved and some are not.  Nodes are drawn by index, and
-    the shared nodes (another function's constants) are among them."""
+def ring_programs(draw, domain=None, codomain=None):
+    """A function of ring ops and full coords from a drawn domain (or from
+    domain) to a drawn codomain (or to codomain), and four points.
+    Straight-line programs share subtrees; repeated squaring, unshifted
+    inverses and coordinates up to 1e200, or at the default zero tolerance
+    1e-9, make some Jacobians non-finite and some inverses singular.  Tail
+    outputs are sharp-wrapped or not, so some functions are proved and some
+    are not.  Nodes are drawn by index."""
     n, m = domain or draw(st.sampled_from([(1, 0), (1, 1), (2, 1), (0, 2), (2, 0)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     nodes = [head_coord(i) for i in range(n)] + [tail_coord(j) for j in range(m)]
     nodes += [const(DualNumber(0.0, 0.7)), const(DualNumber(1.3, 0.0)), const(DualNumber(-0.4, 1e200))]
-    nodes += shared
     nodes += [sampling.random_expr(rng, n, m, 3) for _ in range(2)]
 
     def pick(first=0):  # mostly the last steps, for first > 0
@@ -1102,9 +1136,10 @@ def ring_programs(draw, domain=None, shared=()):
             e = Expr(op, (u,))
         nodes.append(e)
     first = draw(st.integers(0, len(nodes) - 1))
-    s = draw(st.integers(0, 2))
+    s = codomain[0] if codomain else draw(st.integers(0, 2))
     heads = [pick(first) for _ in range(s)]
-    tails = [pick(first) for _ in range(draw(st.integers(1 - min(s, 1), 2)))]
+    t = codomain[1] if codomain else draw(st.integers(1 - min(s, 1), 2))
+    tails = [pick(first) for _ in range(t)]
     tails = [sharp_expr(e) if draw(st.booleans()) else e for e in tails]
     f = DualFunc((n, m), (len(heads), len(tails)), tuple(heads + tails))
     c = _RING_COORD
@@ -1398,13 +1433,18 @@ class TestRingPass:
 def spliced_pairs(draw):
     """An outer and an inner function that compose, and four points of
     inner's domain: inner from ring_programs or classed_programs, outer a
-    ring program on inner's codomain that may read inner's constants."""
+    ring program on inner's codomain.  Half the outers are composed first
+    with inner after a ring program back onto inner's domain, so they hold
+    inner's constant nodes, payload tuples and all, which the splice then
+    reads as inner's own."""
     if draw(st.booleans()):
         inner, points = draw(ring_programs())
     else:
         inner, _, points = draw(classed_programs())
-    shared = [e for e in inner._exprs if e.op == "const"]
-    outer, _ = draw(ring_programs(inner.codomain, shared))
+    outer, _ = draw(ring_programs(inner.codomain))
+    if draw(st.booleans()):
+        back, _ = draw(ring_programs(inner.codomain, inner.domain))
+        outer = diff.compose_funcs(outer, diff.compose_funcs(inner, back))
     return outer, inner, points
 
 
@@ -1448,15 +1488,19 @@ class TestSplice:
         assert diff.eval_func(comp, a) == a and len(comp._nodes) == 1
 
     def test_a_const_shared_with_inner_outlives_inner_reads(self):
-        # outer reads c after inner's last read of it: c is freed only there
+        # outer, a composite with inner, holds inner's c; the splice reads
+        # it as inner's node, and outer reads it after inner's last read of
+        # it, so c is freed only there
         c, x = const(DualNumber(2.0, 0.5)), head_coord(0)
         inner = DualFunc((1, 0), (1, 0), (c * x,))
-        outer = DualFunc((1, 0), (1, 0), (x * c + x,))
+        outer = diff.compose_funcs(DualFunc((1, 0), (1, 0), (x + x,)), inner)
         comp = diff.compose_funcs(outer, inner)
-        assert len(comp._nodes) == 5  # x, c, c * x, then outer's mul and add
+        assert len(comp._nodes) == 5  # c, x, c * x, then outer's mul and add
+        assert [freed for *_, freed in comp._nodes] == [(), (), (1,), (0, 2), (3,)]
         a = vector([DualNumber(0.5, 0.25)], [])
         assert diff.eval_func(comp, a) == diff.eval_func(outer, diff.eval_func(inner, a))
-        assert comp.components == (inner.components[0] * c + inner.components[0],)
+        y = c * (c * x)
+        assert comp.components == (y + y,)
 
     def test_one_node_per_input_slot(self):
         # coords built apart are one node per (part, slot), also in composites
@@ -1525,6 +1569,14 @@ class TestLimitCheck:
                 diff.limit_check(f, a, deriv)
             assert str(caught.value) == "cannot evaluate at the base point: " + why
 
+    @pytest.mark.parametrize("radius,levels", [(np.nan, 14), (0.0, 14), (np.inf, 14), (0.05, 1100)])
+    def test_radius_must_be_finite_and_above_zero(self, radius, levels):
+        # at 1100 levels the smallest radius, 0.05 / 2**1099, is 0.0
+        f, a = square_func(), core.vector([DualNumber(0.5, 0.25)], [])
+        deriv = diff.forward_derivative(f, a)
+        with pytest.raises(ValueError, match="radius must be finite and above 0"):
+            diff.limit_check(f, a, deriv, radius=radius, levels=levels)
+
     def test_tolerance_must_be_finite_and_at_least_zero(self):
         f = DualFunc((1, 0), (1, 0), (re_part(head_coord(0)),))
         a = core.vector([DualNumber(1.0, 0.5)], [])
@@ -1586,8 +1638,52 @@ class TestComposeAndJson:
         with pytest.raises(ValueError):
             DualFunc.from_json({"domain": [1, 0]})
 
+    @pytest.mark.parametrize(
+        "seed,digest",
+        [
+            (1, "f17ad8bf9c402e8fa59133f91122ba5b4d318eac72baee7a871332ed00409c50"),
+            (2, "f8fbdbcf3aed2e1c8156a9c581878f647eb2aed50d3d38435d7442469023126c"),
+            (3, "97465003caa387e6d8cb2a4d8e0d14c45ce990a17fc964e4cf186562f2781995"),
+        ],
+    )
+    def test_workload_composites_keep_their_json(self, monkeypatch, seed, digest):
+        """to_json of the composites that the first 60 tasks of the
+        benchmark's diffcheck and atlas workloads build, pinned by sha256 as
+        it was while composites kept their expressions; each reads back as
+        an equal function with an equal hash.  The digests follow the
+        workloads' draws, so a change to those draws changes them."""
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+        h = hashlib.sha256()
+        for c in _workload_composites(seed, 60):
+            data = c.to_json()
+            h.update(json.dumps(data).encode())
+            twin = DualFunc.from_json(data)
+            assert twin == c and hash(twin) == hash(c)
+        assert h.hexdigest() == digest
+
     def test_identity_func_evaluates_to_input(self):
         rng = np.random.default_rng(23)
         f = diff.identity_func(2, 2)
         v = sampling.random_vector(rng, 2, 2)
         assert diff.eval_func(f, v) == v
+
+
+def _workload_composites(seed, tasks):
+    """The composites of the first tasks of the benchmark workloads at
+    seed: each diffcheck chain as built, then each ordered chart pair of
+    each expression atlas as verify_atlas composes it."""
+    import dualmod
+    from workloads import atlas, diffcheck
+
+    for i in range(tasks):
+        task = diffcheck.make(seed, i)
+        if task.kind == "chain":
+            yield diffcheck.build(dualmod, task)
+    for i in range(tasks):
+        task = atlas.make(seed, i)
+        if task.kind not in atlas.PROJECTIVE:
+            atlas.construct(task)
+            charts = task.inputs["atlas"].charts
+            for a in range(len(charts)):
+                for b in range(len(charts)):
+                    yield diff.compose_funcs(charts[b].forward, charts[a].inverse)
