@@ -22,24 +22,29 @@ exception replays only the first marked row.
 Smooth functions of dual arguments have realified Jacobians with the forced
 block pattern of a module map.  One derivative pass per point (_pass) gives
 that Jacobian: a loop over the node list that carries each node's value and
-its gradient rows over the 2n + m realified inputs, kept per point so that
-cr_check, realified_jacobian and forward_derivative at one point walk once.
-cr_check measures the four forced identities on it and reads the derivative
-off its head re and tail columns when they hold; forward_derivative returns
-that derivative where all four hold exactly.  re_part and ze_part are the
-one form of a real projection (coord's "re" and "ze" components build them
-on the full coord): maps that are smooth over the reals yet fail the block
-pattern.  _jacobian is the same pass over a batch of points, for the
-batched block test (_cr_rows).  One loop over the node list, run on first
-use and cached, gives each node a smoothness class (_classes); where a
-function it proves has a finite Jacobian, the four block residuals are
-exactly 0.0, so verify_atlas builds no Jacobian for the proved standard
-transitions where it can bound theirs as finite.
+its gradient rows over the 2n + m realified inputs, as tuples.  Each
+arithmetic op runs a straight-line kernel, generated from one template and
+compiled once per gradient width and process (_kernels; about 1 ms at width
+5 and 0.1 s at 1,000), so no node runs a comprehension.  The pass is kept
+per point, so cr_check, realified_jacobian and forward_derivative at one
+point walk once.  cr_check measures the four forced identities on it and
+reads the derivative off its head re and tail columns when they hold;
+forward_derivative returns that same derivative, kept with the pass, where
+all four hold exactly.  re_part and ze_part are the one form of a real
+projection (coord's "re" and "ze" components build them on the full
+coord): maps that are smooth over the reals yet fail the block pattern.
+_jacobian is the same pass over a batch of points, for the batched block
+test (_cr_rows).  One loop over the node list, run on first use and cached,
+gives each node a smoothness class (_classes); where a function it proves
+has a finite Jacobian, the four block residuals are exactly 0.0, so
+verify_atlas builds no Jacobian for the proved standard transitions where
+it can bound theirs as finite.
 numeric_jacobian is the central-difference oracle for both derivatives.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -661,31 +666,33 @@ def realified_jacobian(f: DualFunc, a: DualVector) -> np.ndarray:
     return _finite_pass(f, a)[0].copy()
 
 
-def _finite_pass(f: DualFunc, a: DualVector) -> tuple:
+def _finite_pass(f: DualFunc, a: DualVector) -> list:
     """_pass at a; EvaluationFailed where the Jacobian is not finite."""
-    jac, values = _pass(f, a)
-    if not np.isfinite(jac).all():
+    kept = _pass(f, a)
+    if not np.isfinite(kept[0]).all():
         raise EvaluationFailed("the Jacobian at the point is not finite")
-    return jac, values
+    return kept
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pass(f: DualFunc, a: DualVector) -> tuple:
-    """f's realified Jacobian at the point a, read-only, in _jacobian's row
-    order (head dre, head dze, tail dze), and its four block residuals:
-    _gradients over the node list, then eval_func's tail test.  Raises
-    NotInvertible at an inverse within the default tolerance of zero and
-    then EvaluationFailed where a tail output is not a zero divisor; entries
-    that are not finite are left to _finite_pass.  f keeps the last pass,
-    keyed by the point's exact bytes and the default tolerance, so cr_check,
-    realified_jacobian and forward_derivative at one point walk once.
+def _pass(f: DualFunc, a: DualVector) -> list:
+    """[rows, residuals, derivative] at the point a: f's realified Jacobian,
+    read-only, in _jacobian's row order (head dre, head dze, tail dze), its
+    four block residuals, and None in place of the derivative, which
+    _derivative builds on first use.  _gradients over the node list, then
+    eval_func's tail test.  Raises NotInvertible at an inverse within the
+    default tolerance of zero and then EvaluationFailed where a tail output
+    is not a zero divisor; entries that are not finite are left to
+    _finite_pass.  f keeps the last pass, keyed by the point's exact bytes
+    and the default tolerance, so cr_check, realified_jacobian and
+    forward_derivative at one point walk once and share one derivative.
     """
     x = _point(f, a)
     tol = resolve_tol(None)
     key = (a.array.tobytes(), tol)
     last = f.__dict__.get("_last_pass")
     if last is not None and last[0] == key:
-        return last[1:]
+        return last[1]
     s = f.codomain[0]
     vals = _gradients(f._nodes, x, tol)
     out = [vals[p] for p in f._outputs]
@@ -694,19 +701,19 @@ def _pass(f: DualFunc, a: DualVector) -> tuple:
     rows = np.array([o[2] for o in out[:s]] + [o[3] for o in out], dtype=float).reshape(len(out) + s, len(x))
     rows.setflags(write=False)
     values = tuple(float(r) for r in _residuals(rows, f.domain[0], s))
-    object.__setattr__(f, "_last_pass", (key, rows, values))
-    return rows, values
+    kept = [rows, values, None]
+    object.__setattr__(f, "_last_pass", (key, kept))
+    return kept
 
 
 def _gradients(nodes, x: list, tol: float) -> list:
     """(re, ze, dre, dze) of the nodes of a lowered list at the realified
-    point x, given as floats, with the gradients of re and ze as lists over
-    the len(x) realified inputs.  This is _jacobian's loop for one point,
-    with its float operations in its order, so every entry equals
-    _jacobian's bit for bit.  An inverse within tol of zero raises
-    NotInvertible."""
-    zero = [0.0] * len(x)
-    unit = [zero[:k] + [1.0] + zero[k + 1 :] for k in range(len(x))]
+    point x, given as floats, with the gradients of re and ze as tuples over
+    the len(x) realified inputs.  This is _jacobian's loop for one point:
+    the arithmetic ops run the straight-line kernels of _kernels, which do
+    its float operations in its order, so every entry equals _jacobian's
+    bit for bit.  An inverse within tol of zero raises NotInvertible."""
+    kernels, zero, unit = _kernels(len(x))
     vals = []
     for op, args, payload, freed in nodes:
         if op == "const":
@@ -716,35 +723,61 @@ def _gradients(nodes, x: list, tol: float) -> list:
             re, dre = (0.0, zero) if r is None else (x[r], unit[r])
             v = (re, x[z], dre, unit[z])
         else:
-            ur, uz, dur, duz = vals[args[0]]
-            if op == "mul":
-                vr, vz, dvr, dvz = vals[args[1]]
-                dze = [ur * qz + uz * q + vr * pz + vz * p for p, q, pz, qz in zip(dur, dvr, duz, dvz)]
-                v = (ur * vr, ur * vz + uz * vr, [ur * q + vr * p for p, q in zip(dur, dvr)], dze)
-            elif op == "add":
-                vr, vz, dvr, dvz = vals[args[1]]
-                v = (ur + vr, uz + vz, [p + q for p, q in zip(dur, dvr)], [p + q for p, q in zip(duz, dvz)])
-            elif op == "sub":
-                vr, vz, dvr, dvz = vals[args[1]]
-                v = (ur - vr, uz - vz, [p - q for p, q in zip(dur, dvr)], [p - q for p, q in zip(duz, dvz)])
-            elif op == "inv":
-                ur = _inverse_re(ur, tol, None)
-                w = 1.0 / ur
-                c, ww, nww = 2.0 * w * uz, w * w, -w * w
-                dze = [ww * (c * p - pz) for p, pz in zip(dur, duz)]
-                v = (w, -uz / (ur * ur), [nww * p for p in dur], dze)
-            elif op == "neg":
-                v = (-ur, -uz, [-p for p in dur], [-p for p in duz])
+            u = vals[args[0]]
+            kernel = kernels.get(op)
+            if kernel is not None:
+                if op == "inv":
+                    _inverse_re(u[0], tol, None)
+                v = kernel(u, vals[args[-1]])  # u again for one argument
             elif op == "sharp":
-                v = (0.0, ur, zero, dur)
+                v = (0.0, u[0], zero, u[2])
             elif op == "re_part":
-                v = (ur, 0.0, dur, zero)
+                v = (u[0], 0.0, u[2], zero)
             else:  # ze_part
-                v = (uz, 0.0, duz, zero)
+                v = (u[1], 0.0, u[3], zero)
         vals.append(v)
         for k in freed:
             vals[k] = None
     return vals
+
+
+# Per arithmetic op: statements before the result, the value (re, ze), and
+# one entry of its dre and dze rows, where p and pz are that entry of the
+# first argument's rows and q and qz of the second's: _jacobian's float
+# operations in its order.
+_KERNEL_RULES = {
+    "add": ("", "ur + vr", "uz + vz", "{p} + {q}", "{pz} + {qz}"),
+    "sub": ("", "ur - vr", "uz - vz", "{p} - {q}", "{pz} - {qz}"),
+    "mul": ("", "ur * vr", "ur * vz + uz * vr", "ur * {q} + vr * {p}", "ur * {qz} + uz * {q} + vr * {pz} + vz * {p}"),
+    "neg": ("", "-ur", "-uz", "-{p}", "-{pz}"),
+    "inv": ("w = 1.0 / ur; c, ww, nww = 2.0 * w * uz, w * w, -w * w", "w", "-uz / (ur * ur)", "nww * {p}", "ww * (c * {p} - {pz})"),
+}
+
+
+@functools.lru_cache(maxsize=64)
+def _kernels(w: int) -> tuple:
+    """For gradients of width w: one straight-line function per arithmetic
+    op, kernel(u, v) -> (re, ze, dre, dze) for arguments in _gradients'
+    form (v is u for one argument), by op; the zero gradient; and the unit
+    gradients.  Generated from _KERNEL_RULES and compiled once per width
+    and process (about 1 ms at width 5, 0.1 s at 1,000)."""
+
+    def row(pattern):  # a tuple display of pattern's entries k < w
+        return "(%s)" % "".join(pattern.format(p="p%d" % k, pz="pz%d" % k, q="q%d" % k, qz="qz%d" % k) + ", " for k in range(w))
+
+    source = []
+    for op, (before, re, ze, dre, dze) in _KERNEL_RULES.items():
+        source += ["def %s(u, v):" % op, "    ur, uz, %s, %s = u" % (row("{p}"), row("{pz}"))]
+        if "{q}" in dre:  # a binary op
+            source.append("    vr, vz, %s, %s = v" % (row("{q}"), row("{qz}")))
+        if before:
+            source.append("    " + before)
+        source.append("    return %s, %s, %s, %s" % (re, ze, row(dre), row(dze)))
+    namespace = {}
+    exec(compile("\n".join(source), "<gradient kernels, width %d>" % w, "exec"), namespace)
+    zero = (0.0,) * w
+    unit = tuple([zero[:k] + (1.0,) + zero[k + 1 :] for k in range(w)])
+    return {op: namespace[op] for op in _KERNEL_RULES}, zero, unit
 
 
 def _jacobian(f: DualFunc, x: list, bad: np.ndarray) -> np.ndarray:
@@ -826,13 +859,16 @@ def _residuals(jac: np.ndarray, n: int, s: int) -> list:
     return [np.abs(b).max(axis=0).max(axis=-1) if b.size else 0.0 for b in blocks]
 
 
-def _derivative(rows: np.ndarray, f: DualFunc) -> ModuleMap:
-    """f's derivative read off realified Jacobian rows in _jacobian's order
-    (head dre, head dze, tail dze): the head re and tail columns, with
-    c_re from the head dre rows."""
-    (n, m), (s, t) = f.domain, f.codomain
-    head, tail = rows[s : 2 * s], rows[2 * s :]
-    return ModuleMap(n, m, s, t, rows[:s, :n], head[:, :n], head[:, 2 * n :], tail[:, :n], tail[:, 2 * n :])
+def _derivative(kept: list, f: DualFunc) -> ModuleMap:
+    """f's derivative read off the rows of a kept pass (_pass): the head
+    re and tail columns, with c_re from the head dre rows.  Built once and
+    kept with the pass."""
+    if kept[2] is None:
+        (n, m), (s, t) = f.domain, f.codomain
+        rows = kept[0]
+        head, tail = rows[s : 2 * s], rows[2 * s :]
+        kept[2] = ModuleMap(n, m, s, t, rows[:s, :n], head[:, :n], head[:, 2 * n :], tail[:, :n], tail[:, 2 * n :])
+    return kept[2]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -852,14 +888,15 @@ def cr_check(f: DualFunc, a: DualVector, tol: float = CR_DEFAULT_TOL) -> CrRepor
     """
     valid_bound(tol, "block tolerance")
     try:
-        jac, values = _finite_pass(f, a)
+        kept = _finite_pass(f, a)
     except NotInvertible as exc:
         raise EvaluationFailed("cannot differentiate at the point: %s" % exc) from exc
+    values = kept[1]
     if not all(map(math.isfinite, values)):
         raise EvaluationFailed("the block residuals at the point are not finite")
     residuals = dict(zip(_RESIDUAL_KEYS, values))
     passed = all(r <= tol for r in values)
-    deriv = _derivative(jac, f) if passed else None
+    deriv = _derivative(kept, f) if passed else None
     return CrReport(point=a, passed=passed, residuals=residuals, derivative=deriv)
 
 
@@ -902,7 +939,9 @@ def limit_check(
     be evaluated raises EvaluationFailed, naming the first failure in
     (base, level, direction) order.  A tol that is not finite or below 0
     raises ValueError, and so does a radius, or a smallest radius
-    radius / 2**(levels - 1), that is not finite and above 0.
+    radius / 2**(levels - 1), that is not finite and above 0, or a probe at
+    the smallest radius whose distance from the base point rounds to 0 (its
+    quotient would be 0 / 0).
     """
     valid_bound(tol, "limit tolerance")
     if samples < 1 or levels < 1:
@@ -916,14 +955,17 @@ def limit_check(
     base = _point(f, a)
     radii = radius / 2.0 ** np.arange(levels)
     probes = (base + radii[:, None, None] * dirs).reshape(-1, 2 * n + m)
+    steps = probes - base
+    dist = row_norms(steps, n)
+    if not dist[-samples:].all():
+        raise ValueError("a probe at the smallest limit radius %g is at distance 0 from the base point" % radii[-1])
     fx, k, exc = _eval_rows(f, np.vstack([base, probes]))
     if exc is not None:
         where = "cannot evaluate at the base point" if k == 0 else "probe at radius %g failed" % radii[(k - 1) // samples]
         raise EvaluationFailed("%s: %s" % (where, exc))
     fa, fx = fx[0], fx[1:]
-    steps = probes - base
     rem = fx - fa - (steps[:, None, :] * realify_map(deriv)).sum(axis=2)
-    quot = row_norms(rem, f.codomain[0]) / row_norms(steps, n)
+    quot = row_norms(rem, f.codomain[0]) / dist
     return bool(quot[-samples:].max() <= tol)
 
 
@@ -934,11 +976,11 @@ def forward_derivative(f: DualFunc, a: DualVector) -> ModuleMap:
     realified_jacobian raises at a (NotInvertible, then EvaluationFailed),
     then NonSmoothExpression unless all four block residuals are exactly
     0.0, that is unless the Jacobian has a module map's block pattern."""
-    rows, values = _finite_pass(f, a)
-    for key, r in zip(_RESIDUAL_KEYS, values):
+    kept = _finite_pass(f, a)
+    for key, r in zip(_RESIDUAL_KEYS, kept[1]):
         if r:
             raise NonSmoothExpression("not differentiable in the dual sense at the point: %s residual %g" % (key, r))
-    return _derivative(rows, f)
+    return _derivative(kept, f)
 
 
 def compose_funcs(outer: DualFunc, inner: DualFunc) -> DualFunc:

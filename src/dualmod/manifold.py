@@ -581,7 +581,11 @@ def _openness(ops, c, images, tol):
 def _injectivity(ops, c, pts, images):
     """(iii): images may coincide, within 1e-9 of their spread (the largest
     finite distance from the first image, its pairs' first), only for the
-    same point.  Pairs go in combinations order; a non-finite distance fails."""
+    same point.  Pairs go in combinations order; a non-finite distance
+    fails, and so does a single image, which compares no pair (no image at
+    all is left to _entry)."""
+    if len(images) == 1:
+        return {"error": "fewer than two chart images to compare"}
     a, b = _index_pairs(len(images))
     dist = row_norms(images[a] - images[b], ops.image_shape(c)[0])
     spread = dist[: len(images) - 1]

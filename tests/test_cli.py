@@ -448,11 +448,14 @@ class TestAtlas:
             assert err.startswith("error: ")
 
     def test_entries_count_evidence(self, tmp_path, capsys):
+        # one sample is one image: iii compared no pair, so it fails
         path = write_json(tmp_path / "atlas.json", ProjectiveAtlas(1, 0).to_json())
         code, out, _ = run(capsys, ["atlas", "--input", path, "--samples", "1"])
-        assert code == 0
-        checked = {e["axiom"]: e["checked"] for e in json.loads(out)["entries"]}
-        assert checked == {"ii": 6, "iii": 1, "iv": 1}
+        assert code == 1
+        entries = {e["axiom"]: e for e in json.loads(out)["entries"]}
+        assert {k: e["checked"] for k, e in entries.items()} == {"ii": 6, "iii": 1, "iv": 1}
+        assert [k for k, e in entries.items() if not e["passed"]] == ["iii"]
+        assert entries["iii"]["witness"] == {"error": "fewer than two chart images to compare"}
 
 
 class TestDarboux:

@@ -523,13 +523,42 @@ def _assert_block_rows(f, points):
     return bad
 
 
+def _every_kernel(n, m):
+    """A function (n, m) -> (n, m) that runs every arithmetic kernel of the
+    single-point pass (mul, add, sub, neg, inv) on gradients of every input:
+    each output is e times its input, with e = 1/((-x)(-x) + 3) - x and x
+    the sum of all inputs (a tail times anything is a zero divisor)."""
+    x = const(0.0)
+    for i in range(n):
+        x = x + head_coord(i)
+    for j in range(m):
+        x = x + tail_coord(j)
+    e = inv_expr(-x * -x + 3.0) - x
+    return DualFunc((n, m), (n, m), tuple([e * head_coord(i) for i in range(n)] + [e * tail_coord(j) for j in range(m)]))
+
+
 class TestBatchedBlockTest:
     def test_smooth_tame_functions(self):
+        # every gradient width 2n + m a caller meets (1, 2, 3, 5, 9, 18):
+        # the single-point pass equals _jacobian bit for bit, and _cr_rows
+        # equals cr_check, on tame draws and on one function per width
+        # that runs every kernel
         rng = np.random.default_rng(71)
-        for _ in range(12):
-            f, a = sampling.tame_case(rng, (2, 1), (2, 1), depth=3)
-            points = np.vstack([linalg.realify(a), rng.uniform(-1.0, 1.0, size=(30, 5))])
-            _assert_block_rows(f, points)
+        for n, m in ((0, 1), (1, 0), (1, 1), (2, 1), (3, 3), (6, 6)):
+            cases = [sampling.tame_case(rng, (n, m), (n, m), depth=3) for _ in range(12)]
+            for f, a in cases + [(_every_kernel(n, m), vector([(0.3, -0.2)] * n, [0.1] * m))]:
+                points = [a] + [linalg.unrealify(x, n, m) for x in rng.uniform(-1.0, 1.0, size=(30, 2 * n + m))]
+                _assert_pass_is_the_reference(f, points)
+
+    def test_constant_on_no_inputs(self):
+        # width 0: gradients are empty tuples and every block is empty
+        f = DualFunc((0, 0), (1, 1), (const(DualNumber(2.0, 3.0)), const(EPS)))
+        a = vector([], [])
+        report = diff.cr_check(f, a)
+        assert report.passed and list(report.residuals.values()) == [0.0] * 4
+        assert diff.forward_derivative(f, a) is report.derivative
+        assert report.derivative == linalg.ModuleMap.zero((0, 0), (1, 1))
+        assert diff.realified_jacobian(f, a).shape == (3, 0)
 
     @pytest.mark.parametrize("project", [re_part, ze_part])
     def test_projection_controls(self, project):
@@ -1372,7 +1401,7 @@ class TestRingPass:
         f, a = sampling.tame_case(rng, (2, 1), (2, 1), depth=3)
         b = linalg.unrealify(linalg.realify(a) * 1.001, 2, 1)
         report = diff.cr_check(f, a)
-        assert diff.forward_derivative(f, a) == report.derivative
+        assert report.passed and diff.forward_derivative(f, a) is report.derivative
         diff.realified_jacobian(f, a)
         assert len(walks) == 1
         diff.forward_derivative(f, b)
@@ -1576,6 +1605,20 @@ class TestLimitCheck:
         deriv = diff.forward_derivative(f, a)
         with pytest.raises(ValueError, match="radius must be finite and above 0"):
             diff.limit_check(f, a, deriv, radius=radius, levels=levels)
+
+    def test_smallest_radius_must_move_off_the_base_point(self, monkeypatch):
+        # at 60 levels the smallest radius, 0.05 / 2**59, is below the
+        # spacing of floats near 0.5: the quotient there would be 0 / 0
+        f, a = square_func(), core.vector([DualNumber(0.5, 0.25)], [])
+        deriv = diff.forward_derivative(f, a)
+        assert diff.limit_check(f, a, deriv, radius=0.05, levels=40)
+        monkeypatch.setattr(diff, "_eval_rows", None)  # refused before any evaluation
+        with pytest.raises(ValueError, match="smallest limit radius .* is at distance 0 from the base point"):
+            diff.limit_check(f, a, deriv, radius=0.05, levels=60)
+        # a step that is not 0 but whose squares underflow
+        origin = core.vector([DualNumber(0.0, 0.0)], [])
+        with pytest.raises(ValueError, match="is at distance 0"):
+            diff.limit_check(f, origin, diff.forward_derivative(f, origin), radius=1e-170, levels=1)
 
     def test_tolerance_must_be_finite_and_at_least_zero(self):
         f = DualFunc((1, 0), (1, 0), (re_part(head_coord(0)),))

@@ -395,6 +395,20 @@ class TestVerifyAtlas:
     def test_zero_tolerance_passes(self):
         assert verify_atlas(ProjectiveAtlas(1, 1), samples=20, tol=0.0).passed
 
+    def test_one_image_compares_no_pair(self):
+        # one sample gives one image per chart: injectivity saw no pair, so
+        # it fails, for a valid atlas as for a flat chart x -> 0 x + 1
+        one = {"error": "fewer than two chart images to compare"}
+        report = verify_atlas(ProjectiveAtlas(1, 1), samples=1)
+        iii = [e for e in report.entries if e.axiom == "iii"]
+        assert len(iii) == 4 and all(not e.passed and e.checked == 1 and e.witness == one for e in iii)
+        assert all(e.passed for e in report.entries if e.axiom != "iii") and not report.passed
+        flat = ExprAtlas(reference_atlases()["flat"])
+        (single,) = [e for e in verify_atlas(flat, samples=1).entries if e.axiom == "iii"]
+        (pair,) = [e for e in verify_atlas(flat, samples=2).entries if e.axiom == "iii"]
+        assert (single.passed, single.checked, single.witness) == (False, 1, one)
+        assert (pair.passed, pair.checked, set(pair.witness)) == (False, 2, {"first", "second"})
+
     def test_entry_structure(self):
         report = verify_atlas(ProjectiveAtlas(1, 0), samples=10, seed=1)
         axioms = {e.axiom for e in report.entries}
@@ -670,6 +684,8 @@ def reference_report(atlas, samples, tol=1e-4, seed=0) -> dict:
             if vector_norm(images[a] - images[b]) <= close and not same(pts[a], pts[b]):
                 witness = {"first": point(pts[a]), "second": point(pts[b])}
                 break
+        if len(images) == 1:  # no pair to compare
+            witness = {"error": "fewer than two chart images to compare"}
         entry("iii", (c,), witness, len(images), "chart domain")
     for c1, c2 in itertools.product(charts, repeat=2):
         tr = trans(c1, c2)
@@ -696,7 +712,8 @@ def reference_atlases():
     failures, a forward map that fails on one pair's overlap points but
     not on a later pair's, a preimage leaving the domain, a non-smooth
     transition, no sample in the domain, a round-trip gap, a predicate with
-    a singular inverse on part of the draws, and a chart that passes."""
+    a singular inverse on part of the draws, a flat chart whose images all
+    coincide, and a chart that passes."""
     x = coord("head", 0)
     ident = DualFunc((1, 0), (1, 0), (x,))
     everywhere = const(ONE)
@@ -725,6 +742,7 @@ def reference_atlases():
         "inverse_leaves": (ExprChart(ident, DualFunc((1, 0), (1, 0), (sharp_expr(x),)), x),),
         "conjugation": (ExprChart(ident, ident, everywhere), ExprChart(conj, conj, everywhere)),
         "no_sample": (ExprChart(ident, ident, const(0.0)),),
+        "flat": (ExprChart(DualFunc((1, 0), (1, 0), (0.0 * x + 1.0,)), ident, everywhere),),
         "bad_inverse": (ExprChart(ident, DualFunc((1, 0), (1, 0), (x * 1.25,)), everywhere),),
         "singular_predicate": (ExprChart(ident, ident, inv_expr(x * 1e-9)), ExprChart(ident, ident, x)),
         "module_map": (
