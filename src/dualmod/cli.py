@@ -18,8 +18,10 @@ numeric_jacobian is only an oracle, for the selftest and the tests.
 Exit codes: 0 success, 1 a mathematical check failed or a computation could
 not complete, 2 bad usage or unreadable input.  Any other exception is a
 defect: it exits 1 with one "error: internal: <type>" line, not a
-traceback.  Reports are deterministic for a fixed seed: keys are sorted and
-no timestamps are embedded.
+traceback.  A function's realified domain width 2n + m is at most
+diff.MAX_WIDTH (1,024), checked as it is read, so a wider one is bad input
+(exit 2) and no array is built for it.  Reports are deterministic for a
+fixed seed: keys are sorted and no timestamps are embedded.
 
 The working tolerance is taken from --tol when given, else from the
 DUALMOD_TOL environment variable, else from a per-command default (1e-4 for

@@ -27,8 +27,9 @@ arithmetic op runs a straight-line kernel, generated from one template and
 compiled once per gradient width and process (_kernels; about 1 ms at width
 5 and 0.1 s at 1,000), so no node runs a comprehension.  The pass is kept
 per point, so cr_check, realified_jacobian and forward_derivative at one
-point walk once.  cr_check measures the four forced identities on it and
-reads the derivative off its head re and tail columns when they hold;
+point walk once.  cr_check measures the four forced identities on it, in
+Python floats on the pass's own tuples, and reads the derivative off its
+head re and tail columns when they hold;
 forward_derivative returns that same derivative, kept with the pass, where
 all four hold exactly.  re_part and ze_part are the one form of a real
 projection (coord's "re" and "ze" components build them on the full
@@ -69,6 +70,11 @@ from dualmod.linalg import ModuleMap, realify, realify_map, unrealify
 
 CR_DEFAULT_TOL = 1e-4
 FD_DEFAULT_STEP = 1e-5
+# The widest realified domain, 2n + m, that DualFunc.from_json reads: a
+# batched Jacobian holds a (2n + m)-square identity, and the single-point
+# pass compiles kernels of that width (0.1 s at 1,000), so wider input is
+# refused before any array is built.
+MAX_WIDTH = 1024
 
 _OPS = {
     "const": 0,
@@ -92,7 +98,7 @@ class NonSmoothExpression(ValueError):
     """The realified Jacobian at a point is not that of a module map."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Expr:
     op: str
     args: tuple["Expr", ...] = ()
@@ -100,15 +106,16 @@ class Expr:
     part: str | None = None
     slot: int | None = None
 
-    def __post_init__(self):
-        if self.op not in _OPS:
-            raise ValueError("unknown expression op %r" % self.op)
-        if len(self.args) != _OPS[self.op]:
-            raise ValueError(
-                "op %r takes %d arguments, got %d"
-                % (self.op, _OPS[self.op], len(self.args))
-            )
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, op, args=(), value=None, part=None, slot=None):
+        """The dataclass fields, validated and stored in one update of the
+        instance dict: construction is paid once per node built, and an
+        expression is mostly read once, by lower."""
+        arity = _OPS.get(op)
+        if arity is None:
+            raise ValueError("unknown expression op %r" % op)
+        if len(args) != arity:
+            raise ValueError("op %r takes %d arguments, got %d" % (op, arity, len(args)))
+        self.__dict__.update(op=op, args=tuple(args), value=value, part=part, slot=slot)
 
     def __add__(self, other):
         return Expr("add", (self, _as_expr(other)))
@@ -200,10 +207,10 @@ def _as_expr(x) -> Expr:
 def const(x) -> Expr:
     """A constant from a DualNumber, or from a real number (numpy's
     included) as its re part."""
-    if isinstance(x, numbers.Real):
+    if not isinstance(x, DualNumber):
+        if not isinstance(x, (float, int, numbers.Real)):  # the ABC test last: it is slow
+            raise TypeError("cannot treat %r as an expression" % (x,))
         x = DualNumber(float(x), 0.0)
-    elif not isinstance(x, DualNumber):
-        raise TypeError("cannot treat %r as an expression" % (x,))
     return Expr("const", value=x)
 
 
@@ -294,6 +301,9 @@ class DualFunc:
     @classmethod
     def from_json(cls, data) -> "DualFunc":
         domain, codomain, components = json_fields(data, "function", ("domain", "codomain", "components"))
+        n, m = domain = _shape(domain, "domain")
+        if 2 * n + m > MAX_WIDTH:
+            raise ValueError("domain %r has realified width 2n + m = %d, above the bound %d" % (domain, 2 * n + m, MAX_WIDTH))
         components = json_list(components, "function components")
         return cls(domain, codomain, tuple(map(Expr.from_json, components)))
 
@@ -533,6 +543,8 @@ def _inverse_re(ur, tol: float, bad: np.ndarray | None):
         if small:
             raise NotInvertible("re part %g is within tolerance of zero" % ur)
         return ur
+    if not (small.any() if isinstance(small, np.ndarray) else small):
+        return ur  # no point is singular: no mask update and no copy
     bad |= np.ravel(small)
     return np.where(small, 1.0, ur)
 
@@ -669,23 +681,23 @@ def realified_jacobian(f: DualFunc, a: DualVector) -> np.ndarray:
 def _finite_pass(f: DualFunc, a: DualVector) -> list:
     """_pass at a; EvaluationFailed where the Jacobian is not finite."""
     kept = _pass(f, a)
-    if not np.isfinite(kept[0]).all():
+    if kept[1] is None:
         raise EvaluationFailed("the Jacobian at the point is not finite")
     return kept
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _pass(f: DualFunc, a: DualVector) -> list:
     """[rows, residuals, derivative] at the point a: f's realified Jacobian,
     read-only, in _jacobian's row order (head dre, head dze, tail dze), its
-    four block residuals, and None in place of the derivative, which
-    _derivative builds on first use.  _gradients over the node list, then
-    eval_func's tail test.  Raises NotInvertible at an inverse within the
-    default tolerance of zero and then EvaluationFailed where a tail output
-    is not a zero divisor; entries that are not finite are left to
-    _finite_pass.  f keeps the last pass, keyed by the point's exact bytes
-    and the default tolerance, so cr_check, realified_jacobian and
-    forward_derivative at one point walk once and share one derivative.
+    four block residuals (_point_residuals) where it is finite and None
+    where it is not, and None in place of the derivative, which _derivative
+    builds on first use.  _gradients over the node list, then eval_func's
+    tail test.  Raises NotInvertible at an inverse within the default
+    tolerance of zero and then EvaluationFailed where a tail output is not
+    a zero divisor; a Jacobian that is not finite is left to _finite_pass.
+    f keeps the last pass, keyed by the point's exact bytes and the default
+    tolerance, so cr_check, realified_jacobian and forward_derivative at
+    one point walk once and share one derivative.
     """
     x = _point(f, a)
     tol = resolve_tol(None)
@@ -700,8 +712,8 @@ def _pass(f: DualFunc, a: DualVector) -> list:
         _check_tail(re, tol, l, None)
     rows = np.array([o[2] for o in out[:s]] + [o[3] for o in out], dtype=float).reshape(len(out) + s, len(x))
     rows.setflags(write=False)
-    values = tuple(float(r) for r in _residuals(rows, f.domain[0], s))
-    kept = [rows, values, None]
+    finite = np.isfinite(rows).all()
+    kept = [rows, _point_residuals(out, f.domain[0], s) if finite else None, None]
     object.__setattr__(f, "_last_pass", (key, kept))
     return kept
 
@@ -846,17 +858,31 @@ _RESIDUAL_KEYS = ("head_re_dze", "ze_match", "head_re_dtail", "tail_dze")
 
 def _residuals(jac: np.ndarray, n: int, s: int) -> list:
     """cr_check's four block residuals (largest absolute entry, 0.0 for an
-    empty block) of a Jacobian, or per point of a batch, whose output axis
-    goes first: the contiguous pass, and a maximum ignores the order."""
+    empty block) per point of a batched Jacobian (see _jacobian), whose
+    output axis goes first: the contiguous pass, and a maximum ignores the
+    order.  One point's pass uses _point_residuals."""
     blocks = (
-        jac[0:s, ..., n : 2 * n],
-        jac[0:s, ..., 0:n] - jac[s : 2 * s, ..., n : 2 * n],
-        jac[0:s, ..., 2 * n :],
-        jac[2 * s :, ..., n : 2 * n],
+        jac[0:s, :, n : 2 * n],
+        jac[0:s, :, 0:n] - jac[s : 2 * s, :, n : 2 * n],
+        jac[0:s, :, 2 * n :],
+        jac[2 * s :, :, n : 2 * n],
     )
-    if jac.ndim == 2:
-        return [np.abs(b).max() if b.size else 0.0 for b in blocks]
     return [np.abs(b).max(axis=0).max(axis=-1) if b.size else 0.0 for b in blocks]
+
+
+def _point_residuals(out: list, n: int, s: int) -> tuple[float, ...]:
+    """_residuals of one point whose Jacobian is finite, from the pass's
+    output tuples (re, ze, dre, dze), in Python floats: the same
+    differences of the same entries (one may overflow to inf), so each
+    value equals _residuals' on a batch of that one point."""
+    head = out[:s]
+    blocks = (
+        [p for o in head for p in o[2][n : 2 * n]],
+        [p - q for o in head for p, q in zip(o[2][:n], o[3][n : 2 * n])],
+        [p for o in head for p in o[2][2 * n :]],
+        [p for o in out[s:] for p in o[3][n : 2 * n]],
+    )
+    return tuple([max(map(abs, b), default=0.0) for b in blocks])
 
 
 def _derivative(kept: list, f: DualFunc) -> ModuleMap:
@@ -867,11 +893,14 @@ def _derivative(kept: list, f: DualFunc) -> ModuleMap:
         (n, m), (s, t) = f.domain, f.codomain
         rows = kept[0]
         head, tail = rows[s : 2 * s], rows[2 * s :]
-        kept[2] = ModuleMap(n, m, s, t, rows[:s, :n], head[:, :n], head[:, 2 * n :], tail[:, :n], tail[:, 2 * n :])
+        # views of rows, which are read-only and which every caller has
+        # found finite (_finite_pass): what ModuleMap's checks would give
+        lam = object.__new__(ModuleMap)
+        vars(lam).update(n=n, m=m, s=s, t=t, c_re=rows[:s, :n], c_ze=head[:, :n], p=head[:, 2 * n :], d=tail[:, :n], q=tail[:, 2 * n :])
+        kept[2] = lam
     return kept[2]
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def cr_check(f: DualFunc, a: DualVector, tol: float = CR_DEFAULT_TOL) -> CrReport:
     """Check the forced Jacobian block pattern at a point.
 
@@ -941,7 +970,9 @@ def limit_check(
     raises ValueError, and so does a radius, or a smallest radius
     radius / 2**(levels - 1), that is not finite and above 0, or a probe at
     the smallest radius whose distance from the base point rounds to 0 (its
-    quotient would be 0 / 0).
+    quotient would be 0 / 0).  seed must be a nonnegative integer (a bool,
+    a negative or a float raises ValueError); the unit directions of one
+    seed, sample count and width are drawn once per process (_directions).
     """
     valid_bound(tol, "limit tolerance")
     if samples < 1 or levels < 1:
@@ -949,17 +980,19 @@ def limit_check(
     _positive(radius, "limit radius")
     _positive(math.ldexp(radius, 1 - levels), "smallest limit radius")
     n, m = f.domain
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(samples, 2 * n + m))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    base = _point(f, a)
+    width = 2 * n + m
+    dirs = _directions(as_index(seed, "limit seed"), samples, width)
+    base = np.array(_point(f, a))
     radii = radius / 2.0 ** np.arange(levels)
-    probes = (base + radii[:, None, None] * dirs).reshape(-1, 2 * n + m)
+    points = np.empty((1 + levels * samples, width))  # the base point, then the probes
+    points[0] = base
+    np.add(base, radii[:, None, None] * dirs, out=points[1:].reshape(levels, samples, width))
+    probes = points[1:]
     steps = probes - base
     dist = row_norms(steps, n)
     if not dist[-samples:].all():
         raise ValueError("a probe at the smallest limit radius %g is at distance 0 from the base point" % radii[-1])
-    fx, k, exc = _eval_rows(f, np.vstack([base, probes]))
+    fx, k, exc = _eval_rows(f, points)
     if exc is not None:
         where = "cannot evaluate at the base point" if k == 0 else "probe at radius %g failed" % radii[(k - 1) // samples]
         raise EvaluationFailed("%s: %s" % (where, exc))
@@ -967,6 +1000,17 @@ def limit_check(
     rem = fx - fa - (steps[:, None, :] * realify_map(deriv)).sum(axis=2)
     quot = row_norms(rem, f.codomain[0]) / dist
     return bool(quot[-samples:].max() <= tol)
+
+
+@functools.lru_cache(maxsize=32)
+def _directions(seed: int, samples: int, width: int) -> np.ndarray:
+    """limit_check's unit directions: samples normal draws of the given
+    width from seed, each divided by its Euclidean norm; drawn once per
+    argument triple and process, and read-only."""
+    dirs = np.random.default_rng(seed).normal(size=(samples, width))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs.setflags(write=False)
+    return dirs
 
 
 def forward_derivative(f: DualFunc, a: DualVector) -> ModuleMap:

@@ -14,7 +14,7 @@ import dualmod.linalg as linalg
 from dualmod import cli, diff, sampling
 from dualmod.cli import main
 from dualmod.core import DualNumber, basis_vector, sharp_action, vector
-from dualmod.diff import DualFunc, const, coord, inv_expr, re_part, sharp_expr
+from dualmod.diff import MAX_WIDTH, DualFunc, const, coord, inv_expr, re_part, sharp_expr
 from dualmod.linalg import ModuleMap
 from dualmod.manifold import ProjectiveAtlas
 from dualmod.symplectic import GramForm, standard_form
@@ -763,6 +763,8 @@ def _malformed_cases():
         "C leaf null": ("solve", _set(solve, cell, [None, 0.0]), "map field 'C'"),
         "C cell of three": ("solve", _set(solve, cell, [1.0, 2.0, 99.0]), "map field 'C'"),
         "coord slot false": ("diffcheck", _set(diffcheck, slot, False), "coord slot must be a nonnegative integer"),
+        # one past the width bound, so nothing large is built if the check fails
+        "domain too wide": ("diffcheck", _set(diffcheck, ("function", "domain"), [1, MAX_WIDTH - 1]), "above the bound 1024"),
         "chart a string": ("atlas", {"charts": ["forward inverse domain"]}, "chart must be an object"),
     }
 

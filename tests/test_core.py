@@ -109,6 +109,47 @@ class TestScalarAlgebra:
             assert core.scalar_norm(x) > 0.0
 
 
+class TestScalarContract:
+    """DualNumber's explicit __init__ keeps the generated dataclass's
+    contract: fields, float conversion, frozenness, ==, hash and copies."""
+
+    def test_fields_and_conversion(self):
+        assert [(f.name, f.default) for f in dataclasses.fields(DualNumber)] == [("re", 0.0), ("ze", 0.0)]
+        for x in (DualNumber(1, np.float32(0.5)), DualNumber(re=np.int64(1), ze=0.5), DualNumber(True, "0.5")):
+            assert x == DualNumber(1.0, 0.5) and type(x.re) is float and type(x.ze) is float
+        assert DualNumber() == ZERO and DualNumber(2.0) == DualNumber(2.0, 0.0)
+        assert repr(DualNumber(1.0, -0.0)) == "DualNumber(re=1.0, ze=-0.0)"
+        for bad in (None, "a", 1j, [1.0]):
+            with pytest.raises((TypeError, ValueError)):
+                DualNumber(bad, 0.0)
+        with pytest.raises(TypeError):
+            DualNumber(1.0, 2.0, 3.0)
+
+    def test_frozen_equality_and_hash(self):
+        x = DualNumber(1.0, 2.0)
+        for name in ("re", "ze", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del x.re
+        assert x == DualNumber(1.0, 2.0) and x != DualNumber(1.0, 2.5) and x != (1.0, 2.0)
+        assert DualNumber(0.0, 1.0) == DualNumber(-0.0, 1.0)
+        assert hash(DualNumber(0.0, 1.0)) == hash(DualNumber(-0.0, 1.0)) == hash((0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_round_trip(self, clone):
+        for x in (ZERO, EPS, DualNumber(-0.0, 1e-300), DualNumber(float("inf"), 2.0)):
+            c = clone(x)
+            assert c == x and hash(c) == hash(x) and vars(c) == vars(x)
+            assert math.copysign(1.0, c.re) == math.copysign(1.0, x.re)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                c.re = 1.0
+
+
 class TestTolerancePolicy:
     def test_default_value(self):
         assert core.default_tol() == 1e-9
@@ -450,6 +491,26 @@ class TestVectorStorage:
             assert core.row_norms(mixed, n)[:3].tolist() == norms.tolist()
         assert core.vector_norm(core.vector([(1e200, 0.0)], [])) == pytest.approx(2.0**0.5 * 1e200)
         assert core.vector_norm(core.vector([(1e300, 1e300)], [1e300])) == pytest.approx(2e300)
+
+    def test_norms_of_tiny_rows_scale_exactly(self):
+        # below 2**-501 a row is multiplied by a power of two before its
+        # squares are summed, so squares that would underflow (all of
+        # [1e-170, 0], whose norm read 0.0) keep every bit
+        for n in (0, 1):
+            rows = np.array([[1e-170, 0.0]])
+            want = core.row_norms(rows * 2.0**600, n) * 2.0**-600
+            assert core.row_norms(rows, n).tobytes() == want.tobytes() and want[0] >= 1e-170
+        rng = np.random.default_rng(55)
+        for _ in range(50):
+            n, m = rng.integers(0, 4, size=2)
+            rows = rng.normal(size=(3, 2 * n + m)) * 10.0 ** rng.integers(-8, 9, size=(3, 2 * n + m))
+            norms = core.row_norms(rows, n)
+            assert core.row_norms(rows * 2.0**-700, n).tolist() == (norms * 2.0**-700).tolist()
+            # a tiny row and a zero row leave the others' floats as they were
+            mixed = np.vstack([rows, np.full(2 * n + m, 1e-300), np.zeros(2 * n + m)])
+            assert core.row_norms(mixed, n).tolist() == norms.tolist() + [core.row_norms(mixed[3], n), 0.0]
+        assert core.vector_norm(core.vector([(1e-200, 0.0)], [])) == pytest.approx(2.0**0.5 * 1e-200)
+        assert core.vector_norm(core.vector([], [5e-324])) == 5e-324
 
     def test_entry_replacement(self):
         v = core.vector([ONE, EPS], [1.0, 2.0])

@@ -1,6 +1,8 @@
 import ast
 import copy
 import dataclasses
+import decimal
+import fractions
 import hashlib
 import json
 import pathlib
@@ -659,6 +661,12 @@ def classed_programs(draw):
     return f, nodes + heads + tails, points
 
 
+def _one_point_residuals(jac, n, s):
+    """The batched diff._residuals of the 2-D Jacobian jac as a batch of
+    one point, as floats: the reference for the single-point pass."""
+    return [float(np.ravel(r)[0]) for r in diff._residuals(jac[:, None, :], n, s)]
+
+
 def _finite_jacobian(f, a):
     """realified_jacobian at a, or None where it raises (a singular
     inverse, a tail that is not a zero divisor, or a Jacobian that is not
@@ -706,7 +714,7 @@ class TestSmoothnessClasses:
             for x in points:
                 jac = _finite_jacobian(f, x)
                 if jac is not None:
-                    assert [float(r) for r in diff._residuals(jac, 2, f.codomain[0])] == [0.0] * 4
+                    assert _one_point_residuals(jac, 2, f.codomain[0]) == [0.0] * 4
 
     def test_random_functions_are_proved(self):
         # random_func's heads carry no projection and its tails are sharp
@@ -761,12 +769,13 @@ def test_finite_differences_stay_out_of_production_paths():
 
 def test_one_single_point_derivative_pass():
     """_cr_rows is the one production caller of the batched _jacobian and
-    _pass the one caller of the single-point _gradients; the block
-    residuals are measured only there, once per pass or batch; no second
-    single-point walker (the ring pass, or its proof) is back, and
-    forward_derivative reads no node list of its own."""
+    of the batched _residuals, and _pass the one caller of the
+    single-point _gradients and _point_residuals: the block residuals are
+    measured only there, once per pass or batch; no second single-point
+    walker (the ring pass, or its proof) is back, and forward_derivative
+    reads no node list of its own."""
     root = pathlib.Path(diff.__file__).parent
-    callers = {"_jacobian": set(), "_gradients": set(), "_residuals": set()}
+    callers = {"_jacobian": set(), "_gradients": set(), "_residuals": set(), "_point_residuals": set()}
     for path in root.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef):
@@ -780,7 +789,8 @@ def test_one_single_point_derivative_pass():
     assert callers == {
         "_jacobian": {("diff", "_cr_rows")},
         "_gradients": {("diff", "_pass")},
-        "_residuals": {("diff", "_cr_rows"), ("diff", "_pass")},
+        "_residuals": {("diff", "_cr_rows")},
+        "_point_residuals": {("diff", "_pass")},
     }
 
 
@@ -920,6 +930,52 @@ class TestConstruction:
             assert const(x) == const(DualNumber(float(x), 0.0))
             assert head_coord(0) * x == head_coord(0) * const(float(x))
 
+    def test_expr_keeps_its_dataclass_contract(self):
+        # an explicit __init__ in place of the generated one and
+        # __post_init__: the same fields, defaults, messages and frozenness
+        fields = [(f.name, f.default) for f in dataclasses.fields(Expr)]
+        assert fields == [("op", dataclasses.MISSING), ("args", ()), ("value", None), ("part", None), ("slot", None)]
+        x = head_coord(0)
+        with pytest.raises(ValueError, match="^unknown expression op 'pow'$"):
+            Expr("pow", (x, x))
+        with pytest.raises(ValueError, match="^op 'add' takes 2 arguments, got 1$"):
+            Expr("add", (x,))
+        with pytest.raises(ValueError, match="^op 'const' takes 0 arguments, got 1$"):
+            Expr("const", [x], value=ONE)
+        e = Expr("mul", [x, const(2.0)])
+        assert type(e.args) is tuple and e == x * 2.0
+        assert repr(x) == "Expr(op='coord', args=(), value=None, part='head', slot=0)"
+        for name in ("op", "args", "value", "part", "slot", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(e, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del e.op
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_expr_copies_round_trip(self, clone):
+        x = head_coord(0)
+        for e in (x, const(DualNumber(1.5, -0.0)), inv_expr(x * x + 3.0) - sharp_expr(tail_coord(1)), re_part(x)):
+            c = clone(e)
+            assert c == e and hash(c) == hash(e) and repr(c) == repr(e)
+            assert vars(c) == vars(e)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                c.op = "add"
+
+    def test_const_takes_the_same_types(self):
+        # a DualNumber is taken as it is; a real number becomes (float, 0.0)
+        d = DualNumber(0.5, 0.25)
+        assert const(d).value is d
+        for x in (2, 0.5, True, np.int64(2), np.int8(-3), np.uint16(4), np.float32(0.5), np.float64(0.25), fractions.Fraction(1, 4)):
+            value = const(x).value
+            assert value == DualNumber(float(x), 0.0) and type(value.re) is float and type(value.ze) is float
+        for bad in (None, "0.5", b"1", (1.0, 2.0), [1.0], np.zeros(1), 1j, np.complex64(1.0), np.bool_(False), decimal.Decimal("1.5"), ONE.to_json()):
+            with pytest.raises(TypeError, match="cannot treat"):
+                const(bad)
+
     def test_shapes_must_be_integers(self):
         for domain in ((1.7, 0), (1.0, 0), (True, 0), (1,), (-1, 0)):
             with pytest.raises(ValueError):
@@ -928,6 +984,16 @@ class TestConstruction:
             DualFunc.from_json(dict(square_func().to_json(), codomain=[1.0, 0]))
         f = DualFunc((np.int64(1), np.int64(0)), (1, 0), (head_coord(0),))
         assert f.domain == (1, 0) and type(f.domain[0]) is int
+
+    def test_reader_bounds_the_realified_width(self):
+        # checked on the domain alone, before any array or node is built
+        for domain in ([2**40, 0], [0, 2**40], [1, diff.MAX_WIDTH - 1]):
+            doc = {"domain": domain, "codomain": [0, 0], "components": []}
+            with pytest.raises(ValueError, match=r"realified width 2n \+ m = \d+, above the bound 1024$"):
+                DualFunc.from_json(doc)
+        for domain in ([0, diff.MAX_WIDTH], [diff.MAX_WIDTH // 2, 0]):
+            f = DualFunc.from_json({"domain": domain, "codomain": [0, 0], "components": []})
+            assert f.domain == tuple(domain)
 
     def test_shared_subtrees_lowered_once(self):
         x = head_coord(0)
@@ -997,6 +1063,36 @@ class TestCrCheck:
                 linalg.realify_map(lam),
                 atol=1e-6,
             )
+
+    def test_directions_are_drawn_once_and_read_only(self):
+        diff._directions.cache_clear()
+        dirs = diff._directions(7, 4, 5)
+        want = np.random.default_rng(7).normal(size=(4, 5))
+        want /= np.linalg.norm(want, axis=1, keepdims=True)
+        assert dirs.tobytes() == want.tobytes() and diff._directions(7, 4, 5) is dirs
+        assert not dirs.flags.writeable
+        with pytest.raises(ValueError):
+            dirs[0, 0] = 1.0
+        assert diff._directions.cache_info().hits == 1
+
+    def test_one_seed_at_many_points_equals_the_reference(self):
+        # the cached directions serve every point and derivative alike
+        x, y, t = head_coord(0), head_coord(1), tail_coord(0)
+        f = DualFunc((2, 1), (1, 1), (x * y + inv_expr(x * x + 2.0), sharp_expr(y * x) + t * x))
+        zero = linalg.ModuleMap.zero(f.domain, f.codomain)
+        for p in np.random.default_rng(21).uniform(-1.0, 1.0, size=(6, 5)):
+            a = linalg.unrealify(p, 2, 1)
+            for lam in (diff.forward_derivative(f, a), zero):
+                for seed in (11, np.int64(11), 12):
+                    args = (f, a, lam, 1e-3, 4, 1e-3, 6, seed)
+                    assert diff.limit_check(*args) == _reference_limit_check(*args)
+
+    @pytest.mark.parametrize("seed", [True, -1, 1.5, 2.0, "3", None, [1, 2]])
+    def test_seed_is_a_nonnegative_integer(self, seed):
+        f, a = square_func(), core.vector([DualNumber(0.5, 0.25)], [])
+        deriv = diff.forward_derivative(f, a)
+        with pytest.raises(ValueError, match="limit seed must be a nonnegative integer"):
+            diff.limit_check(f, a, deriv, seed=seed)
 
     def test_tolerance_must_be_finite_and_at_least_zero(self):
         f = DualFunc((1, 0), (1, 0), (re_part(head_coord(0)),))
@@ -1221,7 +1317,7 @@ def _bits(result):
 
 def _reference_report(f, a):
     """cr_check's outcome at a point where the pass completes, rebuilt
-    from the batched _jacobian (_jacobian_row) with _residuals: residuals,
+    from the batched _jacobian (_jacobian_row) and _residuals: residuals,
     verdict and derivative (c_re from the head dre rows), or the message of
     the EvaluationFailed."""
     (n, m), (s, t) = f.domain, f.codomain
@@ -1229,7 +1325,7 @@ def _reference_report(f, a):
     if not np.isfinite(jac).all():
         return "the Jacobian at the point is not finite"
     with np.errstate(over="ignore", invalid="ignore"):
-        values = [float(r) for r in diff._residuals(jac, n, s)]
+        values = _one_point_residuals(jac, n, s)
         if not np.isfinite(values).all():
             return "the block residuals at the point are not finite"
         passed = max(values) <= diff.CR_DEFAULT_TOL
@@ -1252,7 +1348,7 @@ def _assert_exact_block_test(f, points):
             assert type(caught.value) is type(exc) and str(caught.value) == str(exc)
             continue
         with np.errstate(over="ignore"):
-            exact = all(r == 0.0 for r in diff._residuals(jac, n, s))
+            exact = all(r == 0.0 for r in _one_point_residuals(jac, n, s))
         try:
             deriv = diff.forward_derivative(_copy(f), x)
         except NonSmoothExpression:
@@ -1321,6 +1417,50 @@ class TestRingPass:
             assert rows.shape == jac.shape
             for j in range(2 * n + m):  # head re, head ze, then tail columns
                 assert _same_floats(rows[:, j], jac[:, j])
+
+    @staticmethod
+    def _assert_point_residuals(f, points):
+        """Where the pass completes, its residuals equal the batched
+        _residuals of its rows as a batch of one point, bit for bit; where
+        its rows are not finite it keeps none, and _finite_pass raises."""
+        n, s = f.domain[0], f.codomain[0]
+        for x in points:
+            try:
+                rows, values, _ = diff._pass(_copy(f), x)
+            except (NotInvertible, EvaluationFailed):
+                continue
+            if not np.isfinite(rows).all():
+                assert values is None
+                continue
+            with np.errstate(over="ignore"):
+                want = _one_point_residuals(rows, n, s)
+            assert type(values) is tuple and all(type(v) is float for v in values)
+            assert np.array(values).tobytes() == np.array(want).tobytes()
+
+    @_PROGRAM_SETTINGS
+    @given(ring_programs())
+    def test_point_residuals_equal_the_batched_ones(self, case):
+        self._assert_point_residuals(*case)
+
+    @_PROGRAM_SETTINGS
+    @given(classed_programs())
+    def test_point_residuals_equal_the_batched_ones_with_projections(self, case):
+        f, _, points = case
+        self._assert_point_residuals(f, points)
+
+    def test_point_residuals_keep_an_overflowing_difference(self):
+        # dre[A] = 1e308 and dze[B] = -1e308: finite rows whose ze_match
+        # difference overflows to inf, as numpy's does in the batch
+        x = head_coord(0)
+        f = DualFunc((1, 0), (1, 0), (const(1e308) * re_part(x) + const(-1e308) * sharp_expr(ze_part(x)),))
+        a = vector([DualNumber(0.5, 0.25)], [])
+        rows, values, _ = diff._pass(f, a)
+        assert rows.tolist() == [[1e308, 0.0], [0.0, -1e308]]
+        with np.errstate(over="ignore"):
+            assert list(values) == _one_point_residuals(rows, 1, 1) == [0.0, np.inf, 0.0, 0.0]
+        self._assert_point_residuals(f, [a])
+        with pytest.raises(EvaluationFailed, match="block residuals at the point are not finite"):
+            diff.cr_check(f, a)
 
     def test_pass_rounds_as_the_jacobian_does(self):
         # products whose operands both move with every input, at random
@@ -1615,10 +1755,11 @@ class TestLimitCheck:
         monkeypatch.setattr(diff, "_eval_rows", None)  # refused before any evaluation
         with pytest.raises(ValueError, match="smallest limit radius .* is at distance 0 from the base point"):
             diff.limit_check(f, a, deriv, radius=0.05, levels=60)
-        # a step that is not 0 but whose squares underflow
+        # a step that is not 0 but whose squares underflow has its true
+        # distance (core.row_norms scales tiny rows up), so it is checked
+        monkeypatch.undo()
         origin = core.vector([DualNumber(0.0, 0.0)], [])
-        with pytest.raises(ValueError, match="is at distance 0"):
-            diff.limit_check(f, origin, diff.forward_derivative(f, origin), radius=1e-170, levels=1)
+        assert diff.limit_check(f, origin, diff.forward_derivative(f, origin), radius=1e-170, levels=1)
 
     def test_tolerance_must_be_finite_and_at_least_zero(self):
         f = DualFunc((1, 0), (1, 0), (re_part(head_coord(0)),))

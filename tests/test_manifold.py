@@ -852,6 +852,20 @@ class TestReferenceLoop:
             if against_reference:
                 assert json.dumps(got) == json.dumps(reference_report(atlas, 20))
 
+    def test_chart_with_tiny_images_is_injective(self):
+        # x -> 1e-165 x: the image distances, near 1e-165, square below the
+        # float range, and core.row_norms read them (and the spread) as 0.0,
+        # so every iii pair coincided until it scaled tiny rows up
+        zero = np.zeros((1, 1))
+
+        def scaled(c):
+            return func_from_module_map(ModuleMap(1, 1, 1, 1, np.array([[c]]), zero, zero, zero, np.array([[c]])))
+
+        atlas = ExprAtlas((ExprChart(scaled(1e-165), scaled(1e165), const(1.0)),))
+        report = verify_atlas(atlas, samples=10)
+        assert [(e.axiom, e.passed) for e in report.entries] == [("ii", True), ("iii", True), ("iv", True)]
+        assert report.passed
+
     def test_cases_reach_every_witness(self):
         # the reference cases above fail in each way verify_atlas reports
         kinds = set()
