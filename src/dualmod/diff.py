@@ -20,26 +20,28 @@ does the same float operations as its point, so a caller that needs the
 exception replays only the first marked row.
 
 Smooth functions of dual arguments have realified Jacobians with the forced
-block pattern of a module map.  One derivative pass per point (_pass) gives
-that Jacobian: a loop over the node list that carries each node's value and
-its gradient rows over the 2n + m realified inputs, as tuples.  Each
-arithmetic op runs a straight-line kernel, generated from one template and
-compiled once per gradient width and process (_kernels; about 1 ms at width
-5 and 0.1 s at 1,000), so no node runs a comprehension.  The pass is kept
-per point, so cr_check, realified_jacobian and forward_derivative at one
-point walk once.  cr_check measures the four forced identities on it, in
-Python floats on the pass's own tuples, and reads the derivative off its
-head re and tail columns when they hold;
+block pattern of a module map.  One derivative loop (_gradients) gives
+that Jacobian: a walk over the node list that carries each node's value and
+its gradient rows over the 2n + m realified inputs.  R^(2) is forward mode
+itself, so each arithmetic op's rule is written once, in _KERNEL_RULES, and
+rendered twice (_kernels): as straight-line functions on tuples, compiled
+once per gradient width and process (about 1 ms at width 5 and 0.1 s at
+1,000), for one point (_pass), and once over whole-array rows for a batch
+of points (_jacobian, the batched block test _cr_rows).  So a batch row
+does its point's float operations and equals its pass bit for bit.  The
+pass is kept per point, so cr_check, realified_jacobian and
+forward_derivative at one point walk once.  cr_check measures the four
+forced identities on it, in Python floats on the pass's own tuples, and
+reads the derivative off its head re and tail columns when they hold;
 forward_derivative returns that same derivative, kept with the pass, where
 all four hold exactly.  re_part and ze_part are the one form of a real
 projection (coord's "re" and "ze" components build them on the full
 coord): maps that are smooth over the reals yet fail the block pattern.
-_jacobian is the same pass over a batch of points, for the batched block
-test (_cr_rows).  One loop over the node list, run on first use and cached,
-gives each node a smoothness class (_classes); where a function it proves
-has a finite Jacobian, the four block residuals are exactly 0.0, so
-verify_atlas builds no Jacobian for the proved standard transitions where
-it can bound theirs as finite.
+One loop over the node list, run on first use and cached, gives each node
+a smoothness class (_classes); where a function it proves has a finite
+Jacobian, the four block residuals are exactly 0.0, so verify_atlas builds
+no Jacobian for the proved standard transitions where it can bound theirs
+as finite.
 numeric_jacobian is the central-difference oracle for both derivatives.
 """
 
@@ -403,10 +405,11 @@ def _classes(f: DualFunc) -> tuple[int, ...]:
     first use and cached on f; lowering does not pay for it.
 
     A class holds properties of a node's value (re, ze) and of its gradient
-    rows (dre, dze) in the derivative pass (_gradients, or _jacobian for a
-    batch), whose columns are head re parts A, head ze parts B and tail
-    coefficients C.  Call a float null when it is zero or not finite, and
-    two floats matched when they are equal or one is not finite.
+    rows (dre, dze) in the derivative loop (_gradients, which does the
+    float operations of _KERNEL_RULES for a point and a batch alike), whose
+    columns are head re parts A, head ze parts B and tail coefficients C.
+    Call a float null when it is zero or not finite, and two floats
+    matched when they are equal or one is not finite.
     - CLEAN: dre[B] is null (re depends on head re parts and tails only).
     - DUAL: CLEAN, dre[C] is null, and dre[A] matches dze[B] entry by entry.
     - EPS: DUAL, and re, dre and dze[B] are null.
@@ -416,7 +419,8 @@ def _classes(f: DualFunc) -> tuple[int, ...]:
     class two operands share is the bitwise and of theirs.
 
     Proof sketch.  Each rule below keeps its properties through the float
-    operations the pass does; this is the chain rule in R^(2).  In IEEE
+    operations that _KERNEL_RULES writes for the arithmetic ops (and
+    _gradients for the others); this is the chain rule in R^(2).  In IEEE
     arithmetic a null times any float, and a sum or difference of nulls,
     is null.  A product or sum of matched operands is matched, since a
     non-finite operand makes a non-finite result; where a null term is a
@@ -718,14 +722,22 @@ def _pass(f: DualFunc, a: DualVector) -> list:
     return kept
 
 
-def _gradients(nodes, x: list, tol: float) -> list:
+def _gradients(nodes, x: list, tol: float, bad: np.ndarray | None = None) -> list:
     """(re, ze, dre, dze) of the nodes of a lowered list at the realified
-    point x, given as floats, with the gradients of re and ze as tuples over
-    the len(x) realified inputs.  This is _jacobian's loop for one point:
-    the arithmetic ops run the straight-line kernels of _kernels, which do
-    its float operations in its order, so every entry equals _jacobian's
-    bit for bit.  An inverse within tol of zero raises NotInvertible."""
-    kernels, zero, unit = _kernels(len(x))
+    point x, with the gradients of re and ze over the len(x) realified
+    inputs: the one derivative loop, the chain rule in R^(2).  With no bad
+    mask, x holds floats for one point and gradients are tuples; with an
+    (S,) mask, x holds (S, 1) columns for a batch of S points, gradients
+    are (S, len(x)) rows and the float 0.0 is the zero gradient.  The
+    arithmetic ops run the kernels of _kernels, one rendering of
+    _KERNEL_RULES for each form, so a batch row does its point's float
+    operations and equals it bit for bit.  An inverse within tol of zero
+    raises NotInvertible for one point and marks the point in bad for a
+    batch (see _inverse_re)."""
+    if bad is None:
+        kernels, zero, unit = _kernels(len(x))
+    else:
+        kernels, zero, unit = _kernels(None)[0], 0.0, np.eye(len(x))
     vals = []
     for op, args, payload, freed in nodes:
         if op == "const":
@@ -739,7 +751,9 @@ def _gradients(nodes, x: list, tol: float) -> list:
             kernel = kernels.get(op)
             if kernel is not None:
                 if op == "inv":
-                    _inverse_re(u[0], tol, None)
+                    ur = _inverse_re(u[0], tol, bad)
+                    if ur is not u[0]:  # a batch divides by 1.0 at its marked points
+                        u = (ur,) + u[1:]
                 v = kernel(u, vals[args[-1]])  # u again for one argument
             elif op == "sharp":
                 v = (0.0, u[0], zero, u[2])
@@ -754,9 +768,9 @@ def _gradients(nodes, x: list, tol: float) -> list:
 
 
 # Per arithmetic op: statements before the result, the value (re, ze), and
-# one entry of its dre and dze rows, where p and pz are that entry of the
-# first argument's rows and q and qz of the second's: _jacobian's float
-# operations in its order.
+# its dre and dze rows as one entry, where p and pz are that entry of the
+# first argument's rows and q and qz of the second's: the one place where
+# an op's derivative float operations, and their order, are written.
 _KERNEL_RULES = {
     "add": ("", "ur + vr", "uz + vz", "{p} + {q}", "{pz} + {qz}"),
     "sub": ("", "ur - vr", "uz - vz", "{p} - {q}", "{pz} - {qz}"),
@@ -767,14 +781,18 @@ _KERNEL_RULES = {
 
 
 @functools.lru_cache(maxsize=64)
-def _kernels(w: int) -> tuple:
-    """For gradients of width w: one straight-line function per arithmetic
-    op, kernel(u, v) -> (re, ze, dre, dze) for arguments in _gradients'
-    form (v is u for one argument), by op; the zero gradient; and the unit
-    gradients.  Generated from _KERNEL_RULES and compiled once per width
+def _kernels(w: int | None) -> tuple:
+    """One straight-line function per arithmetic op, kernel(u, v) -> (re,
+    ze, dre, dze) for arguments in _gradients' form (v is u for one
+    argument), by op; the zero gradient; and the unit gradients.  For a
+    width w, gradients are tuples of w floats, each entry written out; for
+    None, they are whole array rows, for every width (zero and unit are
+    then None).  Generated from _KERNEL_RULES and compiled once per width
     and process (about 1 ms at width 5, 0.1 s at 1,000)."""
 
-    def row(pattern):  # a tuple display of pattern's entries k < w
+    def row(pattern):  # a tuple display of pattern's entries k < w, or one whole row
+        if w is None:
+            return pattern.format(p="p", pz="pz", q="q", qz="qz")
         return "(%s)" % "".join(pattern.format(p="p%d" % k, pz="pz%d" % k, q="q%d" % k, qz="qz%d" % k) + ", " for k in range(w))
 
     source = []
@@ -786,61 +804,27 @@ def _kernels(w: int) -> tuple:
             source.append("    " + before)
         source.append("    return %s, %s, %s, %s" % (re, ze, row(dre), row(dze)))
     namespace = {}
-    exec(compile("\n".join(source), "<gradient kernels, width %d>" % w, "exec"), namespace)
+    exec(compile("\n".join(source), "<gradient kernels, width %s>" % ("any" if w is None else w), "exec"), namespace)
+    kernels = {op: namespace[op] for op in _KERNEL_RULES}
+    if w is None:
+        return kernels, None, None
     zero = (0.0,) * w
     unit = tuple([zero[:k] + (1.0,) + zero[k + 1 :] for k in range(w)])
-    return {op: namespace[op] for op in _KERNEL_RULES}, zero, unit
+    return kernels, zero, unit
 
 
 def _jacobian(f: DualFunc, x: list, bad: np.ndarray) -> np.ndarray:
     """The realified Jacobian at a batch of S points, given as (S, 1)
-    columns of realified coordinates, with bad an (S,) mask: values are
-    columns, gradients are (S, 2n + m) rows (the float 0.0 while a gradient
-    is zero), and the Jacobian has shape (2s + t, S, 2n + m).  A point with
-    a singular inverse, a tail output that is not a zero divisor or a
-    Jacobian that is not finite is marked in bad.  The single-point pass
-    (_gradients) does the same float operations, so a batch row equals its
-    point's pass.  Callers silence numpy's overflow warnings."""
+    columns of realified coordinates, with bad an (S,) mask: the batched
+    derivative loop (_gradients), then eval_func's tail test per output.
+    The Jacobian has shape (2s + t, S, 2n + m), and a point with a singular
+    inverse, a tail output that is not a zero divisor or a Jacobian that
+    is not finite is marked in bad.  Callers silence numpy's overflow
+    warnings."""
     n, m = f.domain
     s, t = f.codomain
     tol = resolve_tol(None)
-    unit = np.eye(2 * n + m)
-    vals = []
-    for op, args, payload, freed in f._nodes:
-        if op == "const":
-            vals.append((payload[0], payload[1], 0.0, 0.0))
-            continue
-        if op == "coord":
-            r, z = payload
-            re, dre = (0.0, 0.0) if r is None else (x[r], unit[r])
-            vals.append((re, x[z], dre, unit[z]))
-            continue
-        ur, uz, dur, duz = vals[args[0]]
-        if op == "add":
-            vr, vz, dvr, dvz = vals[args[1]]
-            v = (ur + vr, uz + vz, dur + dvr, duz + dvz)
-        elif op == "sub":
-            vr, vz, dvr, dvz = vals[args[1]]
-            v = (ur - vr, uz - vz, dur - dvr, duz - dvz)
-        elif op == "mul":
-            vr, vz, dvr, dvz = vals[args[1]]
-            dze = ur * dvz + uz * dvr + vr * duz + vz * dur
-            v = (ur * vr, ur * vz + uz * vr, ur * dvr + vr * dur, dze)
-        elif op == "neg":
-            v = (-ur, -uz, -dur, -duz)
-        elif op == "inv":
-            ur = _inverse_re(ur, tol, bad)
-            w = 1.0 / ur
-            v = (w, -uz / (ur * ur), -w * w * dur, w * w * (2.0 * w * uz * dur - duz))
-        elif op == "sharp":
-            v = (0.0, ur, 0.0, dur)
-        elif op == "re_part":
-            v = (ur, 0.0, dur, 0.0)
-        else:  # ze_part
-            v = (uz, 0.0, duz, 0.0)
-        vals.append(v)
-        for k in freed:
-            vals[k] = None
+    vals = _gradients(f._nodes, x, tol, bad)
     jac = np.empty((2 * s + t,) + bad.shape + (2 * n + m,))
     for k, p in enumerate(f._outputs):
         re, _, dre, dze = vals[p]

@@ -511,13 +511,16 @@ def verify_atlas(atlas, samples: int = 50, tol: float = 1e-4, seed: int = 0) -> 
     whole overlap sample whatever its verdict, so no verdict moves a later
     pair's draw.  A chart image, round-trip gap or image distance that is
     not finite is a failure.  tol must be a finite number of at least 0,
-    or ValueError is raised.  The default zero tolerance is read once,
-    when the call starts.
+    and samples and seed nonnegative integers, or ValueError is raised (a
+    bool, a negative and a float such as 2.5 or 1.0 all raise); with
+    samples 0, every entry fails on zero points.  The default zero tolerance is read
+    once, when the call starts.
     """
     if not isinstance(atlas, (ProjectiveAtlas, ExprAtlas)):
         raise TypeError("not an atlas: %r" % (atlas,))
     valid_bound(tol, "atlas tolerance")
-    rng = np.random.default_rng(seed)
+    samples = as_index(samples, "atlas samples")
+    rng = np.random.default_rng(as_index(seed, "atlas seed"))
     kind = _StandardCharts if isinstance(atlas, ProjectiveAtlas) else _ExprCharts
     ops = kind(atlas, rng, tol, resolve_tol(None))
     entries = []
@@ -734,8 +737,9 @@ class _StandardCharts:
         """Per gathered row inside a template's domain: does the block test
         pass there for certain, so it needs no Jacobian?  It does where the
         template is proved (diff._classes) and its Jacobian is finite, and
-        the Jacobian is finite where every value and gradient entry of
-        _jacobian's pass stays below the float limit.
+        the Jacobian is finite where every value and gradient entry of the
+        derivative loop, whose float operations diff._KERNEL_RULES writes,
+        stays below the float limit.
 
         Take M = max(1, |largest coordinate|) and Q = max(1, 1 / |smallest
         pivot|); each pivot's re part is a coordinate, and the pass inverts

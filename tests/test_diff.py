@@ -541,10 +541,11 @@ def _every_kernel(n, m):
 
 class TestBatchedBlockTest:
     def test_smooth_tame_functions(self):
-        # every gradient width 2n + m a caller meets (1, 2, 3, 5, 9, 18):
-        # the single-point pass equals _jacobian bit for bit, and _cr_rows
-        # equals cr_check, on tame draws and on one function per width
-        # that runs every kernel
+        # every gradient width 2n + m a caller meets (1, 2, 3, 5, 9, 18;
+        # width 0 is test_constant_on_no_inputs): the single-point pass and
+        # the batched _jacobian equal the written-out reference bit for
+        # bit, and _cr_rows equals cr_check, on tame draws and on one
+        # function per width that runs every kernel
         rng = np.random.default_rng(71)
         for n, m in ((0, 1), (1, 0), (1, 1), (2, 1), (3, 3), (6, 6)):
             cases = [sampling.tame_case(rng, (n, m), (n, m), depth=3) for _ in range(12)]
@@ -561,6 +562,7 @@ class TestBatchedBlockTest:
         assert diff.forward_derivative(f, a) is report.derivative
         assert report.derivative == linalg.ModuleMap.zero((0, 0), (1, 1))
         assert diff.realified_jacobian(f, a).shape == (3, 0)
+        _assert_pass_is_the_reference(f, [a, a])
 
     @pytest.mark.parametrize("project", [re_part, ze_part])
     def test_projection_controls(self, project):
@@ -769,13 +771,15 @@ def test_finite_differences_stay_out_of_production_paths():
 
 def test_one_single_point_derivative_pass():
     """_cr_rows is the one production caller of the batched _jacobian and
-    of the batched _residuals, and _pass the one caller of the
-    single-point _gradients and _point_residuals: the block residuals are
-    measured only there, once per pass or batch; no second single-point
-    walker (the ring pass, or its proof) is back, and forward_derivative
-    reads no node list of its own."""
+    of the batched _residuals, _pass the one caller of _point_residuals,
+    and the derivative loop _gradients serves _pass for one point and
+    _jacobian for a batch: the block residuals are measured only there,
+    once per pass or batch.  The chain rule is written once: _KERNEL_RULES
+    is read only by _kernels, and _jacobian names no op.  No second
+    single-point walker (the ring pass, or its proof) is back, and
+    forward_derivative reads no node list of its own."""
     root = pathlib.Path(diff.__file__).parent
-    callers = {"_jacobian": set(), "_gradients": set(), "_residuals": set(), "_point_residuals": set()}
+    callers = {"_jacobian": set(), "_gradients": set(), "_residuals": set(), "_point_residuals": set(), "_KERNEL_RULES": set()}
     for path in root.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef):
@@ -786,11 +790,14 @@ def test_one_single_point_derivative_pass():
                         callers[callee].add((path.stem, node.name))
                 if node.name == "forward_derivative":
                     assert "_nodes" not in names
+                if node.name == "_jacobian":
+                    assert not {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)} & set(diff._OPS)
     assert callers == {
         "_jacobian": {("diff", "_cr_rows")},
-        "_gradients": {("diff", "_pass")},
+        "_gradients": {("diff", "_pass"), ("diff", "_jacobian")},
         "_residuals": {("diff", "_cr_rows")},
         "_point_residuals": {("diff", "_pass")},
+        "_KERNEL_RULES": {("diff", "_kernels")},
     }
 
 
@@ -1285,12 +1292,89 @@ def _outcome(call, f, a):
         return type(exc), str(exc)
 
 
-def _jacobian_row(f, a):
-    """_jacobian at a as a batch of one point, which keeps the entries that
-    are not finite; equal to the point's pass where the point evaluates."""
+def _reference_jacobian(f, x, bad):
+    """The realified Jacobian at a batch of points, as diff._jacobian takes
+    and returns it, with each op's chain rule written out here rather than
+    read from diff._KERNEL_RULES: the independent reference that both
+    renderings of those rules, the single-point pass and the batched
+    _jacobian, must equal bit for bit.  Callers silence numpy's overflow
+    warnings."""
+    n, m = f.domain
+    s, t = f.codomain
+    tol = core.resolve_tol(None)
+    unit = np.eye(2 * n + m)
+    vals = []
+    for op, args, payload, freed in f._nodes:
+        if op == "const":
+            vals.append((payload[0], payload[1], 0.0, 0.0))
+            continue
+        if op == "coord":
+            r, z = payload
+            re, dre = (0.0, 0.0) if r is None else (x[r], unit[r])
+            vals.append((re, x[z], dre, unit[z]))
+            continue
+        ur, uz, dur, duz = vals[args[0]]
+        if op == "add":
+            vr, vz, dvr, dvz = vals[args[1]]
+            v = (ur + vr, uz + vz, dur + dvr, duz + dvz)
+        elif op == "sub":
+            vr, vz, dvr, dvz = vals[args[1]]
+            v = (ur - vr, uz - vz, dur - dvr, duz - dvz)
+        elif op == "mul":
+            vr, vz, dvr, dvz = vals[args[1]]
+            dze = ur * dvz + uz * dvr + vr * duz + vz * dur
+            v = (ur * vr, ur * vz + uz * vr, ur * dvr + vr * dur, dze)
+        elif op == "neg":
+            v = (-ur, -uz, -dur, -duz)
+        elif op == "inv":
+            ur = diff._inverse_re(ur, tol, bad)
+            w = 1.0 / ur
+            v = (w, -uz / (ur * ur), -w * w * dur, w * w * (2.0 * w * uz * dur - duz))
+        elif op == "sharp":
+            v = (0.0, ur, 0.0, dur)
+        elif op == "re_part":
+            v = (ur, 0.0, dur, 0.0)
+        else:  # ze_part
+            v = (uz, 0.0, duz, 0.0)
+        vals.append(v)
+        for k in freed:
+            vals[k] = None
+    jac = np.empty((2 * s + t,) + bad.shape + (2 * n + m,))
+    for k, p in enumerate(f._outputs):
+        re, _, dre, dze = vals[p]
+        if k < s:
+            jac[k] = dre
+        else:
+            diff._check_tail(re, tol, k - s, bad)
+        jac[s + k] = dze
+    bad |= ~np.isfinite(jac).all(axis=0).all(axis=-1)
+    return jac
+
+
+def _reference_row(f, a):
+    """_reference_jacobian at a as a batch of one point, which keeps the
+    entries that are not finite."""
     bad = np.zeros(1, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        return diff._jacobian(f, list(a.array[:, None, None]), bad)[:, 0, :]
+        return _reference_jacobian(f, list(a.array[:, None, None]), bad)[:, 0, :]
+
+
+def _columns(points):
+    """The realified points as one batch: (S, 1) columns, as _cr_rows
+    passes them."""
+    return list(np.array([x.array for x in points]).T[:, :, None])
+
+
+def _assert_batch_is_the_reference(f, points):
+    """diff._jacobian on the batch of all points marks the points that
+    _reference_jacobian marks, and every unmarked point's entries equal the
+    reference's bit for bit."""
+    x = _columns(points)
+    bad, marked = np.zeros(len(points), dtype=bool), np.zeros(len(points), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac, want = diff._jacobian(f, x, bad), _reference_jacobian(f, x, marked)
+    assert (bad == marked).all()
+    assert _same_floats(jac[:, ~bad], want[:, ~bad])
 
 
 def _same_floats(x, y) -> bool:
@@ -1317,11 +1401,12 @@ def _bits(result):
 
 def _reference_report(f, a):
     """cr_check's outcome at a point where the pass completes, rebuilt
-    from the batched _jacobian (_jacobian_row) and _residuals: residuals,
+    from the written-out reference (_reference_row) and the batched
+    _residuals: residuals,
     verdict and derivative (c_re from the head dre rows), or the message of
     the EvaluationFailed."""
     (n, m), (s, t) = f.domain, f.codomain
-    jac = _jacobian_row(f, a)
+    jac = _reference_row(f, a)
     if not np.isfinite(jac).all():
         return "the Jacobian at the point is not finite"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1358,10 +1443,12 @@ def _assert_exact_block_test(f, points):
 
 
 def _assert_pass_is_the_reference(f, points):
-    """At each point, the pass equals the batched _jacobian bit for bit,
-    realified_jacobian raises where the pass does, and cr_check reports
-    what _reference_report rebuilds; _cr_rows marks exactly the points
-    where cr_check raises (the CLI's replay guard)."""
+    """At each point, the pass equals the written-out reference bit for
+    bit, realified_jacobian raises where the pass does, and cr_check
+    reports what _reference_report rebuilds; on the batch of all points,
+    _jacobian equals the reference (_assert_batch_is_the_reference), and
+    _cr_rows marks exactly the points where cr_check raises (the CLI's
+    replay guard)."""
     for x in points:
         try:
             rows = diff._pass(_copy(f), x)[0]
@@ -1372,7 +1459,7 @@ def _assert_pass_is_the_reference(f, points):
             why = "cannot differentiate at the point: %s" % exc if type(exc) is NotInvertible else str(exc)
             assert _outcome(diff.cr_check, f, x) == (EvaluationFailed, why)
             continue
-        assert _same_floats(rows, _jacobian_row(f, x))
+        assert _same_floats(rows, _reference_row(f, x))
         got, want = _outcome(diff.cr_check, f, x), _reference_report(f, x)
         if isinstance(want, str):
             assert got == (EvaluationFailed, want)
@@ -1380,14 +1467,45 @@ def _assert_pass_is_the_reference(f, points):
             values, passed, deriv = want
             assert np.array(list(got.residuals.values())).tobytes() == np.array(values).tobytes()
             assert got.passed == passed and _bits(got.derivative) == _bits(deriv)
+    _assert_batch_is_the_reference(f, points)
     _assert_block_rows(f, np.array([x.array for x in points]))
 
 
+def _assert_values_are_the_walk(f, points):
+    """At every node, _walk's (re, ze) equals the derivative loop's bit for
+    bit, at each point and on the batch of all points, which mark the same
+    points; _walk writes the value half of each rule on its own.  The nodes
+    are copied with nothing freed, so every node keeps its values."""
+    nodes = tuple([node[:3] + ((),) for node in f._nodes])
+    tol = core.resolve_tol(None)
+    for a in points:
+        x = a.array.tolist()
+        try:
+            walked = diff._walk(nodes, x, tol)
+        except NotInvertible as exc:
+            with pytest.raises(NotInvertible) as caught:
+                diff._gradients(nodes, x, tol)
+            assert str(caught.value) == str(exc)
+            continue
+        derived = diff._gradients(nodes, x, tol)
+        assert len(walked) == len(derived) == len(nodes)
+        for v, g in zip(walked, derived):
+            assert _same_floats(v, g[:2])
+    x = _columns(points)
+    bad, marked = np.zeros(len(points), dtype=bool), np.zeros(len(points), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        walked, derived = diff._walk(nodes, x, tol, bad), diff._gradients(nodes, x, tol, marked)
+    assert (bad == marked).all()
+    for v, g in zip(walked, derived):
+        assert _same_floats(v[0], g[0]) and _same_floats(v[1], g[1])
+
+
 class TestRingPass:
-    """The single-point derivative pass (_pass) against the batched
-    _jacobian, which stays the reference: its entries are _jacobian's bit
-    for bit, with projections, component coords and non-finite entries,
-    and cr_check's reports are those rebuilt from _jacobian."""
+    """Both renderings of diff._KERNEL_RULES, the single-point derivative
+    pass (_pass) and the batched _jacobian, against the written-out
+    reference (_reference_jacobian): their entries are its bit for bit,
+    with projections, component coords and non-finite entries, and
+    cr_check's reports are those rebuilt from it."""
 
     @_PROGRAM_SETTINGS
     @given(ring_programs())
@@ -1413,10 +1531,21 @@ class TestRingPass:
                     diff.realified_jacobian(f, x)
                 assert str(caught.value) == str(exc)
                 continue
-            jac = _jacobian_row(f, x)
+            jac = _reference_row(f, x)
             assert rows.shape == jac.shape
             for j in range(2 * n + m):  # head re, head ze, then tail columns
                 assert _same_floats(rows[:, j], jac[:, j])
+
+    @_PROGRAM_SETTINGS
+    @given(ring_programs())
+    def test_values_are_the_walk(self, case):
+        _assert_values_are_the_walk(*case)
+
+    @_PROGRAM_SETTINGS
+    @given(classed_programs())
+    def test_values_are_the_walk_with_projections(self, case):
+        f, _, points = case
+        _assert_values_are_the_walk(f, points)
 
     @staticmethod
     def _assert_point_residuals(f, points):
@@ -1470,7 +1599,7 @@ class TestRingPass:
         f = DualFunc((2, 1), (2, 1), (u * v, v * v - u, sharp_expr(u * v) + t * u))
         points = np.random.default_rng(37).uniform(-1.0, 1.0, size=(50, 5))
         for a in [linalg.unrealify(p, 2, 1) for p in points]:
-            jac = np.ascontiguousarray(_jacobian_row(f, a))
+            jac = np.ascontiguousarray(_reference_row(f, a))
             assert diff._pass(f, a)[0].tobytes() == jac.tobytes()
 
     def test_forward_derivative_tests_the_tails(self):
@@ -1528,7 +1657,7 @@ class TestRingPass:
         f = DualFunc((1, 1), (1, 1), (head_coord(0), tail_coord(0) * sharp_expr(e)))
         assert diff._proved(f)
         a = linalg.unrealify(np.array([1.0, 1.0, 0.5]), 1, 1)
-        jac = _jacobian_row(f, a)
+        jac = _reference_row(f, a)
         assert np.isnan(jac[2, 1]) and np.isfinite(jac[:, [0, 2]]).all()
         with pytest.raises(EvaluationFailed, match="the Jacobian at the point is not finite"):
             diff.cr_check(f, a)

@@ -392,6 +392,20 @@ class TestVerifyAtlas:
         with pytest.raises(ValueError, match="tolerance"):
             verify_atlas(ProjectiveAtlas(1, 1), samples=5, tol=tol)
 
+    @pytest.mark.parametrize("samples", [2.5, True, -3])
+    def test_samples_must_be_a_nonnegative_integer(self, samples):
+        with pytest.raises(ValueError, match="atlas samples must be a nonnegative integer"):
+            verify_atlas(ProjectiveAtlas(1, 1), samples=samples)
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="atlas seed must be a nonnegative integer"):
+            verify_atlas(ProjectiveAtlas(1, 1), seed=seed)
+
+    def test_numpy_integers_are_read_as_ints(self):
+        numpy_ints = verify_atlas(ProjectiveAtlas(1, 1), samples=np.int64(5), seed=np.uint8(3))
+        assert numpy_ints.to_json() == verify_atlas(ProjectiveAtlas(1, 1), samples=5, seed=3).to_json()
+
     def test_zero_tolerance_passes(self):
         assert verify_atlas(ProjectiveAtlas(1, 1), samples=20, tol=0.0).passed
 
@@ -424,17 +438,20 @@ class TestVerifyAtlas:
 
     def test_no_sample_in_domain_fails(self):
         # the domain predicate is zero everywhere, so sampling finds nothing;
-        # a sample count below 1 draws nothing at all, and evaluates nothing,
-        # not even an inverse of zero in a forward map or predicate
+        # a sample count of 0 draws nothing at all, and evaluates nothing,
+        # not even an inverse of zero in a forward map or predicate; a
+        # negative count is refused
         ident = identity_func(1, 0)
         chart = ExprChart(ident, ident, const(0.0))
         singular = inv_expr(const(0.0))
         forward = DualFunc((1, 0), (1, 0), (coord("head", 0) * singular,))
+        for atlas in (ProjectiveAtlas(1, 1), ExprAtlas((chart,))):
+            with pytest.raises(ValueError, match="atlas samples"):
+                verify_atlas(atlas, samples=-3, seed=0)
         for atlas, samples in (
             (ExprAtlas((chart,)), 20),
             (ProjectiveAtlas(1, 1), 0),
-            (ProjectiveAtlas(1, 1), -3),
-            (ExprAtlas((chart,)), -3),
+            (ExprAtlas((chart,)), 0),
             (ExprAtlas((ExprChart(ident, ident, singular),)), 0),
             (ExprAtlas((ExprChart(forward, ident, const(ONE)),)), 0),
         ):
