@@ -18,10 +18,13 @@ numeric_jacobian is only an oracle, for the selftest and the tests.
 Exit codes: 0 success, 1 a mathematical check failed or a computation could
 not complete, 2 bad usage or unreadable input.  Any other exception is a
 defect: it exits 1 with one "error: internal: <type>" line, not a
-traceback.  A function's realified domain width 2n + m is at most
-diff.MAX_WIDTH (1,024), checked as it is read, so a wider one is bad input
-(exit 2) and no array is built for it.  Reports are deterministic for a
-fixed seed: keys are sorted and no timestamps are embedded.
+traceback.  Sizes are bounded, each checked as it is read, so a larger
+one is bad input (exit 2) and nothing is built for it: a function's
+realified domain width 2n + m is at most diff.MAX_WIDTH (1,024), an
+atlas's chart count, and for a standard atlas (n + 1)(m + 1), at most
+manifold.MAX_CHARTS (256), and --samples at most MAX_SAMPLES (10,000).
+Reports are deterministic for a fixed seed: keys are sorted and no
+timestamps are embedded.
 
 The working tolerance is taken from --tol when given, else from the
 DUALMOD_TOL environment variable, else from a per-command default (1e-4 for
@@ -54,6 +57,12 @@ COMMAND_TOL = {
     "atlas": 1e-4,
     "darboux": 1e-9,
 }
+
+# The largest --samples: diffcheck screens up to 50 x --samples candidate
+# points and checks --samples of them in one batch, the selftest draws
+# --samples cases per sampled check, and verify_atlas draws up to
+# --samples points per chart pair.
+MAX_SAMPLES = 10_000
 
 
 class UsageFailure(Exception):
@@ -435,9 +444,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.samples < 1:
+        if not 1 <= args.samples <= MAX_SAMPLES:
             raise UsageFailure(
-                "--samples must be at least 1, got %d" % args.samples
+                "--samples must be between 1 and %d, got %d" % (MAX_SAMPLES, args.samples)
             )
         if args.seed < 0:
             raise UsageFailure("--seed must be at least 0, got %d" % args.seed)

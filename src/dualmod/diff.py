@@ -41,7 +41,11 @@ One loop over the node list, run on first use and cached, gives each node
 a smoothness class (_classes); where a function it proves has a finite
 Jacobian, the four block residuals are exactly 0.0, so verify_atlas builds
 no Jacobian for the proved standard transitions where it can bound theirs
-as finite.
+as finite.  For a proved function with no inverse, one scalar pass over
+the node list (_magnitudes) bounds every float of the derivative loop at
+a batch's largest coordinate, after interval arithmetic's rules; where
+those bounds are finite, the batched block test (_cr_rows) returns the
+zero residuals without building the Jacobian.
 numeric_jacobian is the central-difference oracle for both derivatives.
 """
 
@@ -813,6 +817,83 @@ def _kernels(w: int | None) -> tuple:
     return kernels, zero, unit
 
 
+def _magnitudes(nodes, big: float) -> list | None:
+    """Bounds on the derivative loop's floats (_gradients) at every node of
+    a lowered list, at every point whose realified coordinates are at most
+    big in size, in Python floats: per node (R, Z, (DR,), (DZ,)), with
+    |re| <= R, |ze| <= Z and every entry of the dre and dze rows at most
+    DR and DZ, which is _gradients' form at width 1.  None at the first
+    inverse, which this pass does not bound.
+
+    Rules: a const bounds by the absolute values of its payload, with zero
+    gradients; a coord by big (a tail's re part by 0.0), with unit
+    gradients; add and sub by the width-1 add kernel of _kernels, mul by
+    its mul kernel; neg by its argument's bounds; sharp, re_part and
+    ze_part move entries as _gradients does.  Each op of _OPS has its
+    rule, and an unknown op raises.
+
+    Proof sketch.  Every add and mul rule of _KERNEL_RULES is a sum of
+    products, |a - b| <= |a| + |b|, and round-to-nearest is monotone and
+    symmetric in sign: where A and B bound |a| and |b|, fl(A * B) bounds
+    |fl(a * b)| and fl(A + B) bounds |fl(a + b)| and |fl(a - b)|.  So a
+    kernel run on bounds, float operation for float operation, bounds
+    what the loop computes for that op, exactly and with no fudge factor.
+    Sums and products of nonnegative floats send inf and NaN to inf or
+    NaN, and only sharp, re_part and ze_part drop an entry, whose float
+    the loop drops too; so a finite bound is made of finite bounds only,
+    and by induction over the nodes it bounds the loop's float there.
+
+    Hence, where f is proved (_proved), meets no inverse, and its outputs'
+    bounds at big = the largest coordinate magnitude of a batch are all
+    finite, every row of that batch has a finite Jacobian and no singular
+    inverse, and each tail output, being EPS, has a null and finite re
+    part, ±0.0, which passes the tail test: by _classes, every block
+    residual is exactly +0.0 and no row is marked.  _cr_rows returns that
+    without building the Jacobian.
+    """
+    kernels, zero, unit = _kernels(1)
+    add, mul = kernels["add"], kernels["mul"]
+    vals = []
+    for op, args, payload, freed in nodes:
+        if op == "const":
+            v = (abs(payload[0]), abs(payload[1]), zero, zero)
+        elif op == "coord":
+            v = (big, big, unit[0], unit[0]) if payload[0] is not None else (0.0, big, zero, unit[0])
+        elif op == "inv":
+            return None
+        else:
+            u = vals[args[0]]
+            if op == "add" or op == "sub":
+                v = add(u, vals[args[1]])
+            elif op == "mul":
+                v = mul(u, vals[args[1]])
+            elif op == "neg":
+                v = u
+            elif op == "sharp":
+                v = (0.0, u[0], zero, u[2])
+            elif op == "re_part":
+                v = (u[0], 0.0, u[2], zero)
+            elif op == "ze_part":
+                v = (u[1], 0.0, u[3], zero)
+            else:
+                raise ValueError("no magnitude rule for op %r" % op)
+        vals.append(v)
+        for k in freed:
+            vals[k] = None
+    return vals
+
+
+def _settled(f: DualFunc, points: np.ndarray) -> bool:
+    """Does the block test pass at every row of points for certain, so
+    that it needs no Jacobian?  It does where f is proved and _magnitudes
+    bounds all its outputs finitely at the batch's largest coordinate
+    magnitude (see there)."""
+    if not _proved(f):
+        return False
+    bounds = _magnitudes(f._nodes, float(np.abs(points).max(initial=0.0)))
+    return bounds is not None and all(math.isfinite(b) for p in f._outputs for b in (*bounds[p][:2], *bounds[p][2], *bounds[p][3]))
+
+
 def _jacobian(f: DualFunc, x: list, bad: np.ndarray) -> np.ndarray:
     """The realified Jacobian at a batch of S points, given as (S, 1)
     columns of realified coordinates, with bad an (S,) mask: the batched
@@ -920,10 +1001,15 @@ def _cr_rows(f: DualFunc, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mask of the rows where it would raise, a residual that is not finite
     included.  An unmarked row's residuals equal cr_check's bit for bit; a
     caller replays a marked row through cr_check for its message.  An empty
-    batch walks nothing."""
+    batch walks nothing, and a batch that _settled passes (a proved
+    function with no inverse whose magnitudes stay finite at the batch's
+    coordinates) gets residuals of +0.0 and no mark, what its Jacobian
+    would give, without building it."""
     bad = np.zeros(len(points), dtype=bool)
     if not len(points):
         return np.empty((0, len(_RESIDUAL_KEYS))), bad
+    if _settled(f, points):
+        return np.zeros((len(points), len(_RESIDUAL_KEYS))), bad
     jac = _jacobian(f, list(points.T[:, :, None]), bad)
     residuals = np.empty((len(points), len(_RESIDUAL_KEYS)))
     for k, r in enumerate(_residuals(jac, f.domain[0], f.codomain[0])):
@@ -954,11 +1040,14 @@ def limit_check(
     raises ValueError, and so does a radius, or a smallest radius
     radius / 2**(levels - 1), that is not finite and above 0, or a probe at
     the smallest radius whose distance from the base point rounds to 0 (its
-    quotient would be 0 / 0).  seed must be a nonnegative integer (a bool,
-    a negative or a float raises ValueError); the unit directions of one
-    seed, sample count and width are drawn once per process (_directions).
+    quotient would be 0 / 0).  samples, levels and seed must be
+    nonnegative integers (a bool, a negative or a float such as 2.5 or 3.0
+    raises ValueError naming the argument), and samples and levels at
+    least 1; the unit directions of one seed, sample count and width are
+    drawn once per process (_directions).
     """
     valid_bound(tol, "limit tolerance")
+    samples, levels = as_index(samples, "limit samples"), as_index(levels, "limit levels")
     if samples < 1 or levels < 1:
         raise ValueError("limit_check needs at least one sample and one level")
     _positive(radius, "limit radius")

@@ -16,7 +16,10 @@ of slots, a standard transition (i, j) -> (k, l) has one of four shapes
 templates per (n, m), with the pairs of a shape stacked into shared
 batches.  The templates are proved to have the block pattern wherever
 their Jacobian is finite (diff._classes), so a stacked row passes without
-a Jacobian where a closed-form bound shows it finite.  A transition is
+a Jacobian where a closed-form bound shows it finite.  An expression
+atlas's transition that is proved and has no inverse, such as a linear
+one, passes its whole stack without a Jacobian where the batched block
+test bounds the Jacobian as finite (diff._magnitudes).  A transition is
 defined where it evaluates: for a standard one, where its head and tail
 pivots are invertible.
 """
@@ -311,6 +314,18 @@ def _re_invertible(predicate: DualFunc, points: np.ndarray, tol: float) -> np.nd
     return ~bad & (np.abs(values[:, 0]) > tol)
 
 
+# The most charts an atlas lists, and for a ProjectiveAtlas the most
+# standard charts, (n + 1)(m + 1), of its space: verify_atlas checks one
+# iv entry per ordered chart pair, so its work grows with the square of
+# the chart count.  A larger atlas is refused before any chart is listed.
+MAX_CHARTS = 256
+
+
+def _check_chart_count(count: int) -> None:
+    if count > MAX_CHARTS:
+        raise ValueError("an atlas of %d charts is above the bound %d" % (count, MAX_CHARTS))
+
+
 @dataclass(frozen=True)
 class ProjectiveAtlas:
     """The standard chart family on the (n, m) projective space."""
@@ -322,8 +337,16 @@ class ProjectiveAtlas:
     def __post_init__(self):
         object.__setattr__(self, "n", as_index(self.n, "n"))
         object.__setattr__(self, "m", as_index(self.m, "m"))
+        count = (self.n + 1) * (self.m + 1)
+        if count > MAX_CHARTS:
+            raise ValueError(
+                "the (%d, %d) projective space has (n + 1)(m + 1) = %d standard charts, above the bound %d"
+                % (self.n, self.m, count, MAX_CHARTS)
+            )
+        charts = tuple(self.charts)
+        _check_chart_count(len(charts))
         charts = tuple(
-            (as_index(i, "chart index"), as_index(j, "chart index")) for i, j in self.charts
+            (as_index(i, "chart index"), as_index(j, "chart index")) for i, j in charts
         ) or tuple((i, j) for i in range(self.n + 1) for j in range(self.m + 1))
         for i, j in charts:
             if i > self.n or j > self.m:
@@ -377,6 +400,7 @@ class ExprAtlas:
         object.__setattr__(self, "charts", tuple(self.charts))
         if not self.charts:
             raise ValueError("atlas needs at least one chart")
+        _check_chart_count(len(self.charts))
         shapes = sorted({c.forward.domain for c in self.charts})
         if len(shapes) > 1:
             raise ShapeMismatch("charts disagree on the ambient shape: %r" % shapes)
@@ -390,7 +414,9 @@ class ExprAtlas:
     @classmethod
     def from_json(cls, data) -> "ExprAtlas":
         (charts,) = json_fields(data, "atlas", ("charts",))
-        return cls(tuple(map(ExprChart.from_json, json_list(charts, "atlas field 'charts'"))))
+        charts = json_list(charts, "atlas field 'charts'")
+        _check_chart_count(len(charts))  # before any chart is built
+        return cls(tuple(map(ExprChart.from_json, charts)))
 
 
 def atlas_from_json(data):
@@ -620,7 +646,9 @@ def _smoothness(ops, samples, tol) -> list:
     verdict says, so every window's verdicts are final.  A proved stack
     (diff._classes) builds no Jacobian: its rows inside the domain pass
     where ops.proved_rows bounds the Jacobian as finite, and only the rest
-    go through the batched block test.  A failing pair's witness comes
+    go through the batched block test, which passes a proved stack with no
+    inverse without a Jacobian too where its magnitude pass bounds one as
+    finite (diff._cr_rows).  A failing pair's witness comes
     from cr_check on its template at the failing row's gathered columns
     (the witness point is the row itself)."""
     windows, cells = [[]], 0
@@ -688,7 +716,8 @@ def _window_verdicts(ops, window, pts, tol):
 
 
 # Jacobian entries per window; a batched block test peaks near 20 B each, and
-# a proved stack builds no Jacobian for the rows proved_rows settles
+# a proved stack builds no Jacobian for the rows proved_rows settles, nor for
+# a batch that diff._cr_rows settles
 _WINDOW_CELLS = 3 * 2**15
 
 
@@ -810,8 +839,13 @@ class _ExprCharts:
         return vector_norm(x - y) <= 1e-6
 
     def proved_rows(self, trans, rows, pivots):
-        """None: a user transition has no bound on its Jacobian (1/x is finite
-        at x = 1e-160, its derivative is not), so every row is checked."""
+        """None: a user transition has no closed-form bound on its Jacobian
+        (1/x is finite at x = 1e-160, its derivative is not), so every row
+        goes to the batched block test.  There a proved transition with no
+        inverse, such as a linear one, is settled as a whole stack, with no
+        Jacobian, where its magnitude pass (diff._magnitudes) bounds every
+        float of the derivative loop as finite; the rest, the inverses and
+        projections included, build their Jacobians."""
         return np.zeros(len(rows), dtype=bool)
 
     def template(self, a, b):

@@ -12,11 +12,11 @@ import pytest
 import dualmod.core as core
 import dualmod.linalg as linalg
 from dualmod import cli, diff, sampling
-from dualmod.cli import main
+from dualmod.cli import COMMAND_TOL, MAX_SAMPLES, RUNNERS, main
 from dualmod.core import DualNumber, basis_vector, sharp_action, vector
 from dualmod.diff import MAX_WIDTH, DualFunc, const, coord, inv_expr, re_part, sharp_expr
 from dualmod.linalg import ModuleMap
-from dualmod.manifold import ProjectiveAtlas
+from dualmod.manifold import MAX_CHARTS, ProjectiveAtlas
 from dualmod.symplectic import GramForm, standard_form
 
 
@@ -102,6 +102,15 @@ class TestSelftest:
         code, _, err = run(capsys, ["selftest", "--samples", "0"])
         assert code == 2
         assert "--samples" in err
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_TOL))
+    def test_samples_above_the_bound_rejected(self, capsys, monkeypatch, command):
+        # one past the bound, refused before the runner starts: a runner
+        # reached would end in the last-resort handler, not exit 2
+        monkeypatch.setitem(RUNNERS, command, None)
+        code, out, err = run(capsys, [command, "--samples", str(MAX_SAMPLES + 1)])
+        assert code == 2 and out == ""
+        assert err == "error: --samples must be between 1 and %d, got %d\n" % (MAX_SAMPLES, MAX_SAMPLES + 1)
 
     def test_nonpositive_tolerance_rejected(self, capsys, monkeypatch):
         # a tolerance that is not finite is bad input too, before any check runs
@@ -766,6 +775,9 @@ def _malformed_cases():
         # one past the width bound, so nothing large is built if the check fails
         "domain too wide": ("diffcheck", _set(diffcheck, ("function", "domain"), [1, MAX_WIDTH - 1]), "above the bound 1024"),
         "chart a string": ("atlas", {"charts": ["forward inverse domain"]}, "chart must be an object"),
+        # refused by the size checks before any chart is listed or built
+        "projective space too large": ("atlas", {"n": 2**40, "m": 1}, "above the bound %d" % MAX_CHARTS),
+        "too many charts": ("atlas", {"charts": ["not a chart"] * (MAX_CHARTS + 1)}, "above the bound %d" % MAX_CHARTS),
     }
 
 

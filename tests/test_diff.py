@@ -5,6 +5,7 @@ import decimal
 import fractions
 import hashlib
 import json
+import math
 import pathlib
 import pickle
 import time
@@ -771,15 +772,16 @@ def test_finite_differences_stay_out_of_production_paths():
 
 def test_one_single_point_derivative_pass():
     """_cr_rows is the one production caller of the batched _jacobian and
-    of the batched _residuals, _pass the one caller of _point_residuals,
-    and the derivative loop _gradients serves _pass for one point and
-    _jacobian for a batch: the block residuals are measured only there,
-    once per pass or batch.  The chain rule is written once: _KERNEL_RULES
+    of the batched _residuals, which it skips for a batch that _settled
+    (the one caller of the magnitude pass) passes; _pass is the one caller
+    of _point_residuals, and the derivative loop _gradients serves _pass
+    for one point and _jacobian for a batch: the block residuals are
+    measured only there, once per pass or batch.  The chain rule is written once: _KERNEL_RULES
     is read only by _kernels, and _jacobian names no op.  No second
     single-point walker (the ring pass, or its proof) is back, and
     forward_derivative reads no node list of its own."""
     root = pathlib.Path(diff.__file__).parent
-    callers = {"_jacobian": set(), "_gradients": set(), "_residuals": set(), "_point_residuals": set(), "_KERNEL_RULES": set()}
+    callers = {"_jacobian": set(), "_gradients": set(), "_residuals": set(), "_point_residuals": set(), "_KERNEL_RULES": set(), "_magnitudes": set()}
     for path in root.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef):
@@ -798,6 +800,7 @@ def test_one_single_point_derivative_pass():
         "_residuals": {("diff", "_cr_rows")},
         "_point_residuals": {("diff", "_pass")},
         "_KERNEL_RULES": {("diff", "_kernels")},
+        "_magnitudes": {("diff", "_settled")},
     }
 
 
@@ -1728,6 +1731,130 @@ class TestRingPass:
 
 
 @st.composite
+def magnitude_cases(draw):
+    """A function from ring_programs or classed_programs and four points:
+    half the functions have every output times a huge constant, and a
+    third of the point sets are redrawn with coordinates near 2**500 or
+    2**-500 (an EPS tail times a real constant stays EPS)."""
+    if draw(st.booleans()):
+        f, points = draw(ring_programs())
+    else:
+        f, _, points = draw(classed_programs())
+    if draw(st.booleans()):
+        c = const(draw(st.sampled_from([1e300, -1e250, 2.0**500, 1e-300])))
+        f = DualFunc(f.domain, f.codomain, tuple([c * e for e in f.components]))
+    scale = draw(st.sampled_from([None, None, None, None, 2.0**500, 2.0**-500]))
+    if scale is not None:
+        width = 2 * f.domain[0] + f.domain[1]
+        points = [linalg.unrealify(np.array([draw(st.floats(-2.0, 2.0)) * scale for _ in range(width)]), *f.domain) for _ in range(4)]
+    return f, points
+
+
+def _bounds_and_batch(f, points):
+    """_magnitudes at the batch's largest coordinate magnitude and the
+    batched derivative loop on the batch, with nothing freed, so every
+    node keeps its bounds and values; the rows."""
+    nodes = tuple([node[:3] + ((),) for node in f._nodes])
+    rows = np.array([x.array for x in points]).reshape(len(points), -1)
+    bounds = diff._magnitudes(nodes, float(np.abs(rows).max(initial=0.0)))
+    bad = np.zeros(len(points), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        derived = diff._gradients(nodes, _columns(points), core.resolve_tol(None), bad)
+    return bounds, derived, rows
+
+
+class TestMagnitudes:
+    """diff._magnitudes, the bound that lets _cr_rows settle a proved,
+    inverse-free batch without its Jacobian, against the derivative loop
+    it bounds, and _cr_rows' use of it."""
+
+    @_PROGRAM_SETTINGS
+    @given(magnitude_cases())
+    def test_bounds_dominate_the_derivative_loop(self, case):
+        f, points = case
+        bounds, derived, _ = _bounds_and_batch(f, points)
+        if bounds is None:
+            assert "inv" in [node[0] for node in f._nodes]
+            return
+        for bound, value in zip(bounds, derived):
+            for b, v in zip((bound[0], bound[1], *bound[2], *bound[3]), value):
+                assert b >= 0.0 or np.isnan(b)
+                if math.isfinite(b):  # a finite bound is made of finite bounds
+                    assert (np.abs(v) <= b).all(), (b, v)
+
+    @_PROGRAM_SETTINGS
+    @given(magnitude_cases())
+    def test_a_settled_batch_has_zero_residuals_and_no_mark(self, case):
+        f, points = case
+        rows = np.array([x.array for x in points]).reshape(len(points), -1)
+        if not diff._settled(f, rows):
+            return
+        bad = np.zeros(len(points), dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac = diff._jacobian(f, _columns(points), bad)
+            residuals = diff._residuals(jac, f.domain[0], f.codomain[0])
+        assert not bad.any()
+        want = np.zeros((len(points), 4))
+        got = np.zeros((len(points), 4))
+        for k, r in enumerate(residuals):
+            got[:, k] = r
+        assert got.tobytes() == want.tobytes()
+        residuals, bad = diff._cr_rows(f, rows)
+        assert residuals.tobytes() == want.tobytes() and not bad.any()
+
+    def test_settled_batches_build_no_jacobian(self, monkeypatch):
+        rng = np.random.default_rng(81)
+        lam = linalg.ModuleMap(2, 1, 2, 1, *[rng.uniform(-1.0, 1.0, size=shape) for shape in ((2, 2), (2, 2), (2, 1), (1, 2), (1, 1))])
+        affine = diff.func_from_module_map(lam)
+        x = head_coord(0)
+        huge = DualFunc((1, 0), (1, 0), (const(1e300) * x * x,))
+        inverse = DualFunc((1, 0), (1, 0), (inv_expr(x + 3.0),))
+        points = rng.uniform(-1.0, 1.0, size=(10, 5))
+        settled = ((affine, points), (huge, points[:, :2]))
+        # 1e300 x x overflows its bound at |x| near 1e5, and an inverse
+        # is never bounded: both batches still build their Jacobians
+        declined = ((huge, 1e5 * points[:, :2]), (inverse, points[:, :2]))
+
+        def refuse(*args):
+            raise AssertionError("_jacobian called")
+
+        monkeypatch.setattr(diff, "_jacobian", refuse)
+        for f, p in settled:
+            assert diff._settled(f, p)
+            residuals, bad = diff._cr_rows(f, p)
+            assert residuals.tobytes() == np.zeros((len(p), 4)).tobytes() and not bad.any()
+        for f, p in declined:
+            assert not diff._settled(f, p)
+            with pytest.raises(AssertionError, match="_jacobian called"):
+                diff._cr_rows(f, p)
+        monkeypatch.undo()
+        for f, p in settled + declined:  # cr_check's residuals, row by row
+            _assert_block_rows(f, p)
+
+    def test_every_op_has_its_own_rule(self):
+        # an op added to _OPS without a rule raises, never falling into a
+        # default branch that would bound it wrongly
+        source = ast.parse(pathlib.Path(diff.__file__).read_text())
+        (pass_,) = [node for node in ast.walk(source) if isinstance(node, ast.FunctionDef) and node.name == "_magnitudes"]
+        named = {node.value for node in ast.walk(pass_) if isinstance(node, ast.Constant)}
+        assert set(diff._OPS) <= named
+        nodes = (("const", (), (1.0, 0.0), ()), ("unknown", (0,), None, ()))
+        with pytest.raises(ValueError, match="no magnitude rule for op 'unknown'"):
+            diff._magnitudes(nodes, 1.0)
+
+    def test_coordinates_that_are_not_finite_are_not_settled(self):
+        x = head_coord(0)
+        f = DualFunc((1, 0), (1, 0), (x * x,))
+        constant = DualFunc((1, 0), (1, 0), (const(2.0),))
+        for value in (np.inf, np.nan):
+            rows = np.array([[0.5, 0.25], [value, 0.0]])
+            assert not diff._settled(f, rows)
+            assert diff._settled(constant, rows)  # reads no coordinate
+            _assert_block_rows(f, rows)
+            _assert_block_rows(constant, rows)
+
+
+@st.composite
 def spliced_pairs(draw):
     """An outer and an inner function that compose, and four points of
     inner's domain: inner from ring_programs or classed_programs, outer a
@@ -1899,6 +2026,20 @@ class TestLimitCheck:
                 diff.limit_check(f, a, cand, tol=tol)
         square = square_func()
         assert diff.limit_check(square, a, diff.forward_derivative(square, a), tol=0.5)
+
+    @pytest.mark.parametrize("name,value", [("samples", 2.5), ("samples", True), ("levels", 2.5), ("levels", 3.0)])
+    def test_counts_must_be_nonnegative_integers(self, name, value):
+        # once raw TypeErrors from numpy or math.ldexp
+        f, a = square_func(), core.vector([DualNumber(0.5, 0.25)], [])
+        deriv = diff.forward_derivative(f, a)
+        with pytest.raises(ValueError, match=r"limit %s must be a nonnegative integer, got %r$" % (name, value)):
+            diff.limit_check(f, a, deriv, **{name: value})
+
+    def test_numpy_integer_counts_are_read_as_ints(self):
+        f, a = square_func(), core.vector([DualNumber(0.5, 0.25)], [])
+        deriv = diff.forward_derivative(f, a)
+        want = diff.limit_check(f, a, deriv, samples=7, levels=5)
+        assert diff.limit_check(f, a, deriv, samples=np.int64(7), levels=np.uint8(5)) is want
 
 
 class TestComposeAndJson:

@@ -1036,6 +1036,26 @@ class TestTransitionTemplates:
         verify_atlas(ExprAtlas(reference_atlases()["conjugation"]), samples=20)
         assert any(rows)
 
+    def test_inverse_free_proved_stacks_build_no_jacobian(self, monkeypatch):
+        # every transition of these atlases is proved and has no inverse,
+        # so _cr_rows settles its stack by the magnitude pass; the
+        # conjugation atlas's transitions read re_part and ze_part, so
+        # they still build their Jacobians and its mixed pairs fail
+        atlases = reference_atlases()
+        names = ("module_map", "bad_inverse", "conjugation")
+        want = {name: verify_atlas(ExprAtlas(atlases[name]), samples=20).to_json() for name in names}
+        calls = []
+        jacobian = diff._jacobian
+        monkeypatch.setattr(diff, "_jacobian", lambda *args: calls.append(1) or jacobian(*args))
+        for name in names[:2]:
+            assert verify_atlas(ExprAtlas(atlases[name]), samples=20).to_json() == want[name]
+        assert not calls
+        report = verify_atlas(ExprAtlas(atlases["conjugation"]), samples=20)
+        assert report.to_json() == want["conjugation"] and calls
+        iv = [e for e in report.entries if e.axiom == "iv"]
+        assert [e.passed for e in iv] == [True, False, False, True]
+        assert all("residuals" in e.witness for e in iv if not e.passed)
+
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (3, 1), (1, 3)])
     def test_proved_rows_near_the_overflow_edge(self, n, m):
         # the sampler keeps coordinates below about 8 and pivots above 1/3;
@@ -1139,6 +1159,26 @@ class TestAtlasJson:
         ):
             with pytest.raises(ValueError):
                 atlas_from_json(data)
+
+    def test_chart_counts_are_bounded(self):
+        # each oversized atlas is refused by the count check itself, before
+        # any chart is listed or built; none of them is constructed
+        bound = manifold.MAX_CHARTS
+        assert ProjectiveAtlas(bound - 1, 0).charts[-1] == (bound - 1, 0)
+        for n, m in ((bound, 0), (2**40, 1), (16, 15)):
+            with pytest.raises(ValueError, match="standard charts, above the bound %d" % bound):
+                ProjectiveAtlas(n, m, charts=((0, 0),))
+            with pytest.raises(ValueError, match="above the bound %d" % bound):
+                atlas_from_json({"n": n, "m": m})
+        with pytest.raises(ValueError, match="an atlas of %d charts is above the bound" % (bound + 1)):
+            ProjectiveAtlas(1, 1, charts=((0, 0),) * (bound + 1))
+        # strings, not charts: the count is refused before any is read
+        with pytest.raises(ValueError, match="an atlas of %d charts is above the bound" % (bound + 1)):
+            atlas_from_json({"charts": ["not a chart"] * (bound + 1)})
+        chart = ExprChart(identity_func(1, 0), identity_func(1, 0), const(ONE))
+        assert len(ExprAtlas((chart,) * bound).charts) == bound
+        with pytest.raises(ValueError, match="an atlas of %d charts is above the bound" % (bound + 1)):
+            ExprAtlas((chart,) * (bound + 1))
 
     def test_numpy_integers_accepted(self):
         atlas = ProjectiveAtlas(np.int64(1), np.int32(1), charts=((np.int64(1), 0),))
